@@ -2,15 +2,16 @@
 (default /root/testdata/sf0.1) and prints ONE JSON line.
 
 Usage:
-  python bench.py             # one timed run at RAY_GRAFT_CPUS (default 32)
-  python bench.py --scaling   # fresh-process runs at 8 and 32 CPUs + efficiency
+  python bench.py                      # one timed run at RAY_GRAFT_CPUS (default 32)
+  python bench.py --scaling-protocol   # pre-registered 8 -> 32 CPU scaling record
 
 The headline metric is the flagship extraction pipeline's wall seconds
 over the synthetic pages corpus (docs/sec also reported) — per
 BASELINE.json the graded metric is extraction throughput.  Times for the
-supporting query suite are reported under "queries".  ``--scaling``
-evidences the N->4N cluster-size criterion with two fresh ``ray.init``
-sessions on the same input (single-node proxy per BASELINE.md).
+supporting query suite are reported under "queries".
+``--scaling-protocol`` evidences the N->4N cluster-size criterion with
+interleaved fresh ``ray.init`` sessions at 8 and 32 CPUs on the same input
+(single-node proxy per BASELINE.md); see :func:`run_scaling_protocol`.
 """
 
 from __future__ import annotations
@@ -141,8 +142,8 @@ def _timed_headline_runs(qs, repeats: int) -> list[float]:
 
 def run_headline_only(repeats: int = 3) -> dict:
     """One Ray session at NUM_CPUS; warm pass + repeated timed headline
-    runs (used by --scaling so each parallelism level is measured on the
-    same corpus with the same discipline)."""
+    runs (used by --scaling-protocol so each parallelism level is measured
+    on the same corpus with the same discipline)."""
     import __ray_entry__ as entry_mod
 
     from img2table_ray.pipelines.corpus import corpus_for
@@ -304,7 +305,11 @@ def _run_level(ncpu: int, synth: bool) -> dict:
 
 def _level_pairs(synth: bool) -> dict:
     """One SESSION: N_PAIRS interleaved (8, 32) fresh-process pairs;
-    efficiency per adjacent pair; session value = median of pairs."""
+    efficiency per adjacent pair; session value = median of pairs.
+
+    Pairing adjacent runs differences out this host's neighbor-noise drift
+    between windows minutes apart (±40%, BASELINE.md); min-of-level
+    pairing could marry a quiet 8-CPU window to a noisy 32-CPU one."""
     runs_lo, runs_hi, effs = [], [], []
     for _ in range(N_PAIRS):
         lo = _run_level(LO_CPUS, synth)["value"]
@@ -321,43 +326,6 @@ def _level_pairs(synth: bool) -> dict:
         "sec_32": min(runs_hi),
         "runs_8": runs_lo,
         "runs_32": runs_hi,
-    }
-
-
-def run_scaling() -> dict:
-    """N -> 4N cluster-size proxy (BASELINE.md): the SAME job (headline
-    extraction over the same corpus) in fresh processes with fresh
-    ``ray.init`` at 8 and 32 CPUs.
-
-    The two levels are INTERLEAVED (8, 32, 8, 32, 8, 32) and efficiency
-    is computed per adjacent PAIR: this host's dominant measurement
-    artifact is neighbor-noise drift between windows minutes apart
-    (documented ±40% in BASELINE.md), and pairing adjacent runs is the
-    standard way to difference it out — min-of-level pairing can marry
-    a quiet 8-CPU window to a noisy 32-CPU one and report a number
-    neither window exhibited.  ``value`` is the MEDIAN pairwise
-    efficiency; all pairs and raw runs are reported.
-
-    Three artifacts come back together (judge-requested r2):
-      * official corpus efficiency (median pairwise + all pairs),
-      * the same measurement on a synth-only corpus whose per-page
-        kernel working set stays cache-resident (isolates dataflow
-        scaling from the one-box memory-bandwidth wall), and
-      * a Ray-free contention trace (per-worker throughput at 6 vs 24
-        co-located workers) evidencing that wall directly.
-    """
-    official = _level_pairs(synth=False)
-    synth = _level_pairs(synth=True)
-    contention = _contention_trace()
-    return {
-        "metric": "scaling_efficiency",
-        "value": official["eff_median"],
-        "unit": "ratio",
-        **official,
-        "synth_corpus": synth,
-        "contention_trace": contention,
-        "sf": SF_DIR,
-        "num_cpus": [LO_CPUS, HI_CPUS],
     }
 
 
@@ -405,8 +373,6 @@ def run_scaling_protocol() -> dict:
 if __name__ == "__main__":
     if "--scaling-protocol" in sys.argv:
         print(json.dumps(run_scaling_protocol()))
-    elif "--scaling" in sys.argv:
-        print(json.dumps(run_scaling()))
     elif "--headline-only" in sys.argv:
         reps = 3
         for a in sys.argv:

@@ -38,12 +38,18 @@ def split_mpng(data: bytes) -> list[bytes]:
     re-encode — the explode stage ships page slices, not decoded pixels)."""
     if data[:4] != MPNG_MAGIC:
         raise ValueError("not an MPNG container")
+    if len(data) < 8:
+        raise ValueError("truncated MPNG header")
     (count,) = struct.unpack("<I", data[4:8])
     pos = 8
     pages = []
-    for _ in range(count):
+    for i in range(count):
+        if pos + 4 > len(data):
+            raise ValueError(f"truncated MPNG: page {i} length field")
         (n,) = struct.unpack("<I", data[pos : pos + 4])
         pos += 4
+        if pos + n > len(data):
+            raise ValueError(f"truncated MPNG: page {i} runs past the end")
         pages.append(data[pos : pos + n])
         pos += n
     return pages

@@ -39,7 +39,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--words-dir", default=None,
                    help="optional OCR words sidecar (parquet)")
     p.add_argument("--join-words", default="auto",
-                   choices=["auto", "broadcast", "service", "shuffle"],
+                   choices=["auto", "broadcast", "service"],
                    help="words attachment mode (auto = pick by sidecar "
                         "size at plan time)")
     p.add_argument("--borderless", action="store_true",
@@ -60,12 +60,11 @@ def main(argv: list[str] | None = None) -> int:
 
     from img2table_ray.pipelines.extraction import run_extraction_job
 
-    mode = {"auto": "auto", "broadcast": False, "service": "service",
-            "shuffle": "shuffle"}[args.join_words]
     summary = run_extraction_job(
         args.input, args.out, words_dir=args.words_dir,
         implicit_rows=not args.no_implicit_rows,
-        borderless=args.borderless, waves=args.waves, join_words=mode,
+        borderless=args.borderless, waves=args.waves,
+        join_words=args.join_words,
     )
     print(json.dumps(summary))
     return 0

@@ -21,7 +21,8 @@ DEFAULT_ROWS = 64
 def corpus_for(sf_dir: str) -> str:
     """Return (and lazily build) the pages corpus for a testdata sf dir.
 
-    GRAFT_SYNTH_CORPUS=1 (bench-only, set by ``bench.py --scaling``)
+    GRAFT_SYNTH_CORPUS=1 (bench-only, set by ``bench.py --scaling-protocol``
+    for its synth-corpus session)
     selects a variant with the replicated reference fixtures left out —
     every page is a small unique synthetic grid, keeping the per-page
     kernel working set cache-resident.  That variant isolates DATAFLOW

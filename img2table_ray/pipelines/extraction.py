@@ -21,9 +21,9 @@ heavy rows (big pages) as their own small sub-batches so one giant page
 cannot head-of-line-block a batch of light rows.
 
 Words sidecar (stand-in for the external OCR service) is broadcast via
-``ray.put`` when small; at 100 TB it becomes ``pages.join(words,
-num_partitions=N, on=("url",))`` — the hash-join path is implemented and
-selectable with ``join_words=True``.
+``ray.put`` when small; past ``WORDS_BROADCAST_MAX_BYTES`` it is served by
+the partitioned lookup service (``state/words_service.py``), so the
+document-carrying pages side never shuffles.
 """
 
 from __future__ import annotations
@@ -60,6 +60,7 @@ HEAVY_CHUNK = 2
 # partitioned words service, which shards the table over K lookup actors
 # and never materializes it in task workers.
 WORDS_BROADCAST_MAX_BYTES = 256 * 1024 * 1024
+WORDS_MODES = ("auto", "broadcast", "service")
 
 
 def _words_dir_bytes(words_dir: str) -> int:
@@ -73,18 +74,20 @@ def _words_dir_bytes(words_dir: str) -> int:
     return total
 
 
-def resolve_words_mode(words_dir: str | None, join_words="auto"):
+def resolve_words_mode(words_dir: str | None, join_words: str = "auto") -> str:
     """Pick the words-attachment mode at PLAN time from the sidecar's
-    on-disk size; explicit ``join_words`` values override.  Returns one of
-    False (broadcast), ``"service"``/True (partitioned lookup service), or
-    ``"shuffle"`` (literal Dataset.join, kept for comparison)."""
+    on-disk size; an explicit ``"broadcast"`` or ``"service"`` overrides.
+    Returns ``"broadcast"`` or ``"service"``; any other value raises."""
+    if join_words not in WORDS_MODES:
+        raise ValueError(f"join_words={join_words!r}: expected one of "
+                         f"{', '.join(WORDS_MODES)}")
     if join_words != "auto":
         return join_words
     if words_dir is None or not os.path.isdir(words_dir):
-        return False
+        return "broadcast"
     if _words_dir_bytes(words_dir) > WORDS_BROADCAST_MAX_BYTES:
         return "service"
-    return False
+    return "broadcast"
 
 
 def input_shards(pages_dir: str) -> list[str]:
@@ -126,8 +129,8 @@ def tag_part_batch(batch: pa.Table, lut: dict[str, int]) -> pa.Table:
 
 def load_words_lookup(words_dir: str) -> dict:
     """Driver-side load of the words sidecar -> {(url, page): hocr}.  Small
-    side of the broadcast join; at 100 TB this becomes a hash join on
-    (url, page)."""
+    side of the broadcast join; at 100 TB the partitioned words service
+    replaces it."""
     import pyarrow.parquet as pq
 
     if not os.path.isdir(words_dir):
@@ -144,7 +147,8 @@ def extract_pages(pages_dir: str, words_dir: str | None = None,
                   skip_parts: set[int] | None = None,
                   keep_parts: set[int] | None = None, implicit_rows: bool = True,
                   borderless: bool = False, lang_filter: str | None = None,
-                  join_words="auto", stats_handle=None) -> ray.data.Dataset:
+                  join_words: str = "auto",
+                  stats_handle=None) -> ray.data.Dataset:
     """Build the lazy extraction Dataset (no sink).
 
     ``keep_parts`` / ``skip_parts`` select input shards at the READ — the
@@ -152,21 +156,15 @@ def extract_pages(pages_dir: str, words_dir: str | None = None,
     to ``"auto"``: :func:`resolve_words_mode` picks broadcast vs the
     partitioned service from the sidecar's on-disk size at plan time
     (``WORDS_BROADCAST_MAX_BYTES``); passing an explicit mode overrides.
-    The three modes:
+    The two modes:
 
-    * ``join_words=False`` — broadcast the sidecar via ``ray.put``
+    * ``"broadcast"`` — broadcast the sidecar via ``ray.put``
       (small-side fast path; fine while the words table fits one worker).
-    * ``join_words=True`` / ``"service"`` — the 100 TB path: a
-      PARTITIONED LOOKUP SERVICE (``state/words_service.py``).  Only the
-      words shuffle (into K shard actors); pages — whose rows carry the
-      full document bytes — never move, and each extraction batch
-      bulk-fetches exactly its keys' hOCR strings.
-    * ``join_words="shuffle"`` — the literal hash-partitioned
-      ``Dataset.join`` on (url, page), kept for comparison: it moves
-      every page row's ``html`` payload through the shuffle to meet a
-      few-KB string (measured sf0.1 @32: the join alone costs ~34 s on
-      inputs that take 2.7 s to produce; the service path removes that
-      entirely)."""
+    * ``"service"`` — the 100 TB path: a PARTITIONED LOOKUP SERVICE
+      (``state/words_service.py``).  Only the words shuffle (into K shard
+      actors); pages — whose rows carry the full document bytes — never
+      move, and each extraction batch bulk-fetches exactly its keys'
+      hOCR strings."""
     join_words = resolve_words_mode(words_dir, join_words)
     shards = input_shards(pages_dir)
     parts = set(range(len(shards)))
@@ -195,56 +193,18 @@ def extract_pages(pages_dir: str, words_dir: str | None = None,
 
     words_ref = None
     words_service = None
-    if words_dir is not None and join_words in (True, "service"):
+    if words_dir is not None and join_words == "service":
         from img2table_ray.state.words_service import build_words_service
 
         words_service = build_words_service(
             words_dir, num_shards=max(2, actor_concurrency() // 4))
-    elif words_dir is not None and join_words == "shuffle":
-        words_ds = ray.data.read_parquet(words_dir)
-        # The join's output partition count IS the downstream extraction's
-        # block count (one map task per block), so its sizing has two
-        # opposing failure modes (all measured at sf0.1 / 32 CPUs):
-        # 12 partitions starve the extractor (12-way on 32 slots, 53 s);
-        # 64 partitions thrash the shuffle aggregators (125 s).  Keep the
-        # SHUFFLE narrow (cheap aggregators) and recover extraction
-        # parallelism with a shuffle-free block SPLIT afterwards:
-        # 16-part join + repartition(4x CPUs, shuffle=False) runs 27 s
-        # vs 17 s for the broadcast path.
-        try:
-            n_cpus = int(ray.cluster_resources().get("CPU", 8))
-        except Exception:
-            n_cpus = 8
-        n_join_parts = max(4, actor_concurrency() // 2)
-        ds = ds.join(words_ds, join_type="left_outer",
-                     num_partitions=n_join_parts, on=("url", "page"),
-                     aggregator_ray_remote_args={"num_cpus": 0.25})
-        ds = ds.repartition(4 * n_cpus, shuffle=False)
     elif words_dir is not None:
         lookup = load_words_lookup(words_dir)
         if lookup:
             words_ref = ray.put(lookup)
 
-    # Shared cross-worker memo cache: OPT-IN (GRAFT_SHARED_CACHE=1).
-    # Measured on the main corpus (3/8 replicated documents): the
-    # synchronous claim/get RPCs through the 4 shard actors are an Amdahl
-    # serial section — invisible at 8 CPUs (49 s either way) but the
-    # dominant cost at 32 (22.8 s with vs 14.4 s without; scaling
-    # efficiency 0.54 -> 0.85).  Per-WORKER memoization already collapses
-    # replicated documents after one extraction each, and the real
-    # at-scale answer to heavy replication is an exact-dedup PRE-PASS on
-    # content hash (pipelines/dedup.py) rather than a live shared index —
-    # see state/cache.py's docstring.  The cache stays available for
-    # corpora where per-document cost is so high that cross-worker
-    # first-extraction dedup pays for the RPC serialization.
-    cache_handle = None
-    if os.environ.get("GRAFT_SHARED_CACHE"):
-        from img2table_ray.state.cache import CacheClient
-
-        cache_handle = CacheClient(num_shards=4)
-
     # Task pool, not an actor pool: per-process state (malloc tuning,
-    # broadcast words, memo caches) lives in a module-level instance keyed
+    # word provider, extraction memo) lives in a module-level instance keyed
     # by a per-pipeline token (stages/extractor.py:page_extractor_task).
     # Ray reuses task workers across datasets, so this sandbox's
     # lazy-paging warm-up is paid once per session instead of once per
@@ -261,7 +221,6 @@ def extract_pages(pages_dir: str, words_dir: str | None = None,
                 "words_service": words_service,
                 "implicit_rows": implicit_rows,
                 "borderless": borderless,
-                "cache_handle": cache_handle,
                 "stats_handle": stats_handle,
             },
         },
@@ -274,7 +233,7 @@ def extract_pages(pages_dir: str, words_dir: str | None = None,
 def run_extraction_job(pages_dir: str, out_dir: str, words_dir: str | None = None,
                        implicit_rows: bool = True, borderless: bool = False,
                        waves: int = 4, num_parts: int | None = None,
-                       join_words="auto") -> dict:
+                       join_words: str = "auto") -> dict:
     """Resumable job: partitions (= input shards) with complete manifests are
     skipped; the remaining shards run in ``waves`` checkpoint rounds, each
     wave writing its data directories and then publishing manifests — so a

@@ -1,11 +1,11 @@
 """Ray Data stages for the extraction pipeline.
 
-``PageExtractor`` is the fused actor-pool stage (SURVEY.md §3): decode ->
+``PageExtractor`` is the fused task-pool stage (SURVEY.md §3): decode ->
 threshold -> metrics -> lines -> cells -> tables -> content -> titles per
 document, emitting one output row per extracted table (plus a no-table /
-error marker row per document so lineage is complete).  Actor state: decode
-memo-cache (corpora replicate documents heavily; a real deployment would use
-a C PNG decoder), warm numpy buffers, and the broadcast word lookup.
+error marker row per document so lineage is complete).  Per-process state:
+the extraction memo (corpora replicate documents heavily), warm malloc
+arenas, and the word provider (broadcast lookup or words service).
 """
 
 from __future__ import annotations
@@ -59,12 +59,12 @@ def probe_batch(batch: pa.Table) -> pa.Table:
 def explode_pages(batch: pa.Table) -> pa.Table:
     """1 multi-page document row -> N per-page rows (SURVEY.md §4: explode
     BEFORE the heavy per-page work so a many-page document cannot stall one
-    actor slot).  MPNG page bytes are container slices — no decode here.
+    task slot).  MPNG page bytes are container slices — no decode here.
     PDF pages cannot be sliced (objects are shared across pages), so each
     exploded PDF row repeats the full document bytes with a ``page`` index;
     the render stage selects the page.  The duplication trades object-store
     bytes for slot-level parallelism — the right trade for the multi-table
-    report PDFs that otherwise pin one actor for the whole document.
+    report PDFs that otherwise pin one task for the whole document.
 
     Arrow-native: only the multi-page rows' ``html`` payloads are
     materialized into Python; every other column is duplicated with
@@ -133,15 +133,13 @@ def explode_pages(batch: pa.Table) -> pa.Table:
 
 
 class PageExtractor:
-    """Actor-pool UDF: pyarrow batch of pages rows -> pyarrow batch of
-    extracted-table rows (OUTPUT_SCHEMA)."""
+    """Task-pool UDF with per-process state: pyarrow batch of pages rows ->
+    pyarrow batch of extracted-table rows (OUTPUT_SCHEMA)."""
 
     def __init__(self, words_ref=None, words_service=None,
-                 implicit_rows: bool = True,
-                 borderless: bool = False, min_confidence: int = 50,
-                 cache_handle=None, stats_handle=None) -> None:
-        # Once-per-actor setup: broadcast word lookup + decode memo cache +
-        # optional shared cross-actor memo cache (state/cache.py).
+                 implicit_rows: bool = True, borderless: bool = False,
+                 stats_handle=None) -> None:
+        # Once-per-process setup: word provider + extraction memo.
         #
         # malloc tuning: keep freed arenas (no trim, no mmap for big arrays)
         # so numpy temporaries reuse warm pages.  This sandbox faults fresh
@@ -157,32 +155,22 @@ class PageExtractor:
             pass
         self._words: dict = ray.get(words_ref) if words_ref is not None else {}
         self._words_service = words_service
-        self._decode_cache: dict = {}
         self._extract_cache: dict = {}
-        self._cache = cache_handle
         self._stats = stats_handle
         self._implicit_rows = implicit_rows
         self._borderless = borderless
-        self._min_confidence = min_confidence
 
     def _decode(self, data: bytes, page: int = 0):
         from img2table_ray.extract.pdf import sniff_kind
         from img2table_ray.imgops.png import decode_image
 
-        key = (hashlib.md5(data).digest(), page)
-        img = self._decode_cache.get(key)
-        if img is None:
-            if sniff_kind(data[:8]) == "pdf":
-                from img2table_ray.extract.pdf import PdfiumRenderer
+        if sniff_kind(data[:8]) == "pdf":
+            from img2table_ray.extract.pdf import PdfiumRenderer
 
-                # vector rasterizer @200 DPI (extract/pdfraster.py); the
-                # exploded PDF row carries the selected page index
-                img = PdfiumRenderer().render(data, pages=[page])[0]
-            else:
-                img = decode_image(data)
-            if len(self._decode_cache) < 64:
-                self._decode_cache[key] = img
-        return key, img
+            # vector rasterizer @200 DPI (extract/pdfraster.py); the
+            # exploded PDF row carries the selected page index
+            return PdfiumRenderer().render(data, pages=[page])[0]
+        return decode_image(data)
 
     def _extract(self, data: bytes, hocr: Optional[str], page: int = 0):
         """Extraction result for (document bytes, hocr, page) — memoized,
@@ -191,12 +179,13 @@ class PageExtractor:
         from img2table_ray.extract.content import OCRWords, parse_hocr
         from img2table_ray.extract.document import extract_tables_from_image
 
-        ckey = self._cache_key(data, hocr, page)
+        ckey = (hashlib.md5(data).digest(),
+                hashlib.md5((hocr or "").encode()).digest(), page)
         cached = self._extract_cache.get(ckey)
         if cached is not None:
             return cached
 
-        _, img = self._decode(data, page)
+        img = self._decode(data, page)
         if hocr is not None:
             words = OCRWords.from_records(parse_hocr(hocr, page=0))
         elif data[:4] == b"%PDF":
@@ -215,7 +204,7 @@ class PageExtractor:
             words = None
         res = extract_tables_from_image(
             img, words=words, implicit_rows=self._implicit_rows,
-            borderless_tables=self._borderless, min_confidence=self._min_confidence)
+            borderless_tables=self._borderless)
 
         rows = []
         for t_idx, tb in enumerate(res.tables):
@@ -257,10 +246,6 @@ class PageExtractor:
             self._extract_cache[ckey] = rows
         return rows
 
-    def _cache_key(self, data: bytes, hocr, page: int = 0) -> tuple:
-        return (hashlib.md5(data).digest(),
-                hashlib.md5((hocr or "").encode()).digest(), page)
-
     def __call__(self, batch: pa.Table) -> pa.Table:
         urls = batch["url"].to_pylist()
         htmls = batch["html"].to_pylist()
@@ -268,13 +253,10 @@ class PageExtractor:
                  else [0] * len(batch))
         parts = (batch["part"].to_pylist() if "part" in batch.schema.names
                  else [0] * len(batch))
-        # words arrive one of three ways: a joined column (shuffle-join
-        # path), a bulk fetch from the partitioned lookup service (the
-        # 100 TB path — one get_many RPC per touched shard per batch), or
-        # the broadcast lookup (small-side path)
-        if "hocr" in batch.schema.names:
-            hocr_list = batch["hocr"].to_pylist()
-        elif self._words_service is not None:
+        # words arrive one of two ways: a bulk fetch from the partitioned
+        # lookup service (the 100 TB path — one get_many RPC per touched
+        # shard per batch), or the broadcast lookup (small-side path)
+        if self._words_service is not None:
             try:
                 hocr_list = self._words_service.fetch(
                     [(u, int(p)) for u, p in zip(urls, pages)])
@@ -287,50 +269,10 @@ class PageExtractor:
             hocr_list = [self._words.get((u, p)) for u, p in zip(urls, pages)]
         out: dict[str, list] = {name: [] for name in OUTPUT_SCHEMA.names}
 
-        # shared-cache prefetch with single-flight claims: ONE RPC for the
-        # batch's local-miss keys; "wait" keys poll briefly (another actor
-        # is computing) before falling back to local compute
-        if self._cache is not None:
-            miss_keys = []
-            seen = set()
-            for data, hocr, page in zip(htmls, hocr_list, pages):
-                k = self._cache_key(data, hocr, page)
-                if k not in self._extract_cache and k not in seen:
-                    seen.add(k)
-                    miss_keys.append(k)
-            if miss_keys:
-                states = self._cache.claim_many(miss_keys)
-                wait_keys = []
-                for k, (state, v) in zip(miss_keys, states):
-                    if state == "hit":
-                        self._extract_cache[k] = v
-                    elif state == "wait":
-                        wait_keys.append(k)
-                if wait_keys:
-                    # another worker is computing these: ONE immediate
-                    # re-check, then fall through to local compute.  A
-                    # sleep-poll loop here measurably stalled a 32-CPU
-                    # pool (every worker herds on the replicated hot
-                    # documents at startup, and a sleeping task still
-                    # holds its CPU slot); duplicating at most one
-                    # in-flight extraction per hot key is cheaper than
-                    # quantized waiting.  (A waiter that does compute
-                    # publishes too — put_many is idempotent.)
-                    vals = self._cache.get_many(wait_keys)
-                    for k, v in zip(wait_keys, vals):
-                        if v is not None:
-                            self._extract_cache[k] = v
-
         for url, page, part, data, hocr in zip(urls, pages, parts, htmls,
                                                hocr_list):
             try:
-                k = self._cache_key(data, hocr, page)
-                fresh = k not in self._extract_cache
                 rows = self._extract(data, hocr, page)
-                if fresh and self._cache is not None:
-                    # publish IMMEDIATELY (fire-and-forget) so single-flight
-                    # waiters on this hot key unblock mid-batch
-                    self._cache.put_many([(k, rows)])
             except Exception as exc:  # error records, never fail the block
                 rows = [
                     {
@@ -382,8 +324,8 @@ class PageExtractor:
 
 # ---- task-mode execution -------------------------------------------------
 #
-# The extractor's per-process state (malloc tuning, broadcast word lookup,
-# decode/extract memo caches) does not need an ACTOR — a module-level
+# The extractor's per-process state (malloc tuning, word provider,
+# extraction memo) does not need an ACTOR — a module-level
 # instance in an ordinary task worker gives the same once-per-process setup
 # with two advantages on short jobs:
 #
@@ -396,7 +338,7 @@ class PageExtractor:
 #     CPU count, no eager-creation deadlock risk on small sessions.
 #
 # One live configuration per worker: a new pipeline invocation (new token)
-# replaces the instance, so memo caches never leak across datasets and the
+# replaces the instance, so the memo never leaks across datasets and the
 # timed pass of a warm/timed benchmark pair still does its own decodes.
 
 _TASK_INSTANCE: dict = {}

@@ -3,11 +3,10 @@
 The words sidecar sits between the two classic sizes: too big to
 broadcast to every worker at 100 TB (hOCR strings are a few KB per
 page), yet tiny next to the pages table whose rows carry the full
-document bytes.  A hash-partitioned ``Dataset.join`` therefore moves
-the WRONG side: every page row's ``html`` payload crosses the shuffle
-to meet a few-KB string (measured at sf0.1 / 32 CPUs: the join alone
-costs 34 s on inputs that take 2.7 s to produce — see
-``pipelines/extraction.py``).
+document bytes.  A hash-partitioned ``Dataset.join`` would move the
+WRONG side: every page row's ``html`` payload would cross the shuffle
+to meet a few-KB string (measured at sf0.1 / 32 CPUs: such a join cost
+34 s on inputs that take 2.7 s to produce).
 
 This service shuffles ONLY the words: K shard actors each hold the
 ``(url, page) -> hocr`` map for their hash slice (loaded by a streaming
@@ -19,9 +18,8 @@ hOCR strings a batch needs.
 
 Scale story: K grows with the cluster (shard memory = words-bytes / K);
 fetch traffic per batch is bounded by batch_size hOCR strings; the
-read-only actors need no single-flight/claim machinery (contrast
-``state/cache.py``).  Keys are md5-bucketed so placement is stable
-across runs and processes.
+actors are read-only after the load.  Keys are md5-bucketed so placement
+is stable across runs and processes.
 """
 
 from __future__ import annotations
@@ -37,7 +35,10 @@ def _bucket(url: str, page: int, k: int) -> int:
     return int.from_bytes(h[:8], "big") % k
 
 
-@ray.remote(num_cpus=0.1)
+# num_cpus=0, like StatsShards: the shards only answer lookups, and a CPU
+# reservation held by them leaves a one-CPU session unable to schedule the
+# one-CPU load and extraction tasks.
+@ray.remote(num_cpus=0)
 class WordsShard:
     """One hash slice of the words table (read-only after load)."""
 

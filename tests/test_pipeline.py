@@ -182,40 +182,54 @@ def test_multipage_explode_and_pdf_rows(ray_session):
 
 
 def test_words_paths_all_match_broadcast(ray_session, corpus):
-    """All word-provider attachments agree: the partitioned lookup
+    """Both word-provider attachments agree: the partitioned lookup
     service (the 100 TB path — only the words shuffle, pages never move)
-    and the literal hash-partitioned Dataset.join both reproduce the
-    broadcast small-side output byte-for-byte."""
+    reproduces the broadcast small-side output byte-for-byte."""
     from img2table_ray.pipelines.extraction import extract_pages
 
     key = ["url", "page", "table_idx"]
     cols = key + ["extracted_text", "status"]
-    a = (extract_pages(CORPUS, words_dir=f"{CORPUS}/words").to_pandas()
-         .sort_values(key).reset_index(drop=True))
+    a = (extract_pages(CORPUS, words_dir=f"{CORPUS}/words",
+                       join_words="broadcast")
+         .to_pandas().sort_values(key).reset_index(drop=True))
     svc = (extract_pages(CORPUS, words_dir=f"{CORPUS}/words",
-                         join_words=True)
+                         join_words="service")
            .to_pandas().sort_values(key).reset_index(drop=True))
     pd.testing.assert_frame_equal(a[cols], svc[cols])
-    shj = (extract_pages(CORPUS, words_dir=f"{CORPUS}/words",
-                         join_words="shuffle")
-           .to_pandas().sort_values(key).reset_index(drop=True))
-    pd.testing.assert_frame_equal(a[cols], shj[cols])
 
 
-def test_shared_cache_opt_in_matches_default(ray_session, corpus, monkeypatch):
-    """The opt-in cross-worker extraction cache (GRAFT_SHARED_CACHE=1;
-    single-flight claim/publish through sharded actors) must not change
-    output — it only dedups first extractions of replicated documents."""
-    from img2table_ray.pipelines.extraction import extract_pages
+@pytest.mark.parametrize("cut", [6, 10, 16])
+def test_truncated_mpng_is_one_error_row(cut):
+    """A truncated MPNG container (short header, length field past the
+    end, page running past the end) becomes one error row in the
+    extraction batch; the batch's other rows come out unchanged."""
+    import numpy as np
 
-    key = ["url", "page", "table_idx"]
-    cols = key + ["extracted_text", "status"]
-    a = (extract_pages(CORPUS, words_dir=f"{CORPUS}/words").to_pandas()
-         .sort_values(key).reset_index(drop=True))
-    monkeypatch.setenv("GRAFT_SHARED_CACHE", "1")
-    b = (extract_pages(CORPUS, words_dir=f"{CORPUS}/words").to_pandas()
-         .sort_values(key).reset_index(drop=True))
-    pd.testing.assert_frame_equal(a[cols], b[cols])
+    from img2table_ray.extract.pdf import encode_mpng
+    from img2table_ray.imgops.png import encode_png
+    from img2table_ray.stages.extractor import (PageExtractor, explode_pages,
+                                                probe_batch)
+
+    grid = np.full((60, 90), 255, np.uint8)
+    grid[::20, :] = 0
+    grid[:, ::30] = 0
+    grid[-1, :] = 0
+    grid[:, -1] = 0
+    png = encode_png(grid)
+    mpng = encode_mpng([png, png])
+
+    def run(urls, docs):
+        batch = pa.table({"url": urls, "html": pa.array(docs, pa.binary())})
+        return PageExtractor()(explode_pages(probe_batch(batch))).to_pandas()
+
+    good = run(["https://x/png", "https://x/mpng"], [png, mpng])
+    out = run(["https://x/png", "https://x/cut", "https://x/mpng"],
+              [png, mpng[:cut], mpng])
+    cut_rows = out[out["url"] == "https://x/cut"]
+    assert cut_rows["status"].tolist() == ["error"]
+    rest = out[out["url"] != "https://x/cut"].reset_index(drop=True)
+    pd.testing.assert_frame_equal(rest, good)
+    assert (good["status"] != "error").all()
 
 
 def test_audio_wav_decode_real():

@@ -12,6 +12,7 @@
 from __future__ import annotations
 
 import pyarrow as pa
+import pytest
 
 SF_DIR = "/root/testdata/sf0.001"
 
@@ -182,11 +183,18 @@ def test_words_mode_auto_selects_by_sidecar_size(tmp_path, monkeypatch):
     d = tmp_path / "words"
     d.mkdir()
     (d / "w.parquet").write_bytes(b"x" * 1000)
-    assert extraction.resolve_words_mode(str(d)) is False  # small -> broadcast
+    assert extraction.resolve_words_mode(str(d)) == "broadcast"  # small
     monkeypatch.setattr(extraction, "WORDS_BROADCAST_MAX_BYTES", 100)
     assert extraction.resolve_words_mode(str(d)) == "service"  # big -> service
-    assert extraction.resolve_words_mode(str(d), join_words=False) is False
-    assert extraction.resolve_words_mode(str(d), join_words="shuffle") == "shuffle"
-    assert extraction.resolve_words_mode(str(d), join_words=True) is True
-    assert extraction.resolve_words_mode(None) is False
-    assert extraction.resolve_words_mode(str(tmp_path / "missing")) is False
+    assert extraction.resolve_words_mode(
+        str(d), join_words="broadcast") == "broadcast"
+    assert extraction.resolve_words_mode(
+        str(d), join_words="service") == "service"
+    assert extraction.resolve_words_mode(None) == "broadcast"
+    assert extraction.resolve_words_mode(
+        str(tmp_path / "missing")) == "broadcast"
+    # one string set: removed modes, the old boolean aliases and typos
+    # raise instead of falling through to broadcast
+    for bad in ("shuffle", True, False, "servce"):
+        with pytest.raises(ValueError):
+            extraction.resolve_words_mode(str(d), join_words=bad)

@@ -1,12 +1,17 @@
 """Partitioned words-lookup service unit tests (state/words_service.py).
 
-The e2e equivalence with the broadcast and shuffle-join paths lives in
+The e2e equivalence with the broadcast path lives in
 tests/test_pipeline.py::test_words_paths_all_match_broadcast; these
 cover the service's own contract: stable bucketing, order-preserving
-bulk fetch, misses as None, and the streaming load pass.
+bulk fetch, misses as None, the streaming load pass, and scheduling on a
+one-CPU session.
 """
 
+import json
 import os
+import subprocess
+import sys
+import textwrap
 
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -88,3 +93,34 @@ def test_null_hocr_rows_are_skipped(ray_session, tmp_path):
     svc = build_words_service(d, num_shards=2)
     assert svc.fetch([("https://doc/0", 0), ("https://doc/1", 0)]) == [
         "<h>", None]
+
+
+def test_service_mode_runs_on_one_cpu(tmp_path):
+    """The shard actors reserve no CPU, so on a one-CPU session the load
+    pass and the extraction map tasks still schedule.  Runs in its own
+    process and Ray session under a timeout, because a shard actor that
+    holds a CPU makes the job hang rather than fail."""
+    script = textwrap.dedent("""
+        import json, sys
+        import ray
+        ray.init(address="local", num_cpus=1, include_dashboard=False,
+                 logging_level="ERROR")
+        from ray.data import DataContext
+        DataContext.get_current().enable_progress_bars = False
+        from img2table_ray.pipelines.extraction import extract_pages
+        from img2table_ray.sources.pages import generate_pages
+
+        corpus = generate_pages(sys.argv[1], 8, rows_per_file=4)
+        df = extract_pages(corpus, words_dir=corpus + "/words",
+                           join_words="service").to_pandas()
+        print(json.dumps({"urls": df["url"].nunique(),
+                          "errors": int((df["status"] == "error").sum())}))
+        ray.shutdown()
+    """)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "corpus")],
+        capture_output=True, text=True, timeout=240, check=True, cwd=root,
+    )
+    res = json.loads(out.stdout.strip().splitlines()[-1])
+    assert res == {"urls": 8, "errors": 0}
