@@ -1,8 +1,9 @@
 """Per-document table extraction orchestration — the equivalent of the
 reference's TableImage (src/img2table/tables/image.py:21-134) and
 Document.extract_tables / get_table_content flow
-(src/img2table/document/base/__init__.py:65-142), as a pure function
-suitable for a Ray Data actor-pool UDF.
+(src/img2table/document/base/__init__.py:65-142), as a pure function that
+the Ray Data page stages (stages/extractor.py, and the metrics and lines
+summaries in pipelines/extraction_queries.py) call once per page row.
 """
 
 from __future__ import annotations
@@ -47,15 +48,20 @@ class TableImage:
             thresh=self.thresh.copy()
         )
 
-    def extract_bordered_tables(self, implicit_rows: bool = False,
-                                implicit_columns: bool = False) -> None:
+    def ruling_lines(self) -> tuple[list[Line], list[Line]]:
+        """(horizontal, vertical) ruling lines of the page; needs
+        ``char_length`` (a page with no text-sized contours has none)."""
         min_line_length = (
             int(min(1.5 * self.median_line_sep, 4 * self.char_length))
             if self.median_line_sep else 20
         )
-        h_lines, v_lines = detect_lines(img=self.img, contours=self.contours,
-                                        char_length=self.char_length,
-                                        min_line_length=min_line_length)
+        return detect_lines(img=self.img, contours=self.contours,
+                            char_length=self.char_length,
+                            min_line_length=min_line_length)
+
+    def extract_bordered_tables(self, implicit_rows: bool = False,
+                                implicit_columns: bool = False) -> None:
+        h_lines, v_lines = self.ruling_lines()
         self.lines = h_lines + v_lines
 
         cells = get_cells(horizontal_lines=h_lines, vertical_lines=v_lines)

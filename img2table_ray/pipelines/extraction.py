@@ -7,7 +7,7 @@ extraction over a Common-Crawl-style pages table.
       -> map_batches(probe)                             # size + container sniff
       -> map_batches(explode_pages)                     # 1 doc -> N page rows
       -> map_batches(segregate_by_weight)               # size-aware repartition
-      -> map_batches(page_extractor_task)               # fused per-doc algorithm
+      -> map_batches(PageExtractor.task)                # fused per-page algorithm
       -> write_parquet(out/data, partition_cols=[part]) # resumable layout
       -> manifests per partition (counts from the       # checkpoint + lineage
          distributed StatsCollector, no output re-read)
@@ -41,8 +41,8 @@ import ray.data
 
 from img2table_ray.stages.extractor import (
     OUTPUT_SCHEMA,
+    PageExtractor,
     explode_pages,
-    page_extractor_task,
     probe_batch,
 )
 from img2table_ray.stages.util import actor_concurrency
@@ -144,17 +144,16 @@ def load_words_lookup(words_dir: str) -> dict:
 
 
 def extract_pages(pages_dir: str, words_dir: str | None = None,
-                  skip_parts: set[int] | None = None,
                   keep_parts: set[int] | None = None, implicit_rows: bool = True,
                   borderless: bool = False, lang_filter: str | None = None,
                   join_words: str = "auto",
                   stats_handle=None) -> ray.data.Dataset:
     """Build the lazy extraction Dataset (no sink).
 
-    ``keep_parts`` / ``skip_parts`` select input shards at the READ — the
-    excluded shards are never opened.  Word-provider attachment defaults
-    to ``"auto"``: :func:`resolve_words_mode` picks broadcast vs the
-    partitioned service from the sidecar's on-disk size at plan time
+    ``keep_parts`` selects input shards at the READ — the excluded shards
+    are never opened.  Word-provider attachment defaults to ``"auto"``:
+    :func:`resolve_words_mode` picks broadcast vs the partitioned service
+    from the sidecar's on-disk size at plan time
     (``WORDS_BROADCAST_MAX_BYTES``); passing an explicit mode overrides.
     The two modes:
 
@@ -168,8 +167,6 @@ def extract_pages(pages_dir: str, words_dir: str | None = None,
     join_words = resolve_words_mode(words_dir, join_words)
     shards = input_shards(pages_dir)
     parts = set(range(len(shards)))
-    if skip_parts:
-        parts -= set(skip_parts)
     if keep_parts is not None:
         parts &= set(keep_parts)
     selected = [shards[p] for p in sorted(parts)]
@@ -204,16 +201,15 @@ def extract_pages(pages_dir: str, words_dir: str | None = None,
             words_ref = ray.put(lookup)
 
     # Task pool, not an actor pool: per-process state (malloc tuning,
-    # word provider, extraction memo) lives in a module-level instance keyed
-    # by a per-pipeline token (stages/extractor.py:page_extractor_task).
-    # Ray reuses task workers across datasets, so this sandbox's
-    # lazy-paging warm-up is paid once per session instead of once per
-    # fresh actor pool, and the pool is elastic (no sizing vs session
-    # CPUs).  On a real cluster the behavior is identical to an actor
-    # pool sized to the cluster, minus the ramp-up.
+    # word provider, extraction memo) lives in one PageExtractor per worker,
+    # keyed by a per-pipeline token (PageExtractor.task).  Ray reuses task
+    # workers across datasets, so the lazy-paging warm-up is paid once per
+    # session instead of once per fresh actor pool, and the pool is elastic
+    # (no sizing vs session CPUs).  On a real cluster the behavior is
+    # identical to an actor pool sized to the cluster, minus the ramp-up.
     token = uuid.uuid4().hex
     return ds.map_batches(
-        page_extractor_task,
+        PageExtractor.task,
         fn_kwargs={
             "token": token,
             "ctor": {
@@ -232,25 +228,16 @@ def extract_pages(pages_dir: str, words_dir: str | None = None,
 
 def run_extraction_job(pages_dir: str, out_dir: str, words_dir: str | None = None,
                        implicit_rows: bool = True, borderless: bool = False,
-                       waves: int = 4, num_parts: int | None = None,
-                       join_words: str = "auto") -> dict:
+                       waves: int = 4, join_words: str = "auto") -> dict:
     """Resumable job: partitions (= input shards) with complete manifests are
     skipped; the remaining shards run in ``waves`` checkpoint rounds, each
     wave writing its data directories and then publishing manifests — so a
     kill at ANY point loses at most one wave of work.  Partial data of
-    unfinished partitions is cleared before rewriting (idempotent).
-
-    ``num_parts`` is accepted for compatibility and validated against the
-    actual shard count when given."""
+    unfinished partitions is cleared before rewriting (idempotent)."""
     from img2table_ray.state.stats import StatsShards
 
     t0 = time.time()
-    shards = input_shards(pages_dir)
-    n_parts = len(shards)
-    if num_parts is not None and num_parts != n_parts:
-        raise ValueError(
-            f"num_parts={num_parts} but {pages_dir} has {n_parts} input shards"
-            " (partitions are input shards)")
+    n_parts = len(input_shards(pages_dir))
     done = mf.completed_partitions(out_dir)
     ddir = mf.data_dir(out_dir)
 

@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import hashlib
 
-import numpy as np
-import pandas as pd
 import pyarrow as pa
 import ray.data
 
 from img2table_ray.pipelines.corpus import corpus_for
 from img2table_ray.pipelines.extraction import extract_pages
+from img2table_ray.stages.extractor import explode_pages, probe_batch
 from img2table_ray.stages.util import actor_concurrency
 
 
@@ -45,140 +44,87 @@ def extract_tables_en(sf_dir: str) -> ray.data.Dataset:
     return extract_pages(corpus, words_dir=f"{corpus}/words", lang_filter="en")
 
 
-def _decode_pages(data: bytes) -> "list[np.ndarray]":
-    """Decode EVERY page of any corpus document to RGB arrays
-    (VERDICT r4 §next-7 — the metrics/lines summaries previously read
-    page 0 only): PDFs render all pages at 200 DPI, MPNG multi-page
-    containers decode each stored page, single-image containers yield one
-    page.  ``extract_metrics`` / ``extract_lines`` therefore emit one row
-    per (url, page) — at sf0.01 that is 228 rows from 192 documents (12
-    three-page MPNG docs and 12 two-page PDFs)."""
-    if data[:4] == b"%PDF":
-        from img2table_ray.extract.pdf import PdfiumRenderer
-
-        return PdfiumRenderer().render(data)
-    from img2table_ray.imgops.png import decode_image
-
-    if data[:4] == b"MPNG":
-        from img2table_ray.extract.pdf import split_mpng
-
-        return [decode_image(p) for p in split_mpng(data)]
-    return [decode_image(data)]
+def _metrics(ti) -> tuple:
+    nc = len(ti.contours) if ti.contours is not None else -1
+    return ti.char_length, ti.median_line_sep, nc
 
 
-class _MetricsStage:
-    """Actor-pool stage: per-page image metrics only (A-phase ops); one
-    output row per (url, page) — multi-page PDFs/MPNGs contribute every
-    page (VERDICT r4 §next-7)."""
-
-    def __init__(self) -> None:
-        self._cache: dict = {}
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from img2table_ray.extract.metrics import compute_img_metrics
-        from img2table_ray.extract.threshold import threshold_dark_areas
-
-        urls, pgs, cls, seps, ncs = [], [], [], [], []
-        for url, data in zip(batch["url"].to_pylist(), batch["html"].to_pylist()):
-            key = hashlib.md5(data).digest()
-            if key in self._cache:
-                per_page = self._cache[key]
-            else:
-                try:
-                    per_page = []
-                    for img in _decode_pages(data):
-                        thresh = threshold_dark_areas(img=img, char_length=11)
-                        cl, sep, contours = compute_img_metrics(thresh.copy())
-                        nc = len(contours) if contours is not None else -1
-                        per_page.append((cl, sep, nc))
-                except Exception:
-                    per_page = [(None, None, -2)]
-                if len(self._cache) < 256:
-                    self._cache[key] = per_page
-            for page, (cl, sep, nc) in enumerate(per_page):
-                urls.append(url)
-                pgs.append(page)
-                cls.append(cl)
-                seps.append(sep)
-                ncs.append(nc)
-        return pa.table(
-            {
-                "url": pa.array(urls, pa.string()),
-                "page": pa.array(pgs, pa.int64()),
-                "char_length": pa.array(cls, pa.float64()),
-                "median_line_sep": pa.array(seps, pa.float64()),
-                "n_contours": pa.array(ncs, pa.int64()),
-            }
-        )
+def _lines(ti) -> tuple:
+    if ti.char_length is None:
+        return 0, 0
+    h_lines, v_lines = ti.ruling_lines()
+    return len(h_lines), len(v_lines)
 
 
-def extract_metrics(sf_dir: str) -> ray.data.Dataset:
-    """Per-(url, page) image metrics (char_length, median_line_sep,
-    contours) over every page of every document."""
-    corpus = corpus_for(sf_dir)
-    return ray.data.read_parquet(f"{corpus}/pages", columns=["url", "html"]).map_batches(
-        _MetricsStage, batch_format="pyarrow", batch_size=16,
-        concurrency=actor_concurrency(), num_cpus=1,
-    )
+# summary -> (per-page TableImage reader, output columns, error sentinel)
+_SUMMARIES = {
+    "metrics": (_metrics, {"char_length": pa.float64(),
+                           "median_line_sep": pa.float64(),
+                           "n_contours": pa.int64()}, (None, None, -2)),
+    "lines": (_lines, {"n_h_lines": pa.int64(), "n_v_lines": pa.int64()},
+              (-1, -1)),
+}
 
 
-class _LinesStage:
-    """Actor-pool stage: ruling-line detection summary per (url, page) —
-    every page of multi-page documents (VERDICT r4 §next-7)."""
+class _PageSummaryStage:
+    """Actor-pool stage over exploded page rows: one summary row per
+    (url, page).  Each page is decoded by the engine's ``decode_page`` and
+    read through ``TableImage``; a page that fails gives the summary's
+    sentinel row.  PDF page rows share their document bytes, so the memo
+    key includes the page."""
 
-    def __init__(self) -> None:
+    def __init__(self, summary: str) -> None:
+        self._read, self._columns, self._sentinel = _SUMMARIES[summary]
         self._cache: dict = {}
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         from img2table_ray.extract.document import TableImage
+        from img2table_ray.stages.extractor import decode_page
 
-        urls, pgs, nh, nv = [], [], [], []
-        for url, data in zip(batch["url"].to_pylist(), batch["html"].to_pylist()):
-            key = hashlib.md5(data).digest()
-            if key in self._cache:
-                per_page = self._cache[key]
-            else:
+        values = []
+        for data, page in zip(batch["html"].to_pylist(),
+                              batch["page"].to_pylist()):
+            key = (hashlib.md5(data).digest(), page)
+            val = self._cache.get(key)
+            if val is None:
                 try:
-                    per_page = []
-                    for img in _decode_pages(data):
-                        ti = TableImage(img=img)
-                        if ti.char_length is None:
-                            per_page.append((0, 0))
-                            continue
-                        from img2table_ray.extract.lines import detect_lines
-
-                        mll = (int(min(1.5 * ti.median_line_sep, 4 * ti.char_length))
-                               if ti.median_line_sep else 20)
-                        h_lines, v_lines = detect_lines(
-                            img=ti.img, contours=ti.contours,
-                            char_length=ti.char_length, min_line_length=mll)
-                        per_page.append((len(h_lines), len(v_lines)))
+                    val = self._read(TableImage(img=decode_page(data, page)))
                 except Exception:
-                    per_page = [(-1, -1)]
+                    val = self._sentinel
                 if len(self._cache) < 256:
-                    self._cache[key] = per_page
-            for page, (h, v) in enumerate(per_page):
-                urls.append(url)
-                pgs.append(page)
-                nh.append(h)
-                nv.append(v)
-        return pa.table(
-            {
-                "url": pa.array(urls, pa.string()),
-                "page": pa.array(pgs, pa.int64()),
-                "n_h_lines": pa.array(nh, pa.int64()),
-                "n_v_lines": pa.array(nv, pa.int64()),
-            }
-        )
+                    self._cache[key] = val
+            values.append(val)
+        cols = {"url": batch["url"], "page": batch["page"].cast(pa.int64())}
+        for i, (name, typ) in enumerate(self._columns.items()):
+            cols[name] = pa.array([v[i] for v in values], typ)
+        return pa.table(cols)
+
+
+def summarize_pages(pages_dir: str, summary: str) -> ray.data.Dataset:
+    """The ``extract_tables`` page rows of a pages table (probe, then
+    explode) summarized per page instead of extracted; ``summary`` is
+    ``"metrics"`` or ``"lines"``."""
+    return (ray.data.read_parquet(f"{pages_dir}/pages",
+                                  columns=["url", "html"])
+            .map_batches(probe_batch, batch_format="pyarrow")
+            .map_batches(explode_pages, batch_format="pyarrow")
+            .map_batches(_PageSummaryStage, batch_format="pyarrow",
+                         batch_size=16,
+                         fn_constructor_kwargs={"summary": summary},
+                         concurrency=actor_concurrency(), num_cpus=1))
+
+
+def extract_metrics(sf_dir: str) -> ray.data.Dataset:
+    """Per-(url, page) image metrics (char_length, median_line_sep,
+    contours) over every page of every document.  At sf0.01 that is 228
+    rows from 192 documents (12 three-page MPNG docs and 12 two-page
+    PDFs)."""
+    return summarize_pages(corpus_for(sf_dir), "metrics")
 
 
 def extract_lines(sf_dir: str) -> ray.data.Dataset:
     """Per-(url, page) detected ruling-line counts (B-phase ops)."""
-    corpus = corpus_for(sf_dir)
-    return ray.data.read_parquet(f"{corpus}/pages", columns=["url", "html"]).map_batches(
-        _LinesStage, batch_format="pyarrow", batch_size=16,
-        concurrency=actor_concurrency(), num_cpus=1,
-    )
+    return summarize_pages(corpus_for(sf_dir), "lines")
 
 
 def _borderless_corpus(sf_dir: str) -> str:

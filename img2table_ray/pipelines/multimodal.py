@@ -11,9 +11,8 @@ for RIFF/AVI carrying MJPEG (in-repo JPEG decoder), uncompressed DIB
 codec-requiring formats (MP3/AAC audio, inter-frame H.264/VP9 video —
 no library in this container) stay clearly-marked STUBS: the actor
 signature, batch schema and output layout are real and tested;
-``decode`` raises ``NotImplementedError`` unless the
-deterministic-fake mode is enabled (hash-derived features, useful for
-exercising the plumbing end-to-end).
+``decode`` raises ``NotImplementedError`` and the row comes out with
+status ``unsupported``.
 """
 
 from __future__ import annotations
@@ -82,12 +81,8 @@ class AudioFeatureStage:
     WAVE_FORMAT_EXTENSIBLE) and lossless FLAC streams; emits
     (duration_s, sample_rate, rms) per row.  Remaining compressed
     formats (MP3/AAC/Opus — genuinely codec-requiring, none
-    ships in this container) raise ``NotImplementedError`` unless
-    ``deterministic_fake=True`` (md5-derived features — stable across
-    runs, exercises schema/batching/actor plumbing)."""
-
-    def __init__(self, deterministic_fake: bool = False) -> None:
-        self._fake = deterministic_fake
+    ships in this container) raise ``NotImplementedError``, which the
+    row loop turns into an ``unsupported`` row."""
 
     @staticmethod
     def _decode_wav(data: bytes) -> tuple[float, int, float]:
@@ -312,16 +307,9 @@ class AudioFeatureStage:
                 return 0.0, rate, 0.0
             x = x[: frames * channels]
             return frames / rate, rate, float(np.sqrt(np.mean(x * x)))
-        if not self._fake:
-            raise NotImplementedError(
-                "compressed audio needs a codec (none in this environment); "
-                "WAV/PCM decodes for real, or construct the stage with "
-                "deterministic_fake=True")
-        h = hashlib.md5(data).digest()
-        duration = round(1 + h[0] / 16, 3)
-        sample_rate = 8000 * (1 + h[1] % 5)
-        rms = round(h[2] / 255, 6)
-        return duration, sample_rate, rms
+        raise NotImplementedError(
+            "compressed audio needs a codec (none in this environment); "
+            "WAV/PCM decodes for real")
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         urls, durs, srs, rmss, status = [], [], [], [], []
@@ -432,14 +420,12 @@ class VideoFrameSampleStage:
     are decoded; the demux walk itself touches headers, not pixels).
     Inter-frame-predicted codecs (H.264/VP9/AV1 — genuinely
     codec-requiring, none ships in this container) raise
-    ``NotImplementedError`` unless ``deterministic_fake=True``
-    (md5-derived values — stable, exercises plumbing end-to-end).
-    Batch size must stay SMALL for real video payloads (one clip can be
-    tens of MB)."""
+    ``NotImplementedError``, which the row loop turns into an
+    ``unsupported`` row.  Batch size must stay SMALL for real video
+    payloads (one clip can be tens of MB)."""
 
-    def __init__(self, n_samples: int = 4, deterministic_fake: bool = False) -> None:
+    def __init__(self, n_samples: int = 4) -> None:
         self._n = n_samples
-        self._fake = deterministic_fake
 
     @staticmethod
     def _parse_avi(data: bytes):
@@ -583,7 +569,7 @@ class VideoFrameSampleStage:
             # animated PNG: the other codec-free web animation format.
             # Like GIF, frames are region DELTAS (dispose/blend ops), so
             # the decoder composes full canvases before sampling.  A
-            # STILL png falls through to the unsupported/fake tail — an
+            # STILL png falls through to the unsupported tail — an
             # image is not a video payload.
             from img2table_ray.imgops.apng import apng_frames
 
@@ -654,17 +640,9 @@ class VideoFrameSampleStage:
                         n_frames, lumas)
             m = parse_webm(data)
             return m["duration_s"], m["fps"], m["n_frames"], None
-        if not self._fake:
-            raise NotImplementedError(
-                "inter-frame video needs a codec (none in this "
-                "environment); MJPEG/DIB AVI decodes for real, or construct "
-                "the stage with deterministic_fake=True")
-        h = hashlib.md5(data).digest()
-        fps = float(24 + h[0] % 8)
-        n_frames = 24 * (10 + h[1])
-        duration = round(n_frames / fps, 3)
-        lumas = [round(h[2 + i % 12] / 255, 6) for i in range(self._n)]
-        return duration, fps, n_frames, lumas
+        raise NotImplementedError(
+            "inter-frame video needs a codec (none in this environment); "
+            "MJPEG/DIB AVI decodes for real")
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         payload_col = "video" if "video" in batch.schema.names else "html"

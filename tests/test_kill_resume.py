@@ -25,7 +25,7 @@ ray.init(address="local", num_cpus=4, include_dashboard=False,
 from ray.data import DataContext
 DataContext.get_current().enable_progress_bars = False
 from img2table_ray.pipelines.extraction import run_extraction_job
-res = run_extraction_job("{corpus}", "{out}", words_dir="{corpus}/words", num_parts=12)
+res = run_extraction_job("{corpus}", "{out}", words_dir="{corpus}/words")
 print("JOB_DONE", sorted(res["new_parts"]))
 ray.shutdown()
 """

@@ -27,7 +27,7 @@ def _run_job(out_dir, **kw):
 
     shutil.rmtree(out_dir, ignore_errors=True)
     return run_extraction_job(CORPUS, out_dir, words_dir=f"{CORPUS}/words",
-                              num_parts=8, **kw)
+                              **kw)
 
 
 def _read_sorted(out_dir) -> pd.DataFrame:
@@ -93,7 +93,7 @@ def test_job_resume_skips_done(ray_session, corpus):
 
     from img2table_ray.pipelines.extraction import run_extraction_job
 
-    res = run_extraction_job(CORPUS, out2, words_dir=f"{CORPUS}/words", num_parts=8)
+    res = run_extraction_job(CORPUS, out2, words_dir=f"{CORPUS}/words")
     assert sorted(res["resumed_parts"]) == [0, 2, 4, 6]
     assert sorted(res["new_parts"]) == [1, 3, 5, 7]
 
@@ -121,7 +121,7 @@ def test_error_rows_captured(ray_session):
 
     out = "/tmp/i2tr_bad_out"
     shutil.rmtree(out, ignore_errors=True)
-    run_extraction_job(bad_dir, out, num_parts=2)
+    run_extraction_job(bad_dir, out)
     df = _read_sorted(out)
     assert len(df) == 2
     assert (df["status"] == "error").all()
@@ -196,6 +196,24 @@ def test_words_paths_all_match_broadcast(ray_session, corpus):
                          join_words="service")
            .to_pandas().sort_values(key).reset_index(drop=True))
     pd.testing.assert_frame_equal(a[cols], svc[cols])
+
+
+def test_task_keeps_one_extractor_per_token():
+    """``PageExtractor.task`` reuses the worker's instance (and its memo)
+    for batches of one pipeline, and a new pipeline token replaces it."""
+    from img2table_ray.stages.extractor import PageExtractor
+
+    batch = pa.table({"url": ["https://x/bad"],
+                      "html": pa.array([b"not-an-image"], pa.binary())})
+    out = PageExtractor.task(batch, token="a", ctor={})
+    assert out["status"].to_pylist() == ["error"]
+    first = PageExtractor._task_slot[1]
+    PageExtractor.task(batch, token="a", ctor={})
+    assert PageExtractor._task_slot == ("a", first)
+    PageExtractor.task(batch, token="b", ctor={"implicit_rows": False})
+    token, second = PageExtractor._task_slot
+    assert token == "b" and second is not first
+    assert second._implicit_rows is False
 
 
 @pytest.mark.parametrize("cut", [6, 10, 16])
@@ -1022,9 +1040,9 @@ def test_video_frames_query(ray_session):
 
 
 def test_multimodal_stages(ray_session, corpus):
-    """Image feature stage is real (decode + stats); audio stage is a
-    clearly-marked stub whose plumbing (schema, batching, actor signature)
-    works end-to-end in both stub and deterministic-fake modes."""
+    """Image feature stage is real (decode + stats); the audio and video
+    stages turn payloads they cannot decode (here: page images) into
+    ``unsupported`` rows through the full actor plumbing."""
     import ray.data
 
     from img2table_ray.pipelines.multimodal import AudioFeatureStage, ImageFeatureStage
@@ -1040,23 +1058,12 @@ def test_multimodal_stages(ray_session, corpus):
     stub = ds.map_batches(AudioFeatureStage, batch_format="pyarrow",
                           concurrency=1).to_pandas()
     assert (stub["status"] == "unsupported").all()
-    fake = ds.map_batches(AudioFeatureStage, batch_format="pyarrow", concurrency=1,
-                          fn_constructor_kwargs={"deterministic_fake": True}).to_pandas()
-    assert (fake["status"] == "ok").all()
-    assert fake["duration_s"].notna().all()
 
     from img2table_ray.pipelines.multimodal import VideoFrameSampleStage
 
     vstub = ds.map_batches(VideoFrameSampleStage, batch_format="pyarrow",
                            batch_size=2, concurrency=1).to_pandas()
     assert (vstub["status"] == "unsupported").all()
-    vfake = ds.map_batches(VideoFrameSampleStage, batch_format="pyarrow",
-                           batch_size=2, concurrency=1,
-                           fn_constructor_kwargs={"deterministic_fake": True,
-                                                  "n_samples": 3}).to_pandas()
-    assert (vfake["status"] == "ok").all()
-    assert (vfake["frame_lumas"].map(len) == 3).all()
-    assert (vfake["n_frames"] > 0).all()
 
 
 def test_image_resize_stage(ray_session, corpus):
@@ -1088,20 +1095,23 @@ def test_image_resize_stage(ray_session, corpus):
     assert np.abs(small.astype(int) - 128).max() <= 1
 
 
-def test_metrics_and_lines_decode_all_corpus_formats(ray_session, corpus):
+def test_metrics_and_lines_decode_all_corpus_formats(ray_session):
     """extract_metrics / extract_lines must decode EVERY corpus format
-    (PNG/JPEG/TIFF/GIF/WebP/PDF), not just PNG — no -2/-1 sentinel rows
-    (round-3 verdict 'What's wrong' #1)."""
-    from img2table_ray.pipelines.extraction_queries import (_LinesStage,
-                                                            _MetricsStage)
-    import ray.data
+    (PNG/JPEG/TIFF/GIF/WebP/PDF/MPNG), not just PNG — no -2/-1 sentinel
+    rows (round-3 verdict 'What's wrong' #1)."""
+    from __ray_entry__ import SF0001
+    from img2table_ray.extract.pdf import sniff_kind
+    from img2table_ray.pipelines.corpus import corpus_for
+    from img2table_ray.pipelines.extraction_queries import (extract_lines,
+                                                            extract_metrics)
 
-    src = ray.data.read_parquet(f"{CORPUS}/pages", columns=["url", "html"])
-    mdf = src.map_batches(_MetricsStage, batch_format="pyarrow", batch_size=8,
-                          concurrency=1, num_cpus=1).to_pandas()
+    docs = pq.read_table(f"{corpus_for(SF0001)}/pages", columns=["html"])
+    kinds = {sniff_kind(d[:16]) for d in docs["html"].to_pylist()}
+    assert {"png", "jpeg", "tiff", "gif", "webp", "pdf", "mpng"} <= kinds
+
+    mdf = extract_metrics(SF0001).to_pandas()
     assert (mdf["n_contours"] != -2).all(), "metrics decode failed for some format"
-    ldf = src.map_batches(_LinesStage, batch_format="pyarrow", batch_size=8,
-                          concurrency=1, num_cpus=1).to_pandas()
+    ldf = extract_lines(SF0001).to_pandas()
     assert (ldf["n_h_lines"] != -1).all(), "lines decode failed for some format"
 
     # multi-page coverage (round-4 verdict §next-7): MPNG/PDF documents
@@ -1113,6 +1123,84 @@ def test_metrics_and_lines_decode_all_corpus_formats(ray_session, corpus):
         assert n_pages_per_url.max() >= 2
         # page numbering is dense per url
         assert (df.groupby("url")["page"].max() + 1 == n_pages_per_url).all()
+
+
+def test_summaries_share_extract_tables_page_keys(ray_session):
+    """The page summaries run on extract_tables' own page rows: the three
+    queries give the same set of (url, page) keys."""
+    from __ray_entry__ import SF0001
+    from img2table_ray.pipelines.extraction_queries import (extract_lines,
+                                                            extract_metrics,
+                                                            extract_tables)
+
+    def keys(ds):
+        df = ds.to_pandas()
+        return set(zip(df["url"], df["page"].astype(int)))
+
+    tables = keys(extract_tables(SF0001))
+    assert len(tables) == 76
+    assert keys(extract_metrics(SF0001)) == tables
+    assert keys(extract_lines(SF0001)) == tables
+
+
+def test_summaries_bad_document_is_one_sentinel_row(ray_session, tmp_path):
+    """A truncated MPNG and an unreadable PDF each give exactly one page-0
+    sentinel row in both summaries; the good document beside them is
+    summarized normally."""
+    import numpy as np
+
+    from img2table_ray.extract.pdf import encode_mpng
+    from img2table_ray.imgops.png import encode_png
+    from img2table_ray.pipelines.extraction_queries import summarize_pages
+
+    grid = np.full((60, 90), 255, np.uint8)
+    grid[::20, :] = 0
+    grid[:, ::30] = 0
+    png = encode_png(grid)
+    os.makedirs(tmp_path / "pages")
+    pq.write_table(pa.table({
+        "url": ["https://x/png", "https://x/cut", "https://x/pdf"],
+        "html": pa.array([png, encode_mpng([png, png])[:10],
+                          b"%PDF-1.4 fake"], pa.binary()),
+    }), tmp_path / "pages" / "part-00000.parquet")
+
+    sentinels = {"metrics": ("n_contours", -2), "lines": ("n_h_lines", -1)}
+    for summary, (col, sentinel) in sentinels.items():
+        df = summarize_pages(str(tmp_path), summary).to_pandas()
+        for url in ("https://x/cut", "https://x/pdf"):
+            bad = df[df["url"] == url]
+            assert bad["page"].tolist() == [0], (summary, url)
+            assert bad[col].tolist() == [sentinel], (summary, url)
+        good = df[df["url"] == "https://x/png"]
+        assert good["page"].tolist() == [0]
+        assert good[col].tolist() != [sentinel]
+        assert df["page"].dtype == np.int64
+
+
+def test_summaries_keep_pdf_pages_apart(ray_session, tmp_path):
+    """Exploded PDF page rows share the document bytes; each page still
+    gets its own summary (the stage memo is keyed by bytes AND page)."""
+    from img2table_ray.extract.document import TableImage
+    from img2table_ray.fixtures import fixture_bytes
+    from img2table_ray.pipelines.extraction_queries import summarize_pages
+    from img2table_ray.stages.extractor import decode_page
+
+    pdf = fixture_bytes("test.pdf")
+    os.makedirs(tmp_path / "pages")
+    pq.write_table(pa.table({"url": ["https://x/report"],
+                             "html": pa.array([pdf], pa.binary())}),
+                   tmp_path / "pages" / "part-00000.parquet")
+    want_contours, want_h = [], []
+    for page in (0, 1):
+        ti = TableImage(img=decode_page(pdf, page))
+        want_contours.append(len(ti.contours))
+        want_h.append(len(ti.ruling_lines()[0]))
+    assert want_contours[0] != want_contours[1]
+
+    mdf = summarize_pages(str(tmp_path), "metrics").to_pandas()
+    assert mdf.sort_values("page")["n_contours"].tolist() == want_contours
+    ldf = summarize_pages(str(tmp_path), "lines").to_pandas()
+    assert ldf.sort_values("page")["n_h_lines"].tolist() == want_h
 
 
 def test_audio_adpcm_decode_real():
