@@ -42,8 +42,7 @@ import ray.data
 from img2table_ray.stages.extractor import (
     OUTPUT_SCHEMA,
     PageExtractor,
-    explode_pages,
-    probe_batch,
+    page_rows,
 )
 from img2table_ray.stages.util import actor_concurrency
 from img2table_ray.state import manifest as mf
@@ -183,9 +182,8 @@ def extract_pages(pages_dir: str, words_dir: str | None = None,
 
     ds = ds.map_batches(lambda b, lut=part_of_name: tag_part_batch(b, lut),
                         batch_format="pyarrow")
-    ds = ds.map_batches(probe_batch, batch_format="pyarrow")
     # 1 multi-page doc -> N page rows BEFORE the heavy per-page work
-    ds = ds.map_batches(explode_pages, batch_format="pyarrow")
+    ds = page_rows(ds)
     ds = ds.map_batches(segregate_by_weight, batch_format="pyarrow")
 
     words_ref = None

@@ -14,7 +14,7 @@ import ray.data
 
 from img2table_ray.pipelines.corpus import corpus_for
 from img2table_ray.pipelines.extraction import extract_pages
-from img2table_ray.stages.extractor import explode_pages, probe_batch
+from img2table_ray.stages.extractor import page_rows
 from img2table_ray.stages.util import actor_concurrency
 
 
@@ -101,13 +101,11 @@ class _PageSummaryStage:
 
 
 def summarize_pages(pages_dir: str, summary: str) -> ray.data.Dataset:
-    """The ``extract_tables`` page rows of a pages table (probe, then
-    explode) summarized per page instead of extracted; ``summary`` is
+    """The ``extract_tables`` page rows of a pages table (``page_rows``)
+    summarized per page instead of extracted; ``summary`` is
     ``"metrics"`` or ``"lines"``."""
-    return (ray.data.read_parquet(f"{pages_dir}/pages",
-                                  columns=["url", "html"])
-            .map_batches(probe_batch, batch_format="pyarrow")
-            .map_batches(explode_pages, batch_format="pyarrow")
+    return (page_rows(ray.data.read_parquet(f"{pages_dir}/pages",
+                                            columns=["url", "html"]))
             .map_batches(_PageSummaryStage, batch_format="pyarrow",
                          batch_size=16,
                          fn_constructor_kwargs={"summary": summary},

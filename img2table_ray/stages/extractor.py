@@ -6,9 +6,10 @@ document, emitting one output row per extracted table (plus a no-table /
 error marker row per document so lineage is complete).  Per-process state:
 the extraction memo (corpora replicate documents heavily), warm malloc
 arenas, and the word provider (broadcast lookup or words service).
-``decode_page`` is the one per-page decode: ``extract_metrics`` and
-``extract_lines`` (pipelines/extraction_queries.py) run it on the same
-page rows that ``probe_batch`` and ``explode_pages`` make here.
+``page_rows`` turns documents into page rows (``probe_batch`` then
+``explode_pages``) and ``decode_page`` is the one per-page decode; the
+extraction pipeline and the page summaries of ``extract_metrics`` and
+``extract_lines`` (pipelines/extraction_queries.py) share both.
 """
 
 from __future__ import annotations
@@ -135,6 +136,14 @@ def explode_pages(batch: pa.Table) -> pa.Table:
     return pa.concat_tables(parts)
 
 
+def page_rows(ds: ray.data.Dataset) -> ray.data.Dataset:
+    """Documents (``url``, ``html`` and any other columns) -> one row per
+    page: ``probe_batch`` adds ``doc_bytes``/``doc_kind``, then
+    ``explode_pages`` adds the int32 ``page`` index."""
+    return (ds.map_batches(probe_batch, batch_format="pyarrow")
+            .map_batches(explode_pages, batch_format="pyarrow"))
+
+
 def decode_page(data: bytes, page: int = 0) -> np.ndarray:
     """RGB array of one exploded page row: a PDF row carries the whole
     document plus its page index, so the selected page is rendered; any
@@ -153,8 +162,10 @@ def decode_page(data: bytes, page: int = 0) -> np.ndarray:
 
 def _marker_row(status: str, error: Optional[str] = None) -> dict:
     """The one row a page without tables (``no_tables``) or a failed
-    page (``error``) contributes, so lineage stays complete."""
-    return {"page": 0, "table_idx": -1, "x1": -1, "y1": -1, "x2": -1, "y2": -1,
+    page (``error``) contributes, so lineage stays complete.  Like the
+    table rows of ``_extract`` it leaves out url, part and page, which
+    ``PageExtractor.__call__`` fills in from the page row."""
+    return {"table_idx": -1, "x1": -1, "y1": -1, "x2": -1, "y2": -1,
             "title": None, "nb_rows": 0, "nb_columns": 0, "cells": None,
             "extracted_text": None, "status": status, "error": error}
 
@@ -220,7 +231,7 @@ class PageExtractor:
     def _extract(self, data: bytes, hocr: Optional[str], page: int = 0):
         """Extraction result for (document bytes, hocr, page) — memoized,
         since synthetic corpora replicate documents heavily.  Returns the
-        list of per-table dict rows (without url/part)."""
+        list of per-table dict rows (without url/part/page)."""
         from img2table_ray.extract.content import OCRWords, parse_hocr
         from img2table_ray.extract.document import extract_tables_from_image
 
@@ -266,7 +277,6 @@ class PageExtractor:
             )
             rows.append(
                 {
-                    "page": 0,
                     "table_idx": t_idx,
                     "x1": tb.bbox.x1, "y1": tb.bbox.y1,
                     "x2": tb.bbox.x2, "y2": tb.bbox.y2,
@@ -317,8 +327,9 @@ class PageExtractor:
             for r in rows:
                 out["url"].append(url)
                 out["part"].append(part)
+                out["page"].append(page)
                 for col, v in r.items():
-                    out[col].append(page if col == "page" else v)
+                    out[col].append(v)
 
         # distributed manifest accounting: per-batch (part -> counts) partials
         # go to the part-hashed stats shards (state/stats.py:StatsShards) —

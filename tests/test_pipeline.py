@@ -3,6 +3,9 @@ single-machine engine, partition-granular resume, and per-row error capture."""
 
 import os
 import shutil
+import subprocess
+import sys
+import textwrap
 
 import pandas as pd
 import pyarrow as pa
@@ -200,20 +203,29 @@ def test_words_paths_all_match_broadcast(ray_session, corpus):
 
 def test_task_keeps_one_extractor_per_token():
     """``PageExtractor.task`` reuses the worker's instance (and its memo)
-    for batches of one pipeline, and a new pipeline token replaces it."""
-    from img2table_ray.stages.extractor import PageExtractor
+    for batches of one pipeline, and a new pipeline token replaces it.
+    Runs in its own process: the instance stays in a class-level slot and
+    ``PageExtractor.__init__`` sets process-wide malloc thresholds."""
+    script = textwrap.dedent("""
+        import pyarrow as pa
+        from img2table_ray.stages.extractor import PageExtractor
 
-    batch = pa.table({"url": ["https://x/bad"],
-                      "html": pa.array([b"not-an-image"], pa.binary())})
-    out = PageExtractor.task(batch, token="a", ctor={})
-    assert out["status"].to_pylist() == ["error"]
-    first = PageExtractor._task_slot[1]
-    PageExtractor.task(batch, token="a", ctor={})
-    assert PageExtractor._task_slot == ("a", first)
-    PageExtractor.task(batch, token="b", ctor={"implicit_rows": False})
-    token, second = PageExtractor._task_slot
-    assert token == "b" and second is not first
-    assert second._implicit_rows is False
+        batch = pa.table({"url": ["https://x/bad"],
+                          "html": pa.array([b"not-an-image"], pa.binary())})
+        out = PageExtractor.task(batch, token="a", ctor={})
+        assert out["status"].to_pylist() == ["error"]
+        first = PageExtractor._task_slot[1]
+        PageExtractor.task(batch, token="a", ctor={})
+        assert PageExtractor._task_slot == ("a", first)
+        PageExtractor.task(batch, token="b", ctor={"implicit_rows": False})
+        token, second = PageExtractor._task_slot
+        assert token == "b" and second is not first
+        assert second._implicit_rows is False
+    """)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, timeout=120, cwd=root)
+    assert out.returncode == 0, out.stderr
 
 
 @pytest.mark.parametrize("cut", [6, 10, 16])
