@@ -110,22 +110,6 @@ def band_hashes(signature: list[str], band_size: int) -> list[str]:
     ]
 
 
-def simhash60(tokens: list[str]) -> int:
-    """60-bit SimHash over token multiset.
-
-    bit j of result = 1 iff sum over tokens of (2*bit_j(md5_int60(tok)) - 1) > 0.
-    Mirrors the generated DuckDB SQL exactly (strict > 0; ties -> 0 bit).
-    """
-    if not tokens:
-        return 0
-    ints = md5_int60_many(tokens)
-    # bits: (n_tokens, 60)
-    shifts = np.arange(SIMHASH_BITS, dtype=np.int64)
-    bits = (ints[:, None] >> shifts[None, :]) & 1
-    sums = (2 * bits - 1).sum(axis=0)
-    return int(((sums > 0).astype(np.int64) << shifts).sum())
-
-
 def simhash60_many(token_lists: list[list[str]]) -> np.ndarray:
     """Vectorized SimHash over many docs; hashes unique tokens once."""
     uniq: dict[str, int] = {}

@@ -194,15 +194,6 @@ def _changes_of(row: np.ndarray) -> list[int]:
     return ch
 
 
-def _row_from_runs(runs: list[tuple[int, int]], width: int) -> np.ndarray:
-    row = np.zeros(width, np.uint8)
-    pos = 0
-    for start, end in runs:
-        row[start:end] = 1
-        pos = end
-    return row
-
-
 # ---- Modified Huffman 1-D (TIFF Compression=2) ---------------------------
 
 def mh_decode(data: bytes, width: int, height: int) -> np.ndarray:

@@ -21,16 +21,6 @@ def rgb2gray(img: np.ndarray) -> np.ndarray:
     return ((r * 4899 + g * 9617 + b * 1868 + 8192) >> 14).astype(np.uint8)
 
 
-def _window_bounds(n: int, k: int, anchor: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-index [lo, hi) window bounds for a length-k window with given
-    anchor, clipped to [0, n] (border pixels ignored, cv2 morphology
-    default-border semantics)."""
-    idx = np.arange(n)
-    lo = np.clip(idx - anchor, 0, n)
-    hi = np.clip(idx - anchor + k, 0, n)
-    return lo, hi
-
-
 def window_sum(img: np.ndarray, kw: int, kh: int,
                ax: int | None = None, ay: int | None = None) -> np.ndarray:
     """Windowed sum with out-of-image treated as 0; anchor defaults to

@@ -452,26 +452,6 @@ def predict_block(plane: np.ndarray, y0: int, x0: int, size: int,
     return np.clip(p, 0, 255)
 
 
-def _bpred_edges(plane: np.ndarray, y0: int, x0: int, have_above: bool,
-                 have_left: bool, have_ar: bool) -> tuple:
-    """(above[8], left[4], topleft) pixel context for one 4x4 subblock;
-    above[4:8] is the above-right extension (replicated per RFC when the
-    above-right block is unavailable)."""
-    if have_above:
-        above = plane[y0 - 1, x0 : x0 + 4].astype(np.int32)
-        if have_ar:
-            ar = plane[y0 - 1, x0 + 4 : x0 + 8].astype(np.int32)
-        else:
-            ar = np.full(4, int(above[3]), np.int32)
-        above8 = np.concatenate([above, ar])
-    else:
-        above8 = np.full(8, 127, np.int32)
-    left = (plane[y0 : y0 + 4, x0 - 1].astype(np.int32)
-            if have_left else np.full(4, 129, np.int32))
-    tl = int(plane[y0 - 1, x0 - 1]) if (have_above and have_left) else 128
-    return above8, left, tl
-
-
 def predict_b(mode: int, above8: np.ndarray, left: np.ndarray,
               tl: int) -> np.ndarray:
     """All ten 4x4 B_PRED modes (RFC 6386 §12.3)."""

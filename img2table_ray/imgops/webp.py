@@ -212,22 +212,6 @@ def _read_prefix_code(br: _BitReader, alphabet_size: int) -> _Huff:
     return _Huff(lengths)
 
 
-def _prefix_value(code: int, br: _BitReader) -> int:
-    """LZ77 length/distance prefix decoding (spec §4.2.2)."""
-    if code < 4:
-        return code + 1
-    extra = (code - 2) >> 1
-    offset = (2 + (code & 1)) << extra
-    return offset + br.read(extra) + 1
-
-
-def _plane_to_dist(code: int, xsize: int) -> int:
-    if code > 120:
-        return code - 120
-    x, y = _DIST_MAP[code - 1]
-    return max(1, y * xsize + x)
-
-
 class _Group:
     __slots__ = ("green", "red", "blue", "alpha", "dist")
 

@@ -115,16 +115,6 @@ def _minhash_explode(batch: pd.DataFrame) -> pd.DataFrame:
     )
 
 
-def _bucket_pairs(group: pd.DataFrame) -> pd.DataFrame:
-    """All (a<b) pairs within one LSH bucket, capped at MAX_BUCKET docs."""
-    ids = np.sort(group["doc_id"].unique())[:MAX_BUCKET]
-    if len(ids) < 2:
-        return pd.DataFrame({"doc_id_a": pd.Series(dtype="int64"),
-                             "doc_id_b": pd.Series(dtype="int64")})
-    ia, ib = np.triu_indices(len(ids), k=1)
-    return pd.DataFrame({"doc_id_a": ids[ia], "doc_id_b": ids[ib]})
-
-
 def _slot_pairs(group: pd.DataFrame) -> pd.DataFrame:
     """Within-bucket pairs for EVERY (band, band_hash) bucket hashed into
     this slot.  One Python call handles thousands of buckets: grouping by

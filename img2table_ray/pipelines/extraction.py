@@ -286,7 +286,3 @@ def run_extraction_job(pages_dir: str, out_dir: str, words_dir: str | None = Non
         "new_parts": sorted(stats),
         "wall_s": round(time.time() - t0, 3),
     }
-
-
-def read_extraction_output(out_dir: str) -> ray.data.Dataset:
-    return ray.data.read_parquet(mf.data_dir(out_dir))

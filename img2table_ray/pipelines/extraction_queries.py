@@ -7,15 +7,13 @@ corpus for that scale, and returns a lazy Ray Dataset.
 
 from __future__ import annotations
 
-import hashlib
-
 import pyarrow as pa
 import ray.data
 
 from img2table_ray.pipelines.corpus import corpus_for
 from img2table_ray.pipelines.extraction import extract_pages
 from img2table_ray.stages.extractor import page_rows
-from img2table_ray.stages.util import actor_concurrency
+from img2table_ray.stages.util import PayloadStage
 
 
 def extract_tables(sf_dir: str) -> ray.data.Dataset:
@@ -56,7 +54,7 @@ def _lines(ti) -> tuple:
     return len(h_lines), len(v_lines)
 
 
-# summary -> (per-page TableImage reader, output columns, error sentinel)
+# summary -> (per-page TableImage reader, value columns, error sentinel)
 _SUMMARIES = {
     "metrics": (_metrics, {"char_length": pa.float64(),
                            "median_line_sep": pa.float64(),
@@ -66,50 +64,39 @@ _SUMMARIES = {
 }
 
 
-class _PageSummaryStage:
+class _PageSummaryStage(PayloadStage):
     """Actor-pool stage over exploded page rows: one summary row per
     (url, page).  Each page is decoded by the engine's ``decode_page`` and
     read through ``TableImage``; a page that fails gives the summary's
-    sentinel row.  PDF page rows share their document bytes, so the memo
-    key includes the page."""
+    sentinel row.  PDF page rows share their document bytes, so the page
+    is part of the memo key."""
+
+    keys = ("url", "page")
+    reads = ("page",)
 
     def __init__(self, summary: str) -> None:
-        self._read, self._columns, self._sentinel = _SUMMARIES[summary]
-        self._cache: dict = {}
+        super().__init__()
+        self._read, columns, self._sentinel = _SUMMARIES[summary]
+        self.schema = {"url": pa.string(), "page": pa.int64(), **columns}
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def rows(self, data: bytes, page: int) -> list[tuple]:
         from img2table_ray.extract.document import TableImage
         from img2table_ray.stages.extractor import decode_page
 
-        values = []
-        for data, page in zip(batch["html"].to_pylist(),
-                              batch["page"].to_pylist()):
-            key = (hashlib.md5(data).digest(), page)
-            val = self._cache.get(key)
-            if val is None:
-                try:
-                    val = self._read(TableImage(img=decode_page(data, page)))
-                except Exception:
-                    val = self._sentinel
-                if len(self._cache) < 256:
-                    self._cache[key] = val
-            values.append(val)
-        cols = {"url": batch["url"], "page": batch["page"].cast(pa.int64())}
-        for i, (name, typ) in enumerate(self._columns.items()):
-            cols[name] = pa.array([v[i] for v in values], typ)
-        return pa.table(cols)
+        return [self._read(TableImage(img=decode_page(data, page)))]
+
+    def failed(self, data: bytes, status: str, exc: Exception) -> tuple:
+        return self._sentinel
 
 
 def summarize_pages(pages_dir: str, summary: str) -> ray.data.Dataset:
     """The ``extract_tables`` page rows of a pages table (``page_rows``)
     summarized per page instead of extracted; ``summary`` is
     ``"metrics"`` or ``"lines"``."""
-    return (page_rows(ray.data.read_parquet(f"{pages_dir}/pages",
+    pages = page_rows(ray.data.read_parquet(f"{pages_dir}/pages",
                                             columns=["url", "html"]))
-            .map_batches(_PageSummaryStage, batch_format="pyarrow",
-                         batch_size=16,
-                         fn_constructor_kwargs={"summary": summary},
-                         concurrency=actor_concurrency(), num_cpus=1))
+    return _PageSummaryStage.map_batches(pages, batch_size=16,
+                                         summary=summary)
 
 
 def extract_metrics(sf_dir: str) -> ray.data.Dataset:
@@ -177,63 +164,34 @@ def extract_tables_borderless(sf_dir: str) -> ray.data.Dataset:
                          implicit_rows=False)
 
 
-class _PdfWordsStage:
+class _PdfWordsStage(PayloadStage):
     """Actor-pool stage: native PDF text-layer words per document
     (ref ocr/pdf.py:157-235 via extract/pdftext.py).
 
-    The PDF bytes ride the batch (``pdf`` binary column); parsing state
-    (nothing heavy today, but the slot where a pdfium handle would live)
-    is per-actor.  Output: one row per word — the OCRDataframe schema
-    plus ``doc_id``."""
+    The PDF bytes ride the batch (``pdf`` binary column).  Output: one row
+    per word — the OCRDataframe schema plus ``doc_id``; a document that
+    does not parse gives one ``page=-1`` row whose status carries the
+    reason."""
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from img2table_ray.extract.pdftext import PdfTextError, pdf_words_content
+    keys = ("doc_id",)
+    payload = "pdf"
+    schema = {"doc_id": pa.int64(), "page": pa.int64(),
+              "word_id": pa.string(), "parent": pa.string(),
+              "value": pa.string(), "confidence": pa.int64(),
+              "x1": pa.int64(), "y1": pa.int64(), "x2": pa.int64(),
+              "y2": pa.int64(), "status": pa.string()}
 
-        rows = {k: [] for k in ("doc_id", "page", "word_id", "parent",
-                                "value", "confidence",
-                                "x1", "y1", "x2", "y2", "status")}
-        for doc_id, data in zip(batch["doc_id"].to_pylist(),
-                                batch["pdf"].to_pylist()):
-            try:
-                content = pdf_words_content(data)
-                for page_words in content:
-                    for w in page_words:
-                        if w["class"] != "ocrx_word":
-                            continue
-                        rows["doc_id"].append(doc_id)
-                        rows["page"].append(w["page"])
-                        rows["word_id"].append(w["id"])
-                        rows["parent"].append(w["parent"])
-                        rows["value"].append(w["value"])
-                        rows["confidence"].append(w["confidence"])
-                        for k in ("x1", "y1", "x2", "y2"):
-                            rows[k].append(w[k])
-                        rows["status"].append("ok")
-            except PdfTextError as err:
-                rows["doc_id"].append(doc_id)
-                rows["page"].append(-1)
-                rows["word_id"].append(None)
-                rows["parent"].append(None)
-                rows["value"].append(None)
-                rows["confidence"].append(None)
-                for k in ("x1", "y1", "x2", "y2"):
-                    rows[k].append(-1)
-                rows["status"].append(f"error: {err}")
-        return pa.table(
-            {
-                "doc_id": pa.array(rows["doc_id"], pa.int64()),
-                "page": pa.array(rows["page"], pa.int64()),
-                "word_id": pa.array(rows["word_id"], pa.string()),
-                "parent": pa.array(rows["parent"], pa.string()),
-                "value": pa.array(rows["value"], pa.string()),
-                "confidence": pa.array(rows["confidence"], pa.int64()),
-                "x1": pa.array(rows["x1"], pa.int64()),
-                "y1": pa.array(rows["y1"], pa.int64()),
-                "x2": pa.array(rows["x2"], pa.int64()),
-                "y2": pa.array(rows["y2"], pa.int64()),
-                "status": pa.array(rows["status"], pa.string()),
-            }
-        )
+    def rows(self, data: bytes) -> list[tuple]:
+        from img2table_ray.extract.pdftext import pdf_words_content
+
+        return [(w["page"], w["id"], w["parent"], w["value"], w["confidence"],
+                 w["x1"], w["y1"], w["x2"], w["y2"], "ok")
+                for page_words in pdf_words_content(data)
+                for w in page_words if w["class"] == "ocrx_word"]
+
+    def failed(self, data: bytes, status: str, exc: Exception) -> tuple:
+        return (-1, None, None, None, None, -1, -1, -1, -1,
+                f"error: {exc}" if status == "error" else status)
 
 
 def _pdf_corpus(sf_dir: str) -> str:
@@ -267,10 +225,6 @@ def _pdf_corpus(sf_dir: str) -> str:
 def pdf_words(sf_dir: str) -> ray.data.Dataset:
     """Native PDF text-layer words through the Ray pipeline (rows-only:
     PDF parsing is not SQL-expressible)."""
-    corpus = _pdf_corpus(sf_dir)
-    return ray.data.read_parquet(
-        f"{corpus}/pdfs", columns=["doc_id", "pdf"],
-    ).map_batches(
-        _PdfWordsStage, batch_format="pyarrow", batch_size=8,
-        concurrency=actor_concurrency(), num_cpus=1,
-    )
+    pdfs = ray.data.read_parquet(f"{_pdf_corpus(sf_dir)}/pdfs",
+                                 columns=["doc_id", "pdf"])
+    return _PdfWordsStage.map_batches(pdfs, batch_size=8)

@@ -1,79 +1,56 @@
-"""Multimodal binary-column stages (charter item): treat image/audio/video
-as opaque ``binary`` columns with typed metadata; decode / feature-extract
-/ resize run as actor-pool ``map_batches`` stages.
+"""Multimodal binary-column stages: image, audio and video payloads are
+opaque ``binary`` columns with typed metadata, mapped by actor-pool
+``PayloadStage`` subclasses (stages/util.py).  Each stage declares its
+output columns and a per-row function; the base owns the row loop, the
+per-actor memo, the error rows and the ``map_batches`` call.
 
-Image stages (features + resize/thumbnail) are REAL — the pure-numpy
-codecs decode PNG/BMP/JPEG (baseline and progressive).  Audio is REAL
-for RIFF/WAVE (PCM int 8/16/24/32 + IEEE float, IMA/MS ADPCM, G.711
-mu-law/A-law) and for lossless FLAC (imgops/flac.py).  Video is REAL
-for RIFF/AVI carrying MJPEG (in-repo JPEG decoder), uncompressed DIB
-(24/32-bit or 8-bit palettized), or MS-RLE8 frames.  Only genuinely
-codec-requiring formats (MP3/AAC audio, inter-frame H.264/VP9 video —
-no library in this container) stay clearly-marked STUBS: the actor
-signature, batch schema and output layout are real and tested;
-``decode`` raises ``NotImplementedError`` and the row comes out with
-status ``unsupported``.
+Images decode for real (PNG, BMP, JPEG, TIFF, GIF, WebP).  Audio decodes
+for real from RIFF/WAVE (PCM, IEEE float, IMA/MS ADPCM, G.711), FLAC
+(native, Ogg and Matroska), AIFF/AIFF-C, Sun AU, and PCM tracks in
+MOV/MP4 and Matroska;
+MP3, AAC, Vorbis and Opus give header metadata only (``metadata_only``).
+Video decodes sampled frames for real from AVI (MJPEG, DIB, MS-RLE8),
+animated GIF and PNG, and MJPEG tracks in MP4/MOV and Matroska;
+inter-frame codecs give container metadata only.  A payload no decoder
+here handles raises ``NotImplementedError`` and becomes an
+``unsupported`` row; a corrupt one becomes an ``error`` row.
 """
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
-
-from img2table_ray.imgops.limits import check_dims
 import pyarrow as pa
 import ray.data
 
-from img2table_ray.stages.util import actor_concurrency
+from img2table_ray.extract.pdf import sniff_kind
+from img2table_ray.imgops.limits import check_dims
+from img2table_ray.stages.util import PayloadStage
 
 
-class ImageFeatureStage:
+class ImageFeatureStage(PayloadStage):
     """Actor-pool stage: decode image bytes -> typed metadata + cheap
     features (REAL path).  binary -> (width, height, mean_luma, edge_density)."""
 
-    def __init__(self) -> None:
-        self._cache: dict = {}
+    schema = {"url": pa.string(), "kind": pa.string(), "width": pa.int32(),
+              "height": pa.int32(), "mean_luma": pa.float64(),
+              "edge_density": pa.float64()}
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from img2table_ray.extract.pdf import sniff_kind
+    def rows(self, data: bytes) -> list[tuple]:
         from img2table_ray.imgops.kernels import laplacian3_abs, rgb2gray
         from img2table_ray.imgops.png import decode_image
 
-        urls, kinds, widths, heights, lumas, edges = [], [], [], [], [], []
-        for url, data in zip(batch["url"].to_pylist(), batch["html"].to_pylist()):
-            kind = sniff_kind(data[:8])
-            key = hashlib.md5(data).digest()
-            feat = self._cache.get(key)
-            if feat is None:
-                try:
-                    img = decode_image(data)
-                    gray = rgb2gray(img)
-                    edge = laplacian3_abs(gray)
-                    feat = (kind, img.shape[1], img.shape[0],
-                            round(float(gray.mean()), 4),
-                            round(float((edge > 64).mean()), 6))
-                except Exception:
-                    feat = (kind, -1, -1, None, None)
-                if len(self._cache) < 256:
-                    self._cache[key] = feat
-            urls.append(url)
-            kinds.append(feat[0])
-            widths.append(feat[1])
-            heights.append(feat[2])
-            lumas.append(feat[3])
-            edges.append(feat[4])
-        return pa.table({
-            "url": pa.array(urls, pa.string()),
-            "kind": pa.array(kinds, pa.string()),
-            "width": pa.array(widths, pa.int32()),
-            "height": pa.array(heights, pa.int32()),
-            "mean_luma": pa.array(lumas, pa.float64()),
-            "edge_density": pa.array(edges, pa.float64()),
-        })
+        img = decode_image(data)
+        gray = rgb2gray(img)
+        edge = laplacian3_abs(gray)
+        return [(sniff_kind(data[:8]), img.shape[1], img.shape[0],
+                 round(float(gray.mean()), 4),
+                 round(float((edge > 64).mean()), 6))]
+
+    def failed(self, data: bytes, status: str, exc: Exception) -> tuple:
+        return sniff_kind(data[:8]), -1, -1, None, None
 
 
-class AudioFeatureStage:
+class AudioFeatureStage(PayloadStage):
     """Actor-pool stage for audio binary columns.
 
     REAL decode for RIFF/WAVE payloads (PCM 8/16/24/32-bit int, 32/64-bit
@@ -83,6 +60,11 @@ class AudioFeatureStage:
     formats (MP3/AAC/Opus — genuinely codec-requiring, none
     ships in this container) raise ``NotImplementedError``, which the
     row loop turns into an ``unsupported`` row."""
+
+    payload = "audio"
+    schema = {"url": pa.string(), "duration_s": pa.float64(),
+              "sample_rate": pa.int32(), "rms": pa.float64(),
+              "status": pa.string()}
 
     @staticmethod
     def _decode_wav(data: bytes) -> tuple[float, int, float]:
@@ -311,34 +293,9 @@ class AudioFeatureStage:
             "compressed audio needs a codec (none in this environment); "
             "WAV/PCM decodes for real")
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        urls, durs, srs, rmss, status = [], [], [], [], []
-        payload_col = "audio" if "audio" in batch.schema.names else "html"
-        for url, data in zip(batch["url"].to_pylist(), batch[payload_col].to_pylist()):
-            try:
-                d, sr, r = self._decode(data)
-                durs.append(d)
-                srs.append(sr)
-                rmss.append(r)
-                status.append("ok" if r is not None else "metadata_only")
-            except NotImplementedError:
-                durs.append(None)
-                srs.append(None)
-                rmss.append(None)
-                status.append("unsupported")
-            except Exception:  # corrupt payload -> error row, never a fail
-                durs.append(None)
-                srs.append(None)
-                rmss.append(None)
-                status.append("error")
-            urls.append(url)
-        return pa.table({
-            "url": pa.array(urls, pa.string()),
-            "duration_s": pa.array(durs, pa.float64()),
-            "sample_rate": pa.array(srs, pa.int32()),
-            "rms": pa.array(rmss, pa.float64()),
-            "status": pa.array(status, pa.string()),
-        })
+    def rows(self, data: bytes) -> list[tuple]:
+        d, sr, r = self._decode(data)
+        return [(d, sr, r, "ok" if r is not None else "metadata_only")]
 
 
 def resize_bilinear(img: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
@@ -367,48 +324,33 @@ def resize_bilinear(img: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
     return np.clip(np.rint(top + (bot - top) * fy), 0, 255).astype(np.uint8)
 
 
-class ImageResizeStage:
+class ImageResizeStage(PayloadStage):
     """Actor-pool stage (REAL path): decode image bytes -> fixed-size
     thumbnail re-encoded as PNG (the resize/normalize step of a multimodal
     training pipeline).  Output rows carry the thumbnail binary + original
     dims; undecodable payloads become error rows, never task failures."""
 
+    schema = {"url": pa.string(), "thumbnail_png": pa.binary(),
+              "orig_width": pa.int32(), "orig_height": pa.int32(),
+              "status": pa.string()}
+
     def __init__(self, out_w: int = 64, out_h: int = 64) -> None:
+        super().__init__()
         self._w = out_w
         self._h = out_h
-        self._cache: dict = {}
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def rows(self, data: bytes) -> list[tuple]:
         from img2table_ray.imgops.png import decode_image, encode_png
 
-        urls, thumbs, ows, ohs, status = [], [], [], [], []
-        for url, data in zip(batch["url"].to_pylist(), batch["html"].to_pylist()):
-            key = hashlib.md5(data).digest()
-            res = self._cache.get(key)
-            if res is None:
-                try:
-                    img = decode_image(data)
-                    thumb = resize_bilinear(img, self._w, self._h)
-                    res = (encode_png(thumb), img.shape[1], img.shape[0], "ok")
-                except Exception:
-                    res = (None, -1, -1, "error")
-                if len(self._cache) < 128:
-                    self._cache[key] = res
-            urls.append(url)
-            thumbs.append(res[0])
-            ows.append(res[1])
-            ohs.append(res[2])
-            status.append(res[3])
-        return pa.table({
-            "url": pa.array(urls, pa.string()),
-            "thumbnail_png": pa.array(thumbs, pa.binary()),
-            "orig_width": pa.array(ows, pa.int32()),
-            "orig_height": pa.array(ohs, pa.int32()),
-            "status": pa.array(status, pa.string()),
-        })
+        img = decode_image(data)
+        thumb = resize_bilinear(img, self._w, self._h)
+        return [(encode_png(thumb), img.shape[1], img.shape[0], "ok")]
+
+    def failed(self, data: bytes, status: str, exc: Exception) -> tuple:
+        return None, -1, -1, status
 
 
-class VideoFrameSampleStage:
+class VideoFrameSampleStage(PayloadStage):
     """Actor-pool stage for video binary columns: frame sampling.
 
     REAL demux + decode for RIFF/AVI containers carrying MJPEG
@@ -424,7 +366,13 @@ class VideoFrameSampleStage:
     ``unsupported`` row.  Batch size must stay SMALL for real video
     payloads (one clip can be tens of MB)."""
 
+    payload = "video"
+    schema = {"url": pa.string(), "duration_s": pa.float64(),
+              "fps": pa.float64(), "n_frames": pa.int64(),
+              "frame_lumas": pa.list_(pa.float64()), "status": pa.string()}
+
     def __init__(self, n_samples: int = 4) -> None:
+        super().__init__()
         self._n = n_samples
 
     @staticmethod
@@ -644,42 +592,13 @@ class VideoFrameSampleStage:
             "inter-frame video needs a codec (none in this environment); "
             "MJPEG/DIB AVI decodes for real")
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        payload_col = "video" if "video" in batch.schema.names else "html"
-        urls, durs, fpss, nfs, lumas, status = [], [], [], [], [], []
-        for url, data in zip(batch["url"].to_pylist(),
-                             batch[payload_col].to_pylist()):
-            try:
-                d, f, n, ls = self._decode(data)
-                durs.append(d)
-                fpss.append(f)
-                nfs.append(n)
-                # empty list (not null) for metadata rows: a nullable
-                # list column trips Ray's tensor-extension casting, and
-                # `status` already carries the distinction
-                lumas.append(ls if ls is not None else [])
-                status.append("ok" if ls is not None else "metadata_only")
-            except NotImplementedError:
-                durs.append(None)
-                fpss.append(None)
-                nfs.append(None)
-                lumas.append(None)
-                status.append("unsupported")
-            except Exception:  # corrupt payload -> error row, never a fail
-                durs.append(None)
-                fpss.append(None)
-                nfs.append(None)
-                lumas.append(None)
-                status.append("error")
-            urls.append(url)
-        return pa.table({
-            "url": pa.array(urls, pa.string()),
-            "duration_s": pa.array(durs, pa.float64()),
-            "fps": pa.array(fpss, pa.float64()),
-            "n_frames": pa.array(nfs, pa.int64()),
-            "frame_lumas": pa.array(lumas, pa.list_(pa.float64())),
-            "status": pa.array(status, pa.string()),
-        })
+    def rows(self, data: bytes) -> list[tuple]:
+        d, f, n, ls = self._decode(data)
+        # empty list (not null) for metadata rows: a nullable list column
+        # trips Ray's tensor-extension casting, and `status` already
+        # carries the distinction
+        return [(d, f, n, ls if ls is not None else [],
+                 "ok" if ls is not None else "metadata_only")]
 
 
 def synth_avi(seed: int, codec: str = "MJPG") -> bytes:
@@ -777,11 +696,8 @@ def video_frames(sf_dir: str) -> ray.data.Dataset:
     rows = [{"url": f"https://video.example/{i:06d}."
                     f"{exts.get(i % 7, 'avi')}",
              "video": payload(i)} for i in range(n)]
-    ds = ray.data.from_items(rows)
-    return ds.map_batches(
-        VideoFrameSampleStage, batch_format="pyarrow", batch_size=16,
-        concurrency=actor_concurrency(), num_cpus=1,
-    )
+    return VideoFrameSampleStage.map_batches(ray.data.from_items(rows),
+                                             batch_size=16)
 
 
 def synth_gif_anim(seed: int) -> bytes:
@@ -935,11 +851,8 @@ def audio_features(sf_dir: str) -> ray.data.Dataset:
 
     rows = [{"url": f"https://audio.example/{i:06d}.{_ext(i)}",
              "audio": synth_wav(i)} for i in range(n)]
-    ds = ray.data.from_items(rows)
-    return ds.map_batches(
-        AudioFeatureStage, batch_format="pyarrow", batch_size=32,
-        concurrency=actor_concurrency(), num_cpus=1,
-    )
+    return AudioFeatureStage.map_batches(ray.data.from_items(rows),
+                                         batch_size=32)
 
 
 def image_features(sf_dir: str) -> ray.data.Dataset:
@@ -948,11 +861,9 @@ def image_features(sf_dir: str) -> ray.data.Dataset:
     batch x concurrency fits worker heaps."""
     from img2table_ray.pipelines.corpus import corpus_for
 
-    corpus = corpus_for(sf_dir)
-    return ray.data.read_parquet(f"{corpus}/pages", columns=["url", "html"]).map_batches(
-        ImageFeatureStage, batch_format="pyarrow", batch_size=16,
-        concurrency=actor_concurrency(), num_cpus=1,
-    )
+    pages = ray.data.read_parquet(f"{corpus_for(sf_dir)}/pages",
+                                  columns=["url", "html"])
+    return ImageFeatureStage.map_batches(pages, batch_size=16)
 
 
 def image_thumbnails(sf_dir: str) -> ray.data.Dataset:
@@ -961,8 +872,6 @@ def image_thumbnails(sf_dir: str) -> ray.data.Dataset:
     batch x concurrency of binary payloads must fit worker heaps."""
     from img2table_ray.pipelines.corpus import corpus_for
 
-    corpus = corpus_for(sf_dir)
-    return ray.data.read_parquet(f"{corpus}/pages", columns=["url", "html"]).map_batches(
-        ImageResizeStage, batch_format="pyarrow", batch_size=16,
-        concurrency=actor_concurrency(), num_cpus=1,
-    )
+    pages = ray.data.read_parquet(f"{corpus_for(sf_dir)}/pages",
+                                  columns=["url", "html"])
+    return ImageResizeStage.map_batches(pages, batch_size=16)

@@ -5,12 +5,13 @@ from io import BytesIO
 
 import pytest
 
-REF = "/root/reference/tests"
+from img2table_ray.fixtures import fixture_path
+from tests.conftest import REFERENCE
 
 
 @pytest.fixture(scope="module")
 def mock_hocr():
-    return open(f"{REF}/_mock_data/tesseract_hocr.html").read()
+    return open(fixture_path("tesseract_hocr.html")).read()
 
 
 def test_validators():
@@ -25,7 +26,7 @@ def test_validators():
 def test_load_image():
     from img2table_ray.api import Image
 
-    p = f"{REF}/document/image/test_data/test.png"
+    p = fixture_path("test.png")
     from_path = Image(src=p)
     from_bytes = Image(src=open(p, "rb").read())
     from_bytesio = Image(src=BytesIO(open(p, "rb").read()))
@@ -36,7 +37,7 @@ def test_load_image():
 def test_image_extract_tables(mock_hocr):
     from img2table_ray.api import HocrOCR, Image
 
-    img = Image(src=f"{REF}/document/image/test_data/test.png", detect_rotation=True)
+    img = Image(src=fixture_path("test.png"), detect_rotation=True)
     result = img.extract_tables(ocr=HocrOCR([mock_hocr]), implicit_rows=True,
                                 min_confidence=50)
     assert len(result) == 2
@@ -46,15 +47,17 @@ def test_image_extract_tables(mock_hocr):
     assert (result[1].nb_rows, result[1].nb_columns) == (2, 2)
 
 
+@pytest.mark.requires_reference(f"{REFERENCE}/document/image/test_data/expected.xlsx")
 def test_image_to_xlsx(mock_hocr):
     from img2table_ray.api import HocrOCR, Image
     from img2table_ray.core.xlsx import read_xlsx_values
 
-    img = Image(src=f"{REF}/document/image/test_data/test.png", detect_rotation=True)
+    img = Image(src=fixture_path("test.png"), detect_rotation=True)
     buf = img.to_xlsx(BytesIO(), ocr=HocrOCR([mock_hocr]), implicit_rows=True,
                       min_confidence=50)
     got = read_xlsx_values(buf.read())
-    exp = read_xlsx_values(open(f"{REF}/document/image/test_data/expected.xlsx", "rb").read())
+    exp = read_xlsx_values(open(
+        f"{REFERENCE}/document/image/test_data/expected.xlsx", "rb").read())
     assert list(got) == list(exp)
     for name in exp:
         assert got[name] == exp[name], name
@@ -115,7 +118,7 @@ def test_tesseract_adapter_mocked_e2e(monkeypatch, mock_hocr):
     from img2table_ray.api import Image, TesseractOCR
 
     ocr = TesseractOCR(n_threads=2, lang="eng", psm=11)
-    img = Image(src=f"{REF}/document/image/test_data/test.png", detect_rotation=True)
+    img = Image(src=fixture_path("test.png"), detect_rotation=True)
     result = img.extract_tables(ocr=ocr, implicit_rows=True, min_confidence=50)
     assert len(result) == 2
     assert (result[0].bbox.x1, result[0].bbox.y1,

@@ -5,7 +5,10 @@ import json
 
 import pytest
 
-REF = "/root/reference/tests/tables/processing/borderless_tables"
+from img2table_ray.fixtures import fixture_path
+from tests.conftest import REFERENCE
+
+REF = f"{REFERENCE}/tables/processing/borderless_tables"
 
 
 def _img(path):
@@ -14,6 +17,7 @@ def _img(path):
     return decode_image(open(path, "rb").read())
 
 
+@pytest.mark.requires_reference(f"{REF}/borderless_tables/test_data")
 def test_identify_borderless_tables_golden():
     # ref borderless_tables/test_borderless_tables.py:12-33
     from img2table_ray.core.objects import Cell, Line
@@ -21,7 +25,7 @@ def test_identify_borderless_tables_golden():
     from img2table_ray.extract.threshold import threshold_dark_areas
 
     base = f"{REF}/borderless_tables/test_data"
-    img = _img(f"{base}/test.png")
+    img = _img(fixture_path("borderless.png"))
     thresh = threshold_dark_areas(img=img, char_length=11)
     data = json.load(open(f"{base}/lines.json"))
     lines = [Line(**el) for el in data["h_lines"] + data["v_lines"]]
@@ -36,6 +40,7 @@ def test_identify_borderless_tables_golden():
     assert (result[0].x1, result[0].y1, result[0].x2, result[0].y2) == (135, 52, 1155, 1054)
 
 
+@pytest.mark.requires_reference(f"{REF}/layout/test_data")
 def test_segment_image_golden():
     # ref layout/test_layout.py:11-32
     from img2table_ray.core.objects import Line
@@ -54,6 +59,7 @@ def test_segment_image_golden():
     assert (len(result[1].elements), len(result[1].table_areas), len(result[1].whitespaces)) == (4, 1, 4)
 
 
+@pytest.mark.requires_reference(f"{REF}/columns/test_data")
 def test_columns_golden():
     # ref columns/test_columns.py
     from img2table_ray.core.objects import Cell
@@ -94,6 +100,7 @@ def test_columns_golden():
     assert set(cg.elements) == set(expected_cg.elements)
 
 
+@pytest.mark.requires_reference(f"{REF}/rows/test_data")
 def test_rows_goldens():
     # ref rows/test_rows.py
     from img2table_ray.core.objects import Cell
@@ -147,6 +154,7 @@ def test_rows_goldens():
     assert max(d.x2 for d in result) == 1233
 
 
+@pytest.mark.requires_reference(f"{REF}/table/test_data")
 def test_identify_table_golden():
     # ref table/test_table.py
     from img2table_ray.core.objects import Cell

@@ -10,7 +10,8 @@ import json
 import polars as pl
 import pytest
 
-REF = "/root/reference/tests"
+from img2table_ray.fixtures import fixture_path
+from tests.conftest import REFERENCE as REF
 
 
 def _png(path):
@@ -23,10 +24,11 @@ def _png(path):
 def mock_words():
     from img2table_ray.extract.content import OCRWords, parse_hocr
 
-    hocr = open(f"{REF}/_mock_data/tesseract_hocr.html").read()
+    hocr = open(fixture_path("tesseract_hocr.html")).read()
     return OCRWords.from_records(parse_hocr(hocr, page=0))
 
 
+@pytest.mark.requires_reference(f"{REF}/tables/image/test_data")
 def test_img_metrics():
     # ref tests/tables/image/test_metrics.py:8-43
     from img2table_ray.extract.metrics import compute_img_metrics
@@ -44,6 +46,7 @@ def test_img_metrics():
     assert compute_img_metrics(thresh.copy()) == (None, None, None)
 
 
+@pytest.mark.requires_reference(f"{REF}/tables/processing/bordered_tables/lines/test_data")
 def test_detect_lines_golden():
     # ref tests/tables/processing/bordered_tables/lines/test_lines.py
     from img2table_ray.core.objects import Cell, Line
@@ -63,6 +66,7 @@ def test_detect_lines_golden():
     assert sorted(v_lines, key=key) == sorted([Line(**el) for el in data["v_lines"]], key=key)
 
 
+@pytest.mark.requires_reference(f"{REF}/tables/processing/bordered_tables/cells/test_data")
 def test_get_cells_golden():
     # ref tests/tables/processing/bordered_tables/cells/test_cells.py
     from img2table_ray.core.objects import Cell, Line
@@ -81,6 +85,7 @@ def test_get_cells_golden():
     assert sorted(result, key=key) == sorted(expected, key=key)
 
 
+@pytest.mark.requires_reference(f"{REF}/tables/processing/bordered_tables/tables/test_data")
 def test_get_tables_golden():
     # ref tests/tables/processing/bordered_tables/tables/test_tables.py
     from img2table_ray.core.objects import Cell, Line, Row, Table
@@ -101,7 +106,7 @@ def test_image_e2e_with_ocr(mock_words):
     # ref tests/document/image/test_image.py:60-77 + expected.xlsx values
     from img2table_ray.extract.document import extract_tables_from_image
 
-    img = _png(f"{REF}/document/image/test_data/test.png")
+    img = _png(fixture_path("test.png"))
     res = extract_tables_from_image(img, words=mock_words, implicit_rows=True,
                                     min_confidence=50)
     assert len(res.tables) == 2
@@ -129,7 +134,7 @@ def test_image_e2e_dark_no_ocr():
     # ref tests/document/image/test_image.py:81-90
     from img2table_ray.extract.document import extract_tables_from_image
 
-    img = _png(f"{REF}/document/image/test_data/dark.png")
+    img = _png(fixture_path("dark.png"))
     res = extract_tables_from_image(img, words=None, implicit_rows=True, min_confidence=50)
     assert len(res.tables) == 1
     tb = res.tables[0]
@@ -141,12 +146,13 @@ def test_image_e2e_blank(mock_words):
     # ref tests/document/image/test_image.py:37-58
     from img2table_ray.extract.document import extract_tables_from_image
 
-    img = _png(f"{REF}/document/image/test_data/blank.png")
+    img = _png(fixture_path("blank.png"))
     res = extract_tables_from_image(img, words=mock_words, implicit_rows=True,
                                     min_confidence=50)
     assert res.tables == []
 
 
+@pytest.mark.requires_reference(f"{REF}/document/base/test_data/test.png")
 def test_rotation_module():
     # ref tests/document/base/test_rotation.py asserts
     import numpy as np
@@ -178,6 +184,7 @@ def test_rotation_module():
     assert not straight_rotated
 
 
+@pytest.mark.requires_reference(f"{REF}/tables/objects/test_data")
 def test_html_and_rectangles_goldens():
     # ref tests/tables/objects/test_extraction.py:13-37
     from img2table_ray.core.objects import BBox, Cell, Row, Table, TableCell, table_to_extracted
@@ -198,12 +205,13 @@ def test_html_and_rectangles_goldens():
     assert table_to_extracted(table).html == expected
 
 
+@pytest.mark.requires_reference(f"{REF}/document/image/test_data/expected.xlsx")
 def test_xlsx_golden(mock_words):
     # ref tests/document/image/test_image.py:95-108 (cell-by-cell vs expected.xlsx)
     from img2table_ray.core.xlsx import read_xlsx_values, tables_to_xlsx
     from img2table_ray.extract.document import extract_tables_from_image
 
-    img = _png(f"{REF}/document/image/test_data/test.png")
+    img = _png(fixture_path("test.png"))
     res = extract_tables_from_image(img, words=mock_words, implicit_rows=True,
                                     min_confidence=50)
     got = read_xlsx_values(tables_to_xlsx({0: res.tables}))

@@ -19,10 +19,11 @@ import pytest
 from img2table_ray.extract.content import WORD_COLUMNS
 from img2table_ray.ocr_engines import (AzureOCR, DocTR, EasyOCR, PaddleOCR,
                                        SuryaOCR, TextractOCR, VisionOCR)
+from tests.conftest import REFERENCE
 from tests.duckpickle import duck_load
 
-REF_OCR = "/root/reference/tests/ocr"
-MOCK = "/root/reference/tests/_mock_data"
+REF_OCR = f"{REFERENCE}/ocr"
+MOCK = f"{REFERENCE}/_mock_data"
 
 
 def golden_df(engine: str) -> pd.DataFrame:
@@ -47,6 +48,7 @@ def assert_matches_golden(records: list[dict], engine: str,
 
 
 # ---------------------------------------------------------------- textract
+@pytest.mark.requires_reference(f"{REF_OCR}/aws_textract/test_data", f"{MOCK}/textract.json")
 def test_textract_map_response_golden():
     """ref tests/ocr/aws_textract/test_aws_textract.py:14-27 — the raw
     API response maps to the content.json records, and those records
@@ -66,6 +68,7 @@ def test_textract_map_response_golden():
 
 
 # ------------------------------------------------------------------ vision
+@pytest.mark.requires_reference(f"{REF_OCR}/google_vision/test_data", f"{MOCK}/vision.json")
 def test_vision_endpoint_map_response_golden():
     """ref tests/ocr/google_vision/test_google_vision.py:16-32."""
     resp = json.load(open(os.path.join(MOCK, "vision.json")))
@@ -90,6 +93,7 @@ def _to_ns(obj):
     return obj
 
 
+@pytest.mark.requires_reference(f"{REF_OCR}/google_vision/test_data", f"{MOCK}/vision.json")
 def test_vision_api_map_response_golden():
     """ref tests/ocr/google_vision/test_google_vision.py:35-51 — the
     object-walk variant over a proto-shaped response (the reference's
@@ -114,6 +118,7 @@ def test_vision_constructor_validation():
 
 
 # ------------------------------------------------------------------- azure
+@pytest.mark.requires_reference(f"{REF_OCR}/azure/test_data", f"{MOCK}/azure.pkl")
 def test_azure_to_ocr_df_golden():
     """ref tests/ocr/azure/test_azure.py:27-36."""
     content = [duck_load(os.path.join(MOCK, "azure.pkl"))]
@@ -135,6 +140,7 @@ def test_azure_constructor_validation():
 
 
 # ------------------------------------------------------------------ paddle
+@pytest.mark.requires_reference(f"{REF_OCR}/paddle/test_data")
 def test_paddle_to_ocr_df_golden():
     """ref tests/ocr/paddle/test_paddle.py:33-45 (v3 response shape)."""
     content = json.load(open(os.path.join(
@@ -160,6 +166,7 @@ def test_paddle_validators():
 
 
 # ----------------------------------------------------------------- easyocr
+@pytest.mark.requires_reference(f"{REF_OCR}/easyocr/test_data")
 def test_easyocr_to_ocr_df_golden():
     """ref tests/ocr/easyocr/test_easyocr.py:52-62."""
     content = json.load(open(os.path.join(
@@ -175,6 +182,7 @@ def test_easyocr_validators():
 
 
 # ------------------------------------------------------------------- doctr
+@pytest.mark.requires_reference(f"{REF_OCR}/doctr/test_data")
 def test_doctr_to_ocr_df_golden():
     """ref tests/ocr/doctr/test_doctr.py:43-53."""
     content = duck_load(os.path.join(
@@ -201,6 +209,7 @@ class _BboxLine:
         self.bbox = [min(xs), min(ys), max(xs), max(ys)]
 
 
+@pytest.mark.requires_reference(f"{REF_OCR}/surya/test_data", f"{MOCK}/surya.pkl")
 def test_surya_to_ocr_df_golden():
     """ref tests/ocr/surya/test_surya.py:31-41."""
     raw = duck_load(os.path.join(MOCK, "surya.pkl"))
@@ -220,6 +229,7 @@ def test_surya_validators():
 
 
 # ------------------------------------------------- OCRWords integration
+@pytest.mark.requires_reference(f"{REF_OCR}/easyocr/test_data")
 def test_converters_feed_ocr_words():
     """Every adapter's records flow into the engine's word table and the
     cell-text lookup works (same consumption path as TesseractOCR)."""

@@ -1189,6 +1189,60 @@ def test_summaries_bad_document_is_one_sentinel_row(ray_session, tmp_path):
         assert df["page"].dtype == np.int64
 
 
+_BAD_PNG = b"\x89PNG\r\n\x1a\n" + b"\x00" * 24
+_URL = "https://x/bad"
+
+
+def _payload_stage(module: str, name: str, **kwargs):
+    import importlib
+
+    return getattr(importlib.import_module(
+        f"img2table_ray.pipelines.{module}"), name)(**kwargs)
+
+
+@pytest.mark.parametrize("module,name,kwargs,batch,want", [
+    ("extraction_queries", "_PdfWordsStage", {},
+     {"doc_id": [7], "pdf": [b"%PDF-1.4 fake"]},
+     {"doc_id": 7, "page": -1, "word_id": None, "parent": None,
+      "value": None, "confidence": None, "x1": -1, "y1": -1, "x2": -1,
+      "y2": -1, "status": "error: "}),
+    ("multimodal", "ImageResizeStage", {},
+     {"url": [_URL], "html": [_BAD_PNG]},
+     {"url": _URL, "thumbnail_png": None, "orig_width": -1,
+      "orig_height": -1, "status": "error"}),
+    ("multimodal", "ImageFeatureStage", {},
+     {"url": [_URL], "html": [_BAD_PNG]},
+     {"url": _URL, "kind": "png", "width": -1, "height": -1,
+      "mean_luma": None, "edge_density": None}),
+    ("multimodal", "AudioFeatureStage", {},
+     {"url": [_URL], "audio": [b"RIFF\x00\x00\x00\x00WAVEjunk"]},
+     {"url": _URL, "duration_s": None, "sample_rate": None, "rms": None,
+      "status": "error"}),
+    ("multimodal", "VideoFrameSampleStage", {},
+     {"url": [_URL], "video": [b"RIFF\x00\x00\x00\x00AVI junk"]},
+     {"url": _URL, "duration_s": None, "fps": None, "n_frames": None,
+      "frame_lumas": None, "status": "error"}),
+    ("extraction_queries", "_PageSummaryStage", {"summary": "metrics"},
+     {"url": [_URL], "html": [_BAD_PNG], "page": [0]},
+     {"url": _URL, "page": 0, "char_length": None, "median_line_sep": None,
+      "n_contours": -2}),
+    ("extraction_queries", "_PageSummaryStage", {"summary": "lines"},
+     {"url": [_URL], "html": [_BAD_PNG], "page": [0]},
+     {"url": _URL, "page": 0, "n_h_lines": -1, "n_v_lines": -1}),
+])
+def test_corrupt_payload_is_one_error_row(module, name, kwargs, batch, want):
+    """Each payload stage turns a corrupt payload into exactly one row:
+    its error row (status ``error``, ``error: <reason>`` for PDF words)
+    or the summary's sentinel, never a task failure."""
+    out = _payload_stage(module, name, **kwargs)(pa.table(batch)).to_pylist()
+    assert len(out) == 1
+    row = out[0]
+    if name == "_PdfWordsStage":
+        assert row["status"].startswith(want["status"])
+        row["status"] = want["status"]
+    assert row == want
+
+
 def test_summaries_keep_pdf_pages_apart(ray_session, tmp_path):
     """Exploded PDF page rows share the document bytes; each page still
     gets its own summary (the stage memo is keyed by bytes AND page)."""

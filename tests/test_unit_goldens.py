@@ -5,8 +5,11 @@ table creation, implicit rows/columns)."""
 import json
 
 import polars as pl
+import pytest
 
-REF = "/root/reference/tests/tables/processing/bordered_tables"
+from tests.conftest import REFERENCE
+
+REF = f"{REFERENCE}/tables/processing/bordered_tables"
 
 
 def _cells_csv(path):
@@ -20,6 +23,7 @@ def _key(c):
     return (c.x1, c.y1, c.x2, c.y2)
 
 
+@pytest.mark.requires_reference(f"{REF}/cells/test_data")
 def test_cells_identification_golden():
     from img2table_ray.core.objects import Line
     from img2table_ray.extract.cells import get_cells_dataframe
@@ -33,6 +37,7 @@ def test_cells_identification_golden():
     assert sorted(result, key=_key) == sorted(expected, key=_key)
 
 
+@pytest.mark.requires_reference(f"{REF}/cells/test_data")
 def test_cells_deduplication_golden():
     from img2table_ray.extract.cells import deduplicate_cells
 
@@ -43,6 +48,7 @@ def test_cells_deduplication_golden():
     assert sorted(result, key=_key) == sorted(expected, key=_key)
 
 
+@pytest.mark.requires_reference(f"{REF}/tables/test_data")
 def test_cell_clustering_golden():
     from img2table_ray.core.objects import Cell
     from img2table_ray.extract.tables import cluster_cells_in_tables
@@ -56,6 +62,7 @@ def test_cell_clustering_golden():
     assert all(cl in expected for cl in result)
 
 
+@pytest.mark.requires_reference(f"{REF}/tables/test_data")
 def test_normalize_table_cells_golden():
     from img2table_ray.core.objects import Cell
     from img2table_ray.extract.tables import normalize_table_cells
@@ -69,6 +76,7 @@ def test_normalize_table_cells_golden():
     assert result == expected
 
 
+@pytest.mark.requires_reference(f"{REF}/tables/test_data")
 def test_cluster_to_table_golden():
     from img2table_ray.core.objects import Cell, Row, Table
     from img2table_ray.extract.tables import cluster_to_table
@@ -138,6 +146,7 @@ def test_semi_bordered_goldens():
     assert sorted(full, key=_key) == sorted(expected_new, key=_key)
 
 
+@pytest.mark.requires_reference(f"{REF}/tables/test_data")
 def test_implicit_goldens():
     from img2table_ray.core.objects import Cell, Row, Table
     from img2table_ray.extract.borderless.model import ImageSegment
@@ -213,12 +222,13 @@ def test_object_goldens():
                                         Cell(x1=150, x2=300, y1=10, y2=20)])])
 
 
+@pytest.mark.requires_reference(f"{REFERENCE}/tables/objects/test_data")
 def test_table_content_golden():
     # ref tests/tables/objects/test_table.py::test_table + test_get_table_content
     from img2table_ray.core.objects import Cell, Row, Table
     from img2table_ray.extract.content import load_words_csv
 
-    base = "/root/reference/tests/tables/objects/test_data"
+    base = f"{REFERENCE}/tables/objects/test_data"
     tables = [Table(rows=[Row(cells=[Cell(**el) for el in row]) for row in tb])
               for tb in json.load(open(f"{base}/tables.json"))]
     assert (tables[0].nb_columns, tables[0].nb_rows) == (3, 6)
@@ -233,13 +243,14 @@ def test_table_content_golden():
     assert result == expected
 
 
+@pytest.mark.requires_reference(f"{REFERENCE}/tables/image/test_data/test.png")
 def test_table_image_golden():
     # ref tests/tables/image/test_image.py (TableImage level)
     from img2table_ray.extract.document import TableImage
     from img2table_ray.imgops.png import decode_image
 
     img = decode_image(open(
-        "/root/reference/tests/tables/image/test_data/test.png", "rb").read())
+        f"{REFERENCE}/tables/image/test_data/test.png", "rb").read())
     result = TableImage(img=img, min_confidence=50).extract_tables(implicit_rows=True)
     result = sorted(result, key=lambda tb: tb.x1 + tb.x2)
     assert (result[0].x1, result[0].y1, result[0].x2, result[0].y2) == (36, 21, 770, 327)
@@ -272,6 +283,7 @@ def _ssim_gray(a, b):
     return float(s.mean())
 
 
+@pytest.mark.requires_reference(f"{REFERENCE}/document/base/test_data/test.png")
 def test_fix_rotation_roundtrip():
     # ref tests/document/base/test_rotation.py::test_fix_rotation_image
     # (subset of angles to bound runtime; same crop + mean-SSIM criterion)
@@ -282,7 +294,7 @@ def test_fix_rotation_roundtrip():
     from img2table_ray.imgops.png import decode_image
 
     img = decode_image(open(
-        "/root/reference/tests/document/base/test_data/test.png", "rb").read())
+        f"{REFERENCE}/document/base/test_data/test.png", "rb").read())
 
     def crop_to_orig(rotated):
         oh, ow = img.shape[:2]

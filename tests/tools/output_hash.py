@@ -5,30 +5,44 @@ across a code change.
 
 QUERY is a ``queries()`` name (e.g. ``extract_tables``); SF is a testdata
 scale-factor directory (e.g. ``.../testdata/sf0.1``).  The query runs in
-a local Ray session of ``NUM_CPUS`` CPUs.  The output is sorted by its
-key columns (those of url, page and table_idx it has; all columns
-otherwise), written as pandas JSON lines (one record per row) and hashed
-with sha256.  Prints one line: query, sf, row count, status counts
-when the output has a ``status`` column, and the hash.  Run it on both
-sides of a change with the same arguments and compare the hashes.
+a local Ray session of ``NUM_CPUS`` CPUs.  Binary cells are written as
+hex and list cells as JSON arrays, both as strings; the output is then
+sorted by its key columns (those of url, doc_id, page and table_idx it
+has) followed by every other column, written as pandas JSON lines (one
+record per row) and hashed with sha256.  Prints one line: query, sf, row
+count, status counts when the output has a ``status`` column, and the
+hash.  Run it on both sides of a change with the same arguments and
+compare the hashes.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import sys
+
+import numpy as np
 
 REPO = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))))
 
-# row key of the extraction outputs: (url, page) for the page summaries,
-# plus table_idx for the table rows
-KEY_COLUMNS = ("url", "page", "table_idx")
+# row key of the outputs: (url, page) for the page summaries, plus
+# table_idx for the table rows; (doc_id, page) for the PDF words
+KEY_COLUMNS = ("url", "doc_id", "page", "table_idx")
 # the output is sorted before hashing, so the session size does not
 # change the hash
 NUM_CPUS = 4
+
+
+def _cell(value):
+    """A binary or list cell as a string that JSON and sorting both take."""
+    if isinstance(value, (bytes, bytearray)):
+        return value.hex()
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return json.dumps(np.asarray(value).tolist())
+    return value
 
 
 def output_hash(df) -> str:
@@ -53,7 +67,10 @@ def main() -> int:
 
     out = em.queries()[args.query](args.sf)
     df = out.to_pandas() if hasattr(out, "to_pandas") else out
-    keys = [c for c in KEY_COLUMNS if c in df.columns] or sorted(df.columns)
+    for col in df.columns[df.dtypes == object]:
+        df[col] = df[col].map(_cell)
+    keys = [c for c in KEY_COLUMNS if c in df.columns]
+    keys += [c for c in df.columns if c not in keys]
     df = df.sort_values(keys, kind="mergesort").reset_index(drop=True)
     status = ""
     if "status" in df.columns:
