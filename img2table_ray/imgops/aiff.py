@@ -11,9 +11,10 @@ big-endian header + PCM/G.711 payload.  The reference repo has no
 audio support; this feeds ``pipelines/multimodal.py:
 AudioFeatureStage`` with two more fully-decodable containers.
 
-Scale shape: decode is ``np.frombuffer`` + a dtype view or a single
-256-entry table gather — no per-sample Python.  Encoders are fixture
-builders.
+Each header maps to one ``imgops/pcm.py`` sample-format code, and
+``pcm_samples`` does the decode: ``np.frombuffer`` + a dtype view or a
+single 256-entry table gather — no per-sample Python.  Encoders are
+fixture builders.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from __future__ import annotations
 import struct
 
 import numpy as np
+
+from img2table_ray.imgops.pcm import pcm_samples
 
 
 def _ext80_to_float(b: bytes) -> float:
@@ -53,6 +56,10 @@ def _float_to_ext80(x: float) -> bytes:
     return struct.pack(">H", sign | exp) + int(x).to_bytes(8, "big")
 
 
+_AIFC_FORMATS = {b"fl32": ">f4", b"fl64": ">f8", b"ulaw": "ulaw",
+                 b"alaw": "alaw"}
+
+
 def decode_aiff(data: bytes) -> tuple[np.ndarray, int, int]:
     """AIFF/AIFF-C bytes -> (float64 interleaved samples in [-1, 1],
     rate, channels)."""
@@ -82,40 +89,18 @@ def decode_aiff(data: bytes) -> tuple[np.ndarray, int, int]:
     off = struct.unpack(">I", ssnd[0:4])[0]
     raw = ssnd[8 + off :]
     comp_l = comp.lower()
-    if comp_l in (b"none", b"sowt"):
-        endian = "<" if comp_l == b"sowt" else ">"
-        if bits == 8:  # AIFF 8-bit PCM is SIGNED
-            x = np.frombuffer(raw, np.int8).astype(np.float64) / 128.0
-        elif bits == 16:
-            x = np.frombuffer(raw[: len(raw) & ~1], f"{endian}i2").astype(
-                np.float64) / 32768.0
-        elif bits == 24:
-            b3 = np.frombuffer(raw[: len(raw) - len(raw) % 3], np.uint8)
-            b3 = b3.reshape(-1, 3).astype(np.int64)
-            if endian == ">":
-                v = (b3[:, 0] << 16) | (b3[:, 1] << 8) | b3[:, 2]
-            else:
-                v = (b3[:, 2] << 16) | (b3[:, 1] << 8) | b3[:, 0]
-            v = np.where(v >= 1 << 23, v - (1 << 24), v)
-            x = v.astype(np.float64) / float(1 << 23)
-        elif bits == 32:
-            x = np.frombuffer(raw[: len(raw) & ~3], f"{endian}i4").astype(
-                np.float64) / float(1 << 31)
-        else:
-            raise ValueError(f"unsupported AIFF depth {bits}")
-    elif comp_l == b"fl32":
-        x = np.frombuffer(raw[: len(raw) & ~3], ">f4").astype(np.float64)
-    elif comp_l == b"fl64":
-        x = np.frombuffer(raw[: len(raw) & ~7], ">f8").astype(np.float64)
-    elif comp_l in (b"ulaw", b"alaw"):
-        from img2table_ray.imgops.g711 import alaw_decode, ulaw_decode
-
-        dec = ulaw_decode if comp_l == b"ulaw" else alaw_decode
-        x = dec(raw).astype(np.float64) / 32768.0
-    elif comp_l == b"ima4":
+    if comp_l == b"ima4":
         from img2table_ray.imgops.adpcm import ima4_decode
 
         x = ima4_decode(raw, channels).astype(np.float64) / 32768.0
+    elif comp_l in (b"none", b"sowt"):
+        if bits not in (8, 16, 24, 32):
+            raise ValueError(f"unsupported AIFF depth {bits}")
+        endian = "<" if comp_l == b"sowt" else ">"
+        # AIFF 8-bit PCM is SIGNED
+        x = pcm_samples(raw, "i1" if bits == 8 else f"{endian}i{bits // 8}")
+    elif comp_l in _AIFC_FORMATS:
+        x = pcm_samples(raw, _AIFC_FORMATS[comp_l])
     else:
         raise NotImplementedError(f"AIFF-C compression {comp!r}")
     return x, rate, channels
@@ -160,10 +145,8 @@ def encode_aiff(x: np.ndarray, rate: int, comp: bytes = b"NONE") -> bytes:
 
 # --- Sun/NeXT AU ------------------------------------------------------------
 
-_AU_DECODERS = {
-    1: ("ulaw", 1), 2: ("i1", 1), 3: (">i2", 2), 4: ("i3", 3),
-    5: (">i4", 4), 6: (">f4", 4), 7: (">f8", 8), 27: ("alaw", 1),
-}
+_AU_FORMATS = {1: "ulaw", 2: "i1", 3: ">i2", 4: ">i3", 5: ">i4", 6: ">f4",
+               7: ">f8", 27: "alaw"}
 
 
 def decode_au(data: bytes) -> tuple[np.ndarray, int, int]:
@@ -171,33 +154,10 @@ def decode_au(data: bytes) -> tuple[np.ndarray, int, int]:
     if data[:4] != b".snd" or len(data) < 24:
         raise ValueError("not an AU stream")
     off, size, enc, rate, channels = struct.unpack(">IIIII", data[4:24])
-    if enc not in _AU_DECODERS or channels < 1 or rate < 1:
+    if enc not in _AU_FORMATS or channels < 1 or rate < 1:
         raise ValueError(f"unsupported AU encoding {enc}")
     raw = data[off : off + size] if size != 0xFFFFFFFF else data[off:]
-    kind, width = _AU_DECODERS[enc]
-    if kind == "ulaw":
-        from img2table_ray.imgops.g711 import ulaw_decode
-
-        x = ulaw_decode(raw).astype(np.float64) / 32768.0
-    elif kind == "alaw":
-        from img2table_ray.imgops.g711 import alaw_decode
-
-        x = alaw_decode(raw).astype(np.float64) / 32768.0
-    elif kind == "i1":
-        x = np.frombuffer(raw, np.int8).astype(np.float64) / 128.0
-    elif kind == "i3":
-        b3 = np.frombuffer(raw[: len(raw) - len(raw) % 3], np.uint8)
-        b3 = b3.reshape(-1, 3).astype(np.int64)
-        v = (b3[:, 0] << 16) | (b3[:, 1] << 8) | b3[:, 2]
-        v = np.where(v >= 1 << 23, v - (1 << 24), v)
-        x = v.astype(np.float64) / float(1 << 23)
-    elif kind in (">f4", ">f8"):
-        x = np.frombuffer(raw[: len(raw) - len(raw) % width],
-                          kind).astype(np.float64)
-    else:
-        x = np.frombuffer(raw[: len(raw) - len(raw) % width],
-                          kind).astype(np.float64) / float(1 << (8 * width - 1))
-    return x, rate, channels
+    return pcm_samples(raw, _AU_FORMATS[enc]), rate, channels
 
 
 def encode_au(x: np.ndarray, rate: int, enc: int = 3) -> bytes:

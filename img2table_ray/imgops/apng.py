@@ -34,7 +34,7 @@ import zlib
 
 import numpy as np
 
-from img2table_ray.imgops.limits import check_dims
+from img2table_ray.imgops.limits import check_dims, check_frames
 from img2table_ray.imgops.png import PngError, unfilter_idat
 
 _SIG = b"\x89PNG\r\n\x1a\n"
@@ -102,7 +102,8 @@ def _to_rgba(img: np.ndarray, color_type: int, palette, trns) -> np.ndarray:
 
 def apng_frames(data: bytes, max_frames: int = 512
                 ) -> tuple[list[np.ndarray], list[float]]:
-    """Decode an APNG -> (composited RGB frames, per-frame delays in s)."""
+    """Decode an APNG -> (composited RGB frames, per-frame delays in s).
+    The frames together may hold at most ``MAX_PIXELS`` pixels."""
     if data[:8] != _SIG:
         raise PngError("not a PNG file")
     width = height = None
@@ -160,6 +161,7 @@ def apng_frames(data: bytes, max_frames: int = 512
     if width is None or num_frames is None or not seen_idat:
         raise PngError("not an APNG (missing IHDR/acTL/IDAT)")
     check_dims(width, height, "APNG")
+    check_frames(len(fctls), width, height, "APNG animation")
     if bit_depth != 8:
         raise PngError(f"unsupported bit depth {bit_depth}")
     if interlace != 0:

@@ -1,26 +1,33 @@
-"""GIF87a/89a first-frame decoder (pure stdlib/numpy).
+"""GIF87a/89a decoder (pure stdlib/numpy): pages and animations.
 
-Covers crawl-present GIFs as document pages: global/local color tables,
-interlacing, LZW image data (LSB-first variant in imgops/lzw.py), and the
-89a graphic-control transparency flag — a transparent index renders as
-white (documents composite on a white page; the reference's cv2.imdecode
-path returns None for GIF, so this is capability BEYOND reference parity,
-kept deterministic).  Animation: only the first image descriptor is
-decoded, matching "a page is one image".
+One block walk (``_walk``) parses the header, global/local color tables,
+the 89a graphic control extension (transparency, delay, disposal), the
+LZW image data (LSB-first variant in imgops/lzw.py) and interlacing, and
+lazily yields each image descriptor's palette indices.  Two compositors
+sit on it:
 
-Spec: GIF89a (CompuServe/W3C, 1990).  Output: (H, W, 3) uint8 RGB at the
-logical-screen size (frames smaller than the screen are placed at their
-(left, top) on a background-color canvas).
+* ``decode_gif`` — a document page: only the first image decodes
+  ("a page is one image"), and a transparent index renders as white
+  (documents composite on a white page; the reference's cv2.imdecode
+  path returns None for GIF, so this is capability BEYOND reference
+  parity, kept deterministic).  Output: (H, W, 3) uint8 RGB at the
+  logical-screen size (an image smaller than the screen is placed at its
+  (left, top) on a background-color canvas).
+* ``gif_frames`` — animation for the video stage: every frame composed
+  with the 89a disposal rules.
+
+Spec: GIF89a (CompuServe/W3C, 1990).
 """
 
 from __future__ import annotations
 
 import struct
+from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
-from img2table_ray.imgops.limits import check_dims
-
+from img2table_ray.imgops.limits import check_dims, check_frames
 from img2table_ray.imgops.lzw import LzwError, lzw_decode_gif
 
 
@@ -28,7 +35,26 @@ class GifError(ValueError):
     pass
 
 
-def decode_gif(data: bytes) -> np.ndarray:
+class _Image(NamedTuple):
+    """One image descriptor: its place on the logical screen, its
+    de-interlaced palette indices and color table, and the fields of the
+    graphic control extension that precedes it."""
+
+    left: int
+    top: int
+    w: int
+    h: int
+    idx: np.ndarray
+    ct: np.ndarray
+    transparent: int | None
+    delay_cs: int
+    disposal: int
+
+
+def _walk(data: bytes):
+    """Parse the header -> (sw, sh, bg_idx, gct, images), where
+    ``images`` lazily yields one ``_Image`` per image descriptor: a
+    caller that stops early never parses (or LZW-decodes) the rest."""
     if data[:6] not in (b"GIF87a", b"GIF89a"):
         raise GifError("not a GIF file")
     if len(data) < 13:
@@ -44,15 +70,17 @@ def decode_gif(data: bytes) -> np.ndarray:
             raise GifError("truncated global color table")
         gct = gct.reshape(n, 3)
         pos += 3 * n
-    if sw <= 0 or sh <= 0 or sw * sh > 1 << 28:
-        raise GifError(f"unreasonable GIF dimensions {sw}x{sh}")
+    return sw, sh, bg_idx, gct, _images(data, pos, sw, sh, gct)
 
+
+def _images(data: bytes, pos: int, sw: int, sh: int, gct):
     transparent: int | None = None
+    delay_cs = disposal = 0
     while pos < len(data):
         block = data[pos]
         pos += 1
         if block == 0x3B:  # trailer
-            break
+            return
         if block == 0x21:  # extension: label + sub-blocks
             if pos >= len(data):
                 raise GifError("truncated extension")
@@ -64,10 +92,11 @@ def decode_gif(data: bytes) -> np.ndarray:
                 subs.append(data[pos + 1 : pos + 1 + ln])
                 pos += 1 + ln
             pos += 1  # block terminator
-            if label == 0xF9 and subs:  # graphic control
-                gce = subs[0]
-                if len(gce) >= 4 and gce[0] & 0x01:
-                    transparent = gce[3]
+            if label == 0xF9 and subs and len(subs[0]) >= 4:
+                gce = subs[0]  # graphic control
+                disposal = (gce[0] >> 2) & 0x07
+                transparent = gce[3] if gce[0] & 0x01 else None
+                delay_cs = gce[1] | (gce[2] << 8)
             continue
         if block != 0x2C:
             raise GifError(f"unexpected GIF block 0x{block:02x}")
@@ -86,7 +115,7 @@ def decode_gif(data: bytes) -> np.ndarray:
             pos += 3 * n
         if ct is None:
             raise GifError("GIF image without a color table")
-        if w <= 0 or h <= 0 or left + w > sw or top + h > sh:
+        if left + w > sw or top + h > sh:
             raise GifError("GIF frame outside logical screen")
 
         if pos >= len(data):
@@ -98,6 +127,7 @@ def decode_gif(data: bytes) -> np.ndarray:
             ln = data[pos]
             chunks.append(data[pos + 1 : pos + 1 + ln])
             pos += 1 + ln
+        pos += 1  # image-data block terminator
         try:
             raw = lzw_decode_gif(b"".join(chunks), min_code_size,
                                  max_out=w * h)
@@ -114,22 +144,33 @@ def decode_gif(data: bytes) -> np.ndarray:
             idx = de
         if int(idx.max()) >= len(ct):
             raise GifError("GIF pixel index outside color table")
-        rgb = ct[idx]
-        if transparent is not None and transparent < len(ct):
-            rgb = np.where((idx == transparent)[:, :, None],
-                           np.uint8(255), rgb)
+        yield _Image(left, top, w, h, idx, ct, transparent, delay_cs,
+                     disposal)
+        transparent = None
+        delay_cs = disposal = 0
 
-        # place on the logical screen (background color; white if the
-        # background index is out of table or transparent)
-        if (left, top, w, h) == (0, 0, sw, sh):
-            return np.ascontiguousarray(rgb)
-        if gct is not None and bg_idx < len(gct) and bg_idx != transparent:
-            canvas = np.tile(gct[bg_idx], (sh, sw, 1)).astype(np.uint8)
-        else:
-            canvas = np.full((sh, sw, 3), 255, np.uint8)
-        canvas[top : top + h, left : left + w] = rgb
-        return canvas
-    raise GifError("GIF contains no image data")
+
+def decode_gif(data: bytes) -> np.ndarray:
+    """First image as a page: transparent pixels show as white."""
+    sw, sh, bg_idx, gct, images = _walk(data)
+    im = next(images, None)
+    if im is None:
+        raise GifError("GIF contains no image data")
+    rgb = im.ct[im.idx]
+    if im.transparent is not None and im.transparent < len(im.ct):
+        rgb = np.where((im.idx == im.transparent)[:, :, None],
+                       np.uint8(255), rgb)
+
+    # place on the logical screen (background color; white if the
+    # background index is out of table or transparent)
+    if (im.left, im.top, im.w, im.h) == (0, 0, sw, sh):
+        return np.ascontiguousarray(rgb)
+    if gct is not None and bg_idx < len(gct) and bg_idx != im.transparent:
+        canvas = np.tile(gct[bg_idx], (sh, sw, 1)).astype(np.uint8)
+    else:
+        canvas = np.full((sh, sw, 3), 255, np.uint8)
+    canvas[im.top : im.top + im.h, im.left : im.left + im.w] = rgb
+    return canvas
 
 
 # ---- encode (tests + synthetic corpus rows) ------------------------------
@@ -227,25 +268,11 @@ def gif_frames(data: bytes, max_frames: int = 1024):
     canvases, delays the per-frame GCE delay in centiseconds (0 when
     absent).  Disposal methods per the spec: 0/1 leave the canvas, 2
     restores the frame's region to background, 3 restores the previous
-    canvas.  ``decode_gif`` above keeps its first-frame page semantics;
-    this walk exists for ``VideoFrameSampleStage`` (animated GIF is the
-    most common web "video" that needs no external codec)."""
-    if data[:6] not in (b"GIF87a", b"GIF89a"):
-        raise GifError("not a GIF file")
-    sw, sh, packed, bg_idx, _aspect = struct.unpack("<HHBBB", data[6:13])
-    check_dims(sw, sh, "GIF screen")
-    pos = 13
-    gct = None
-    if packed & 0x80:
-        n = 2 << (packed & 0x07)
-        gct = np.frombuffer(data[pos : pos + 3 * n], np.uint8)
-        if len(gct) < 3 * n:
-            raise GifError("truncated global color table")
-        gct = gct.reshape(n, 3)
-        pos += 3 * n
-    if sw <= 0 or sh <= 0 or sw * sh > 1 << 28:
-        raise GifError(f"unreasonable GIF dimensions {sw}x{sh}")
-
+    canvas; a transparent pixel keeps the canvas under it.  The frames
+    together may hold at most ``MAX_PIXELS`` pixels.  This walk exists
+    for ``VideoFrameSampleStage`` (animated GIF is the most common web
+    "video" that needs no external codec)."""
+    sw, sh, bg_idx, gct, images = _walk(data)
     if gct is not None and bg_idx < len(gct):
         canvas = np.tile(gct[bg_idx], (sh, sw, 1)).astype(np.uint8)
     else:
@@ -254,89 +281,22 @@ def gif_frames(data: bytes, max_frames: int = 1024):
 
     frames: list[np.ndarray] = []
     delays: list[int] = []
-    transparent: int | None = None
-    delay_cs = 0
-    disposal = 0
-    while pos < len(data) and len(frames) < max_frames:
-        block = data[pos]
-        pos += 1
-        if block == 0x3B:
-            break
-        if block == 0x21:
-            label = data[pos]
-            pos += 1
-            subs = []
-            while pos < len(data) and data[pos] != 0:
-                ln = data[pos]
-                subs.append(data[pos + 1 : pos + 1 + ln])
-                pos += 1 + ln
-            pos += 1
-            if label == 0xF9 and subs and len(subs[0]) >= 4:
-                gce = subs[0]
-                disposal = (gce[0] >> 2) & 0x07
-                transparent = gce[3] if gce[0] & 0x01 else None
-                delay_cs = gce[1] | (gce[2] << 8)
-            continue
-        if block != 0x2C:
-            raise GifError(f"unexpected GIF block 0x{block:02x}")
-        left, top, w, h, ipacked = struct.unpack("<HHHHB",
-                                                 data[pos : pos + 9])
-        check_dims(w, h, "GIF frame")
-        pos += 9
-        ct = gct
-        if ipacked & 0x80:
-            n = 2 << (ipacked & 0x07)
-            ct = np.frombuffer(data[pos : pos + 3 * n], np.uint8)
-            if len(ct) < 3 * n:
-                raise GifError("truncated local color table")
-            ct = ct.reshape(n, 3)
-            pos += 3 * n
-        if ct is None:
-            raise GifError("GIF image without a color table")
-        if w <= 0 or h <= 0 or left + w > sw or top + h > sh:
-            raise GifError("GIF frame outside logical screen")
-        min_code_size = data[pos]
-        pos += 1
-        chunks = []
-        while pos < len(data) and data[pos] != 0:
-            ln = data[pos]
-            chunks.append(data[pos + 1 : pos + 1 + ln])
-            pos += 1 + ln
-        pos += 1  # image-data block terminator
-        try:
-            raw = lzw_decode_gif(b"".join(chunks), min_code_size,
-                                 max_out=w * h)
-        except LzwError as err:
-            raise GifError(f"bad GIF LZW stream: {err}") from err
-        if len(raw) < w * h:
-            raise GifError("short GIF pixel data")
-        idx = np.frombuffer(raw[: w * h], np.uint8).reshape(h, w)
-        if ipacked & 0x40:
-            de = np.empty_like(idx)
-            rows = np.concatenate([np.arange(0, h, 8), np.arange(4, h, 8),
-                                   np.arange(2, h, 4), np.arange(1, h, 2)])
-            de[rows] = idx
-            idx = de
-        if int(idx.max()) >= len(ct):
-            raise GifError("GIF pixel index outside color table")
-
-        before = canvas.copy() if disposal == 3 else None
-        region = canvas[top : top + h, left : left + w]
-        rgb = ct[idx]
-        if transparent is not None and transparent < len(ct):
-            keep = (idx == transparent)[:, :, None]
-            rgb = np.where(keep, region, rgb)
-        canvas[top : top + h, left : left + w] = rgb
+    for im in islice(images, max_frames):
+        check_frames(len(frames) + 1, sw, sh, "GIF animation")
+        ys = slice(im.top, im.top + im.h)
+        xs = slice(im.left, im.left + im.w)
+        before = canvas.copy() if im.disposal == 3 else None
+        rgb = im.ct[im.idx]
+        if im.transparent is not None and im.transparent < len(im.ct):
+            rgb = np.where((im.idx == im.transparent)[:, :, None],
+                           canvas[ys, xs], rgb)
+        canvas[ys, xs] = rgb
         frames.append(canvas.copy())
-        delays.append(delay_cs)
-        if disposal == 2:
-            canvas[top : top + h, left : left + w] = \
-                background[top : top + h, left : left + w]
-        elif disposal == 3 and before is not None:
+        delays.append(im.delay_cs)
+        if im.disposal == 2:
+            canvas[ys, xs] = background[ys, xs]
+        elif im.disposal == 3:
             canvas = before
-        transparent = None
-        delay_cs = 0
-        disposal = 0
     if not frames:
         raise GifError("GIF contains no image data")
     return frames, delays

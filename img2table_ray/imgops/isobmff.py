@@ -132,59 +132,67 @@ def parse_mp4(data: bytes) -> dict:
     return out
 
 
+# --- box writers (fixture builders) ----------------------------------------
+
+def _box(btype: bytes, body: bytes) -> bytes:
+    return struct.pack(">I", len(body) + 8) + btype + body
+
+
+def _full(btype: bytes, body: bytes, ver: int = 0) -> bytes:
+    """A full box: version byte + 24 flag bits, then ``body``."""
+    return _box(btype, bytes([ver, 0, 0, 0]) + body)
+
+
+def _visual_entry(fourcc: bytes, w: int, h: int) -> bytes:
+    """stsd visual sample entry (72 dpi, one frame per sample, 24-bit)."""
+    return _box(fourcc, b"\x00" * 6 + struct.pack(">H", 1) + b"\x00" * 16
+                + struct.pack(">HH", w, h)
+                + struct.pack(">II", 0x00480000, 0x00480000)
+                + struct.pack(">I", 0) + struct.pack(">H", 1) + b"\x00" * 32
+                + struct.pack(">Hh", 0x18, -1))
+
+
+def _moov(handler: bytes, ts: int, dur: int, stbl: bytes, w: int = 0,
+          h: int = 0) -> bytes:
+    """moov for one ``handler`` (b'vide'/b'soun') track of ``dur`` ticks
+    at timescale ``ts`` (movie and media alike) over the tables ``stbl``."""
+    matrix = struct.pack(">9i", 0x00010000, 0, 0, 0, 0x00010000, 0, 0, 0,
+                         0x40000000)
+    mvhd = _full(b"mvhd", struct.pack(">IIII", 0, 0, ts, dur)
+                 + struct.pack(">i", 0x00010000) + struct.pack(">h", 0x0100)
+                 + b"\x00" * 10 + matrix + b"\x00" * 24
+                 + struct.pack(">I", 2))
+    tkhd = _full(b"tkhd", struct.pack(">IIIII", 0, 0, 1, 0, dur)
+                 + b"\x00" * 16 + matrix + struct.pack(">II", w << 16, h << 16))
+    mdhd = _full(b"mdhd", struct.pack(">IIII", 0, 0, ts, dur)
+                 + struct.pack(">HH", 0x55C4, 0))
+    video = handler == b"vide"
+    hdlr = _full(b"hdlr", struct.pack(">I", 0) + handler + b"\x00" * 12
+                 + (b"VideoHandler\x00" if video else b"SoundHandler\x00"))
+    xmhd = _full(b"vmhd", bytes(8)) if video else _full(b"smhd", bytes(4))
+    dinf = _box(b"dinf", _full(b"dref", struct.pack(">I", 1)
+                               + _box(b"url ", bytes([0, 0, 0, 1]))))
+    minf = _box(b"minf", xmhd + dinf + stbl)
+    trak = _box(b"trak", tkhd + _box(b"mdia", mdhd + hdlr + minf))
+    return _box(b"moov", mvhd + trak)
+
+
 def synth_mp4(seed: int) -> bytes:
     """Minimal valid ISO-BMFF fixture: ftyp + empty mdat + moov with one
     avc1 video track (headers only — sample data stays in the empty
     mdat; this is a METADATA fixture for the metadata_only path)."""
-
-    def box(btype: bytes, body: bytes) -> bytes:
-        return struct.pack(">I", len(body) + 8) + btype + body
-
-    def full(btype: bytes, body: bytes, ver: int = 0) -> bytes:
-        return box(btype, bytes([ver, 0, 0, 0]) + body)
-
     fps = 24 + seed % 6
     n_frames = 48 + (seed % 10) * fps
-    ts = fps * 1000
-    dur = n_frames * 1000
     w, h = 320 + 16 * (seed % 8), 240 + 16 * (seed % 5)
-
-    ftyp = box(b"ftyp", b"isom" + struct.pack(">I", 512) + b"isomiso2")
-    mvhd = full(b"mvhd", struct.pack(">II", 0, 0)
-                + struct.pack(">II", ts, dur) + struct.pack(">i", 0x00010000)
-                + struct.pack(">h", 0x0100) + b"\x00" * 10
-                + struct.pack(">9i", 0x00010000, 0, 0, 0, 0x00010000, 0, 0,
-                              0, 0x40000000)
-                + b"\x00" * 24 + struct.pack(">I", 2))
-    tkhd = full(b"tkhd", struct.pack(">IIIII", 0, 0, 1, 0, dur)
-                + b"\x00" * 16
-                + struct.pack(">9i", 0x00010000, 0, 0, 0, 0x00010000, 0, 0,
-                              0, 0x40000000)
-                + struct.pack(">II", w << 16, h << 16), ver=0)
-    mdhd = full(b"mdhd", struct.pack(">IIII", 0, 0, ts, dur)
-                + struct.pack(">HH", 0x55C4, 0))
-    hdlr = full(b"hdlr", struct.pack(">I", 0) + b"vide" + b"\x00" * 12
-                + b"VideoHandler\x00")
-    avc1 = box(b"avc1", b"\x00" * 6 + struct.pack(">H", 1) + b"\x00" * 16
-               + struct.pack(">HH", w, h)
-               + struct.pack(">II", 0x00480000, 0x00480000)
-               + struct.pack(">I", 0) + struct.pack(">H", 1) + b"\x00" * 32
-               + struct.pack(">Hh", 0x18, -1))
-    stsd = full(b"stsd", struct.pack(">I", 1) + avc1)
-    stts = full(b"stts", struct.pack(">III", 1, n_frames, 1000))
-    stsc = full(b"stsc", struct.pack(">I", 0))
-    stsz = full(b"stsz", struct.pack(">II", 0, n_frames))
-    stco = full(b"stco", struct.pack(">I", 0))
-    stbl = box(b"stbl", stsd + stts + stsc + stsz + stco)
-    vmhd = full(b"vmhd", struct.pack(">HHHH", 0, 0, 0, 0), ver=0)
-    dinf = box(b"dinf", full(b"dref", struct.pack(">I", 1)
-                             + box(b"url ", bytes([0, 0, 0, 1]))))
-    minf = box(b"minf", vmhd + dinf + stbl)
-    mdia = box(b"mdia", mdhd + hdlr + minf)
-    trak = box(b"trak", tkhd + mdia)
-    moov = box(b"moov", mvhd + trak)
-    mdat = box(b"mdat", b"")
-    return ftyp + mdat + moov
+    stbl = _box(b"stbl", _full(b"stsd", struct.pack(">I", 1)
+                               + _visual_entry(b"avc1", w, h))
+                + _full(b"stts", struct.pack(">III", 1, n_frames, 1000))
+                + _full(b"stsc", struct.pack(">I", 0))
+                + _full(b"stsz", struct.pack(">II", 0, n_frames))
+                + _full(b"stco", struct.pack(">I", 0)))
+    ftyp = _box(b"ftyp", b"isom" + struct.pack(">I", 512) + b"isomiso2")
+    return (ftyp + _box(b"mdat", b"")
+            + _moov(b"vide", fps * 1000, n_frames * 1000, stbl, w, h))
 
 
 # --- sample extraction (round 5): MJPEG tracks decode for REAL -------------
@@ -385,12 +393,6 @@ def synth_mp4_mjpeg(seed: int) -> bytes:
 
     from img2table_ray.imgops.jpeg import encode_jpeg
 
-    def box(btype: bytes, body: bytes) -> bytes:
-        return struct.pack(">I", len(body) + 8) + btype + body
-
-    def full(btype: bytes, body: bytes, ver: int = 0) -> bytes:
-        return box(btype, bytes([ver, 0, 0, 0]) + body)
-
     fps = 10 + seed % 5
     n_frames = 5 + seed % 4
     w, h = 48 + 16 * (seed % 3), 32 + 16 * (seed % 2)
@@ -403,53 +405,24 @@ def synth_mp4_mjpeg(seed: int) -> bytes:
         img[..., 2] = ((xx + yy + i * 41 + seed) % 256).astype(np.uint8)
         frames.append(encode_jpeg(img, quality=85))
 
-    ftyp = box(b"ftyp", b"qt  " + struct.pack(">I", 0) + b"qt  ")
-    mdat = box(b"mdat", b"".join(frames))
+    ftyp = _box(b"ftyp", b"qt  " + struct.pack(">I", 0) + b"qt  ")
+    mdat = _box(b"mdat", b"".join(frames))
     base = len(ftyp) + 8  # first sample's absolute offset
     # two chunks: first ceil(n/2) samples, then the rest
     n1 = (n_frames + 1) // 2
     off2 = base + sum(len(f) for f in frames[:n1])
-
-    ts = fps * 1000
-    dur = n_frames * 1000
-    mvhd = full(b"mvhd", struct.pack(">II", 0, 0)
-                + struct.pack(">II", ts, dur) + struct.pack(">i", 0x00010000)
-                + struct.pack(">h", 0x0100) + b"\x00" * 10
-                + struct.pack(">9i", 0x00010000, 0, 0, 0, 0x00010000, 0, 0,
-                              0, 0x40000000)
-                + b"\x00" * 24 + struct.pack(">I", 2))
-    tkhd = full(b"tkhd", struct.pack(">IIIII", 0, 0, 1, 0, dur)
-                + b"\x00" * 16
-                + struct.pack(">9i", 0x00010000, 0, 0, 0, 0x00010000, 0, 0,
-                              0, 0x40000000)
-                + struct.pack(">II", w << 16, h << 16))
-    mdhd = full(b"mdhd", struct.pack(">IIII", 0, 0, ts, dur)
-                + struct.pack(">HH", 0x55C4, 0))
-    hdlr = full(b"hdlr", struct.pack(">I", 0) + b"vide" + b"\x00" * 12
-                + b"VideoHandler\x00")
-    jpeg_entry = box(b"jpeg", b"\x00" * 6 + struct.pack(">H", 1)
-                     + b"\x00" * 16 + struct.pack(">HH", w, h)
-                     + struct.pack(">II", 0x00480000, 0x00480000)
-                     + struct.pack(">I", 0) + struct.pack(">H", 1)
-                     + b"\x00" * 32 + struct.pack(">Hh", 0x18, -1))
-    stsd = full(b"stsd", struct.pack(">I", 1) + jpeg_entry)
-    stts = full(b"stts", struct.pack(">III", 1, n_frames, 1000))
-    stsc = full(b"stsc", struct.pack(">I", 2)
-                + struct.pack(">III", 1, n1, 1)
-                + struct.pack(">III", 2, n_frames - n1, 1))
-    stsz = full(b"stsz", struct.pack(">II", 0, n_frames)
-                + b"".join(struct.pack(">I", len(f)) for f in frames))
-    stco = full(b"stco", struct.pack(">I", 2)
-                + struct.pack(">II", base, off2))
-    stbl = box(b"stbl", stsd + stts + stsc + stsz + stco)
-    vmhd = full(b"vmhd", struct.pack(">HHHH", 0, 0, 0, 0))
-    dinf = box(b"dinf", full(b"dref", struct.pack(">I", 1)
-                             + box(b"url ", bytes([0, 0, 0, 1]))))
-    minf = box(b"minf", vmhd + dinf + stbl)
-    mdia = box(b"mdia", mdhd + hdlr + minf)
-    trak = box(b"trak", tkhd + mdia)
-    moov = box(b"moov", mvhd + trak)
-    return ftyp + mdat + moov
+    stbl = _box(b"stbl", _full(b"stsd", struct.pack(">I", 1)
+                               + _visual_entry(b"jpeg", w, h))
+                + _full(b"stts", struct.pack(">III", 1, n_frames, 1000))
+                + _full(b"stsc", struct.pack(">I", 2)
+                        + struct.pack(">III", 1, n1, 1)
+                        + struct.pack(">III", 2, n_frames - n1, 1))
+                + _full(b"stsz", struct.pack(">II", 0, n_frames)
+                        + b"".join(struct.pack(">I", len(f)) for f in frames))
+                + _full(b"stco", struct.pack(">I", 2)
+                        + struct.pack(">II", base, off2)))
+    return ftyp + mdat + _moov(b"vide", fps * 1000, n_frames * 1000, stbl,
+                               w, h)
 
 
 def _mov_audio_boxes(codec: bytes, rate: int, channels: int, bits: int,
@@ -457,20 +430,11 @@ def _mov_audio_boxes(codec: bytes, rate: int, channels: int, bits: int,
                      base: int, mdur: "int | None" = None) -> bytes:
     """moov box for one audio track whose sample data sits at ``base``
     (each stsz sample = one PCM frame; one stsc run per chunk size)."""
-
-    def box(btype: bytes, body: bytes) -> bytes:
-        return struct.pack(">I", len(body) + 8) + btype + body
-
-    def full(btype: bytes, body: bytes, ver: int = 0) -> bytes:
-        return box(btype, bytes([ver, 0, 0, 0]) + body)
-
     bpf = max(1, bits // 8) * channels  # bytes per PCM frame
-    entry = box(codec, b"\x00" * 6 + struct.pack(">H", 1)
-                + struct.pack(">HHI", 0, 0, 0)
-                + struct.pack(">HHHH", channels, bits, 0, 0)
-                + struct.pack(">I", rate << 16))
-    stsd = full(b"stsd", struct.pack(">I", 1) + entry)
-    stts = full(b"stts", struct.pack(">III", 1, n_frames, 1))
+    entry = _box(codec, b"\x00" * 6 + struct.pack(">H", 1)
+                 + struct.pack(">HHI", 0, 0, 0)
+                 + struct.pack(">HHHH", channels, bits, 0, 0)
+                 + struct.pack(">I", rate << 16))
     spc = [len(c) // bpf for c in chunks]
     stsc_runs = b""
     n_runs = 0
@@ -480,40 +444,18 @@ def _mov_audio_boxes(codec: bytes, rate: int, channels: int, bits: int,
             stsc_runs += struct.pack(">III", ci + 1, per, 1)
             n_runs += 1
             prev = per
-    stsc = full(b"stsc", struct.pack(">I", n_runs) + stsc_runs)
-    stsz = full(b"stsz", struct.pack(">II", bpf, n_frames))
     offs = []
     off = base
     for c in chunks:
         offs.append(off)
         off += len(c)
-    stco = full(b"stco", struct.pack(">I", len(chunks))
-                + b"".join(struct.pack(">I", o) for o in offs))
-    stbl = box(b"stbl", stsd + stts + stsc + stsz + stco)
-    smhd = full(b"smhd", struct.pack(">HH", 0, 0))
-    if mdur is None:
-        mdur = n_frames
-    dinf = box(b"dinf", full(b"dref", struct.pack(">I", 1)
-                             + box(b"url ", bytes([0, 0, 0, 1]))))
-    minf = box(b"minf", smhd + dinf + stbl)
-    mdhd = full(b"mdhd", struct.pack(">IIII", 0, 0, rate, mdur)
-                + struct.pack(">HH", 0x55C4, 0))
-    hdlr = full(b"hdlr", struct.pack(">I", 0) + b"soun" + b"\x00" * 12
-                + b"SoundHandler\x00")
-    mdia = box(b"mdia", mdhd + hdlr + minf)
-    tkhd = full(b"tkhd", struct.pack(">IIIII", 0, 0, 1, 0, mdur)
-                + b"\x00" * 16
-                + struct.pack(">9i", 0x00010000, 0, 0, 0, 0x00010000, 0, 0,
-                              0, 0x40000000) + struct.pack(">II", 0, 0))
-    trak = box(b"trak", tkhd + mdia)
-    mvhd = full(b"mvhd", struct.pack(">II", 0, 0)
-                + struct.pack(">II", rate, mdur)
-                + struct.pack(">i", 0x00010000) + struct.pack(">h", 0x0100)
-                + b"\x00" * 10
-                + struct.pack(">9i", 0x00010000, 0, 0, 0, 0x00010000, 0, 0,
-                              0, 0x40000000)
-                + b"\x00" * 24 + struct.pack(">I", 2))
-    return box(b"moov", mvhd + trak)
+    stbl = _box(b"stbl", _full(b"stsd", struct.pack(">I", 1) + entry)
+                + _full(b"stts", struct.pack(">III", 1, n_frames, 1))
+                + _full(b"stsc", struct.pack(">I", n_runs) + stsc_runs)
+                + _full(b"stsz", struct.pack(">II", bpf, n_frames))
+                + _full(b"stco", struct.pack(">I", len(chunks))
+                        + b"".join(struct.pack(">I", o) for o in offs)))
+    return _moov(b"soun", rate, n_frames if mdur is None else mdur, stbl)
 
 
 def synth_mov_pcm(seed: int, samples, rate: int,
@@ -522,9 +464,6 @@ def synth_mov_pcm(seed: int, samples, rate: int,
     'sowt' little-endian int16) or G.711 ('ulaw'/'alaw') audio track,
     sample data split over two chunks."""
     import numpy as np
-
-    def box(btype: bytes, body: bytes) -> bytes:
-        return struct.pack(">I", len(body) + 8) + btype + body
 
     x = np.asarray(samples, np.int16)
     if x.ndim == 1:
@@ -545,8 +484,8 @@ def synth_mov_pcm(seed: int, samples, rate: int,
     bpf = (bits // 8) * channels
     cut = (n_frames // 2) * bpf
     chunks = [payload[:cut], payload[cut:]]
-    ftyp = box(b"ftyp", b"qt  " + struct.pack(">I", 0) + b"qt  ")
-    mdat = box(b"mdat", payload)
+    ftyp = _box(b"ftyp", b"qt  " + struct.pack(">I", 0) + b"qt  ")
+    mdat = _box(b"mdat", payload)
     base = len(ftyp) + 8
     moov = _mov_audio_boxes(codec, rate, channels, bits, n_frames,
                             chunks, base)
@@ -557,11 +496,6 @@ def synth_m4a(seed: int) -> bytes:
     """ISO-BMFF audio METADATA fixture: an 'mp4a' (AAC) track whose
     headers carry real duration/rate/channels but whose payload needs a
     codec — the audio stage's metadata_only path for .m4a rows."""
-    import struct as _s
-
-    def box(btype: bytes, body: bytes) -> bytes:
-        return _s.pack(">I", len(body) + 8) + btype + body
-
     rate = int(8000 * (1 + seed % 3))
     n_samples = rate // 4 + (seed % 7) * 100
     channels = 1 + seed % 2
@@ -569,8 +503,8 @@ def synth_m4a(seed: int) -> bytes:
     # in mdhd (n_samples ticks at the rate timescale)
     bpf = 2 * channels
     payload = b"\x00" * (64 * bpf)
-    ftyp = box(b"ftyp", b"M4A " + _s.pack(">I", 0) + b"M4A mp42")
-    mdat = box(b"mdat", payload)
+    ftyp = _box(b"ftyp", b"M4A " + struct.pack(">I", 0) + b"M4A mp42")
+    mdat = _box(b"mdat", payload)
     moov = _mov_audio_boxes(b"mp4a", rate, channels, 16, 64,
                             [payload], len(ftyp) + 8, mdur=n_samples)
     return ftyp + mdat + moov

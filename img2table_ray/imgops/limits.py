@@ -36,6 +36,17 @@ def check_dims(width: int, height: int, what: str = "image") -> None:
         )
 
 
+def check_frames(n_frames: int, width: int, height: int,
+                 what: str = "animation") -> None:
+    """Reject an animation whose composed frames (one full canvas each)
+    would together hold more than ``MAX_PIXELS`` pixels."""
+    if n_frames * width * height > MAX_PIXELS:
+        raise DecodeLimitError(
+            f"{what}: {n_frames} frames of {width}x{height} exceed "
+            f"{MAX_PIXELS} pixel cap"
+        )
+
+
 MAX_STREAM_BYTES = 1 << 30
 
 

@@ -123,47 +123,60 @@ def parse_webm(data: bytes) -> dict:
     return out
 
 
+# --- element writers (fixture builders) ------------------------------------
+
+def _vint_size(v: int) -> bytes:
+    """A size in the fewest marker-prefixed bytes."""
+    for length in range(1, 9):
+        if v < (1 << (7 * length)) - 1:
+            return (v | (1 << (7 * length))).to_bytes(length, "big")
+    raise ValueError("size too large")
+
+
+def _elem(eid: int, body: bytes) -> bytes:
+    nid = (eid.bit_length() + 7) // 8
+    return eid.to_bytes(nid, "big") + _vint_size(len(body)) + body
+
+
+def _u(v: int) -> bytes:
+    return v.to_bytes(max(1, (v.bit_length() + 7) // 8), "big")
+
+
+def _file(doctype: bytes, dur_ms: float, body: bytes) -> bytes:
+    """EBML header + Segment: Info (1 ms TimecodeScale, Duration), then
+    ``body`` (Tracks and Clusters)."""
+    ebml = _elem(0x1A45DFA3,
+                 _elem(0x4286, _u(1)) + _elem(0x42F7, _u(1))
+                 + _elem(0x42F2, _u(4)) + _elem(0x42F3, _u(8))
+                 + _elem(0x4282, doctype) + _elem(0x4287, _u(4))
+                 + _elem(0x4285, _u(2)))
+    info = _elem(0x1549A966,
+                 _elem(0x2AD7B1, _u(1_000_000))
+                 + _elem(0x4489, struct.pack(">d", dur_ms)))
+    return ebml + _elem(0x18538067, info + body)
+
+
+def _video_tracks(codec: bytes, fps: int, w: int, h: int) -> bytes:
+    video = _elem(0xE0, _elem(0xB0, _u(w)) + _elem(0xBA, _u(h)))
+    return _elem(0x1654AE6B, _elem(
+        0xAE, _elem(0xD7, _u(1)) + _elem(0x73C5, _u(1)) + _elem(0x83, _u(1))
+        + _elem(0x86, codec) + _elem(0x23E383, _u(round(1e9 / fps)))
+        + video))
+
+
+def _simpleblock(frame: bytes, tc: int) -> bytes:
+    return _elem(0xA3, b"\x81" + struct.pack(">h", tc) + b"\x80" + frame)
+
+
 def synth_webm(seed: int) -> bytes:
     """Minimal valid WebM METADATA fixture: EBML header + Segment with
     Info (TimecodeScale, Duration) and one VP9 video TrackEntry with
     DefaultDuration and pixel dimensions (no Clusters — metadata_only)."""
-
-    def vint_size(v: int) -> bytes:
-        # encode a size in the fewest marker-prefixed bytes
-        for length in range(1, 9):
-            if v < (1 << (7 * length)) - 1:
-                b = v | (1 << (7 * length))
-                return b.to_bytes(length, "big")
-        raise ValueError("size too large")
-
-    def elem(eid: int, body: bytes) -> bytes:
-        nid = (eid.bit_length() + 7) // 8
-        return eid.to_bytes(nid, "big") + vint_size(len(body)) + body
-
-    def u(v: int) -> bytes:
-        n = max(1, (v.bit_length() + 7) // 8)
-        return v.to_bytes(n, "big")
-
     fps = 24 + seed % 6
     n_frames = 48 + (seed % 10) * fps
-    dur_ms = n_frames * 1000.0 / fps
     w, h = 640 + 16 * (seed % 8), 360 + 16 * (seed % 5)
-
-    ebml = elem(0x1A45DFA3,
-                elem(0x4286, u(1)) + elem(0x42F7, u(1)) + elem(0x42F2, u(4))
-                + elem(0x42F3, u(8)) + elem(0x4282, b"webm")
-                + elem(0x4287, u(4)) + elem(0x4285, u(2)))
-    info = elem(0x1549A966,
-                elem(0x2AD7B1, u(1_000_000))
-                + elem(0x4489, struct.pack(">d", dur_ms)))
-    video = elem(0xE0, elem(0xB0, u(w)) + elem(0xBA, u(h)))
-    track = elem(0xAE,
-                 elem(0xD7, u(1)) + elem(0x73C5, u(1)) + elem(0x83, u(1))
-                 + elem(0x86, b"V_VP9")
-                 + elem(0x23E383, u(round(1e9 / fps))) + video)
-    tracks = elem(0x1654AE6B, track)
-    segment = elem(0x18538067, info + tracks)
-    return ebml + segment
+    return _file(b"webm", n_frames * 1000.0 / fps,
+                 _video_tracks(b"V_VP9", fps, w, h))
 
 
 # --- block extraction (round 5): V_MJPEG tracks decode for REAL ------------
@@ -329,20 +342,6 @@ def synth_webm_mjpeg(seed: int) -> bytes:
 
     from img2table_ray.imgops.jpeg import encode_jpeg
 
-    def vint_size(v: int) -> bytes:
-        for length in range(1, 9):
-            if v < (1 << (7 * length)) - 1:
-                return (v | (1 << (7 * length))).to_bytes(length, "big")
-        raise ValueError("size too large")
-
-    def elem(eid: int, body: bytes) -> bytes:
-        nid = (eid.bit_length() + 7) // 8
-        return eid.to_bytes(nid, "big") + vint_size(len(body)) + body
-
-    def u(v: int) -> bytes:
-        n = max(1, (v.bit_length() + 7) // 8)
-        return v.to_bytes(n, "big")
-
     fps = 10 + seed % 5
     n_frames = 6 + seed % 4
     w, h = 48 + 16 * (seed % 3), 32 + 16 * (seed % 2)
@@ -355,27 +354,9 @@ def synth_webm_mjpeg(seed: int) -> bytes:
         img[..., 2] = ((xx + 2 * yy + i * 43 + seed) % 256).astype(np.uint8)
         jpegs.append(encode_jpeg(img, quality=85))
 
-    ebml = elem(0x1A45DFA3,
-                elem(0x4286, u(1)) + elem(0x42F7, u(1)) + elem(0x42F2, u(4))
-                + elem(0x42F3, u(8)) + elem(0x4282, b"matroska")
-                + elem(0x4287, u(4)) + elem(0x4285, u(2)))
-    dur_ms = n_frames * 1000.0 / fps
-    info = elem(0x1549A966,
-                elem(0x2AD7B1, u(1_000_000))
-                + elem(0x4489, struct.pack(">d", dur_ms)))
-    video = elem(0xE0, elem(0xB0, u(w)) + elem(0xBA, u(h)))
-    track = elem(0xAE,
-                 elem(0xD7, u(1)) + elem(0x73C5, u(1)) + elem(0x83, u(1))
-                 + elem(0x86, b"V_MJPEG")
-                 + elem(0x23E383, u(round(1e9 / fps))) + video)
-    tracks = elem(0x1654AE6B, track)
-
-    def simpleblock(frame: bytes, tc: int) -> bytes:
-        return elem(0xA3, b"\x81" + struct.pack(">h", tc) + b"\x80" + frame)
-
     n1 = (n_frames + 1) // 2
-    cluster1 = elem(0x1F43B675, elem(0xE7, u(0)) + b"".join(
-        simpleblock(jpegs[i], i * 1000 // fps) for i in range(n1)))
+    cluster1 = _elem(0x1F43B675, _elem(0xE7, _u(0)) + b"".join(
+        _simpleblock(jpegs[i], i * 1000 // fps) for i in range(n1)))
     rest = jpegs[n1:]
     lace = bytes([len(rest) - 1])
     for f in rest[:-1]:
@@ -383,10 +364,10 @@ def synth_webm_mjpeg(seed: int) -> bytes:
         lace += b"\xff" * (sz // 255) + bytes([sz % 255])
     laced = (b"\x81" + struct.pack(">h", 0) + bytes([0x80 | 0x02])
              + lace + b"".join(rest))
-    cluster2 = elem(0x1F43B675, elem(0xE7, u(n1 * 1000 // fps))
-                    + elem(0xA3, laced))
-    segment = elem(0x18538067, info + tracks + cluster1 + cluster2)
-    return ebml + segment
+    cluster2 = _elem(0x1F43B675, _elem(0xE7, _u(n1 * 1000 // fps))
+                     + _elem(0xA3, laced))
+    return _file(b"matroska", n_frames * 1000.0 / fps,
+                 _video_tracks(b"V_MJPEG", fps, w, h) + cluster1 + cluster2)
 
 
 def mkv_audio(data: bytes) -> dict:
@@ -414,20 +395,6 @@ def synth_mkv_audio(seed: int, samples, rate: int,
     stream across the blocks."""
     import numpy as np
 
-    def vint_size(v: int) -> bytes:
-        for length in range(1, 9):
-            if v < (1 << (7 * length)) - 1:
-                return (v | (1 << (7 * length))).to_bytes(length, "big")
-        raise ValueError("size too large")
-
-    def elem(eid: int, body: bytes) -> bytes:
-        nid = (eid.bit_length() + 7) // 8
-        return eid.to_bytes(nid, "big") + vint_size(len(body)) + body
-
-    def u(v: int) -> bytes:
-        n = max(1, (v.bit_length() + 7) // 8)
-        return v.to_bytes(n, "big")
-
     x = np.asarray(samples, np.int16)
     if x.ndim == 1:
         x = x[:, None]
@@ -450,28 +417,17 @@ def synth_mkv_audio(seed: int, samples, rate: int,
     else:
         raise ValueError(codec)
 
-    ebml = elem(0x1A45DFA3,
-                elem(0x4286, u(1)) + elem(0x42F7, u(1)) + elem(0x42F2, u(4))
-                + elem(0x42F3, u(8)) + elem(0x4282, b"matroska")
-                + elem(0x4287, u(4)) + elem(0x4285, u(2)))
     dur_ms = x.shape[0] * 1000.0 / rate
-    info = elem(0x1549A966,
-                elem(0x2AD7B1, u(1_000_000))
-                + elem(0x4489, struct.pack(">d", dur_ms)))
-    audio = elem(0xE1, elem(0xB5, struct.pack(">d", float(rate)))
-                 + elem(0x9F, u(channels)) + elem(0x6264, u(bits)))
-    track_body = (elem(0xD7, u(1)) + elem(0x73C5, u(1)) + elem(0x83, u(2))
-                  + elem(0x86, codec.encode("ascii")) + audio)
+    audio = _elem(0xE1, _elem(0xB5, struct.pack(">d", float(rate)))
+                  + _elem(0x9F, _u(channels)) + _elem(0x6264, _u(bits)))
+    track_body = (_elem(0xD7, _u(1)) + _elem(0x73C5, _u(1))
+                  + _elem(0x83, _u(2)) + _elem(0x86, codec.encode("ascii"))
+                  + audio)
     if priv:
-        track_body += elem(0x63A2, priv)
-    tracks = elem(0x1654AE6B, elem(0xAE, track_body))
-
-    def simpleblock(chunk: bytes, tc: int) -> bytes:
-        return elem(0xA3, b"\x81" + struct.pack(">h", tc) + b"\x80" + chunk)
-
+        track_body += _elem(0x63A2, priv)
     cut = len(payload) // 2
-    cluster = elem(0x1F43B675, elem(0xE7, u(0))
-                   + simpleblock(payload[:cut], 0)
-                   + simpleblock(payload[cut:], int(dur_ms // 2)))
-    segment = elem(0x18538067, info + tracks + cluster)
-    return ebml + segment
+    cluster = _elem(0x1F43B675, _elem(0xE7, _u(0))
+                    + _simpleblock(payload[:cut], 0)
+                    + _simpleblock(payload[cut:], int(dur_ms // 2)))
+    return _file(b"matroska", dur_ms,
+                 _elem(0x1654AE6B, _elem(0xAE, track_body)) + cluster)

@@ -7,13 +7,19 @@ per-actor memo, the error rows and the ``map_batches`` call.
 Images decode for real (PNG, BMP, JPEG, TIFF, GIF, WebP).  Audio decodes
 for real from RIFF/WAVE (PCM, IEEE float, IMA/MS ADPCM, G.711), FLAC
 (native, Ogg and Matroska), AIFF/AIFF-C, Sun AU, and PCM tracks in
-MOV/MP4 and Matroska;
-MP3, AAC, Vorbis and Opus give header metadata only (``metadata_only``).
+MOV/MP4 and Matroska; MP3, AAC, Vorbis and Opus give header metadata
+only (``metadata_only``).  Each PCM container maps its header to one
+sample-format code for ``imgops/pcm.py:pcm_samples``, and every decoded
+stream ends in one feature tail, ``_pcm_features`` (FLAC first through
+``_flac_features``).
 Video decodes sampled frames for real from AVI (MJPEG, DIB, MS-RLE8),
-animated GIF and PNG, and MJPEG tracks in MP4/MOV and Matroska;
-inter-frame codecs give container metadata only.  A payload no decoder
-here handles raises ``NotImplementedError`` and becomes an
-``unsupported`` row; a corrupt one becomes an ``error`` row.
+animated GIF and PNG, and MJPEG tracks in MP4/MOV and Matroska; each
+container gives a frame count and a ``get(i)`` frame decoder to one
+sampler, ``VideoFrameSampleStage._lumas``, and keeps its own duration
+and fps rounding.  Inter-frame codecs give container metadata only.
+
+A payload no decoder here handles raises ``NotImplementedError`` and
+becomes an ``unsupported`` row; a corrupt one becomes an ``error`` row.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ import ray.data
 
 from img2table_ray.extract.pdf import sniff_kind
 from img2table_ray.imgops.limits import check_dims
+from img2table_ray.imgops.pcm import pcm_samples
 from img2table_ray.stages.util import PayloadStage
 
 
@@ -48,6 +55,35 @@ class ImageFeatureStage(PayloadStage):
 
     def failed(self, data: bytes, status: str, exc: Exception) -> tuple:
         return sniff_kind(data[:8]), -1, -1, None, None
+
+
+# (WAVE format code, bits per sample) -> imgops/pcm.py sample format
+_WAV_FORMATS = {(1, 8): "u1", (1, 16): "<i2", (1, 24): "<i3", (1, 32): "<i4",
+                (3, 32): "<f4", (3, 64): "<f8"}
+# MOV sample-entry fourcc -> sample format ('twos'/'sowt' go by depth;
+# Apple 'raw ' is unsigned 8-bit)
+_MOV_FORMATS = {b"raw ": "u1", b"ulaw": "ulaw", b"alaw": "alaw",
+                b"fl32": ">f4", b"fl64": ">f8", b"in24": ">i3", b"in32": ">i4"}
+
+
+def _pcm_features(x: np.ndarray, rate: int,
+                  channels: int) -> tuple[float, int, float]:
+    """Interleaved float samples -> (duration_s, sample_rate, rms) over
+    the whole frames; a trailing partial frame is dropped."""
+    frames = len(x) // channels
+    if frames == 0:
+        return 0.0, rate, 0.0
+    x = x[: frames * channels]
+    return frames / rate, rate, float(np.sqrt(np.mean(x * x)))
+
+
+def _flac_features(native: bytes) -> tuple[float, int, float]:
+    """A native FLAC stream (plain, or reassembled from Ogg/Matroska)."""
+    from img2table_ray.imgops.flac import decode_flac
+
+    s, rate, channels, bits = decode_flac(native)
+    return _pcm_features(s.astype(np.float64) / float(1 << (bits - 1)),
+                         rate, channels)
 
 
 class AudioFeatureStage(PayloadStage):
@@ -91,34 +127,7 @@ class AudioFeatureStage(PayloadStage):
             code = int.from_bytes(fmt[24:26], "little")
         if channels < 1 or rate < 1:
             raise ValueError("bad fmt chunk")
-        if code == 1:  # integer PCM
-            if bits == 8:  # unsigned
-                x = np.frombuffer(raw, np.uint8).astype(np.float64)
-                x = (x - 128.0) / 128.0
-            elif bits == 16:
-                x = np.frombuffer(raw[: len(raw) & ~1], "<i2").astype(
-                    np.float64) / 32768.0
-            elif bits == 24:
-                b = np.frombuffer(raw[: len(raw) - len(raw) % 3], np.uint8)
-                b = b.reshape(-1, 3).astype(np.int64)
-                v = b[:, 0] | (b[:, 1] << 8) | (b[:, 2] << 16)
-                v = np.where(v >= 1 << 23, v - (1 << 24), v)
-                x = v.astype(np.float64) / float(1 << 23)
-            elif bits == 32:
-                x = np.frombuffer(raw[: len(raw) & ~3], "<i4").astype(
-                    np.float64) / float(1 << 31)
-            else:
-                raise ValueError(f"unsupported PCM width {bits}")
-        elif code == 3:  # IEEE float
-            if bits == 32:
-                x = np.frombuffer(raw[: len(raw) & ~3], "<f4").astype(
-                    np.float64)
-            elif bits == 64:
-                x = np.frombuffer(raw[: len(raw) & ~7], "<f8").astype(
-                    np.float64)
-            else:
-                raise ValueError(f"unsupported float width {bits}")
-        elif code in (0x02, 0x11):  # RIFF-native ADPCM (round 5)
+        if code in (0x02, 0x11):  # RIFF-native ADPCM (round 5)
             from img2table_ray.imgops.adpcm import (ima_adpcm_decode,
                                                     ms_adpcm_decode)
 
@@ -126,33 +135,22 @@ class AudioFeatureStage(PayloadStage):
             dec = ima_adpcm_decode if code == 0x11 else ms_adpcm_decode
             x = dec(raw, channels, block_align).astype(np.float64) / 32768.0
         elif code in (0x06, 0x07):  # G.711 A-law / mu-law (round 5)
-            from img2table_ray.imgops.g711 import alaw_decode, ulaw_decode
-
-            dec = ulaw_decode if code == 0x07 else alaw_decode
-            x = dec(raw).astype(np.float64) / 32768.0
+            x = pcm_samples(raw, "ulaw" if code == 0x07 else "alaw")
+        elif code in (1, 3):  # integer PCM (8-bit unsigned) / IEEE float
+            if (code, bits) not in _WAV_FORMATS:
+                raise ValueError(f"unsupported WAVE sample width {bits}")
+            x = pcm_samples(raw, _WAV_FORMATS[code, bits])
         else:
             raise NotImplementedError(
                 f"compressed WAVE format 0x{code:04x}: no codec in this "
                 "environment")
-        frames = len(x) // channels
-        if frames == 0:
-            return 0.0, rate, 0.0
-        x = x[: frames * channels]
-        rms = float(np.sqrt(np.mean(x * x)))
-        return frames / rate, rate, rms
+        return _pcm_features(x, rate, channels)
 
     def _decode(self, data: bytes) -> tuple[float, int, float]:
         if data[:4] == b"RIFF" and data[8:12] == b"WAVE":
             return self._decode_wav(data)
         if data[:4] == b"fLaC":  # lossless FLAC (round 5, imgops/flac.py)
-            from img2table_ray.imgops.flac import decode_flac
-
-            s, rate, channels, bits = decode_flac(data)
-            frames = len(s) // channels
-            if frames == 0:
-                return 0.0, rate, 0.0
-            x = s.astype(np.float64) / float(1 << (bits - 1))
-            return frames / rate, rate, float(np.sqrt(np.mean(x * x)))
+            return _flac_features(data)
         if data[:3] == b"ID3" or (len(data) > 1 and data[0] == 0xFF
                                   and (data[1] & 0xE0) == 0xE0):
             # MP3: frame-header walk -> duration/rate, rms=None
@@ -165,22 +163,12 @@ class AudioFeatureStage(PayloadStage):
             # AIFF/AIFF-C: real PCM decode (imgops/aiff.py)
             from img2table_ray.imgops.aiff import decode_aiff
 
-            x, rate, channels = decode_aiff(data)
-            frames = len(x) // channels
-            if frames == 0:
-                return 0.0, rate, 0.0
-            x = x[: frames * channels]
-            return frames / rate, rate, float(np.sqrt(np.mean(x * x)))
+            return _pcm_features(*decode_aiff(data))
         if data[:4] == b".snd":
             # Sun AU: real PCM/G.711 decode (imgops/aiff.py)
             from img2table_ray.imgops.aiff import decode_au
 
-            x, rate, channels = decode_au(data)
-            frames = len(x) // channels
-            if frames == 0:
-                return 0.0, rate, 0.0
-            x = x[: frames * channels]
-            return frames / rate, rate, float(np.sqrt(np.mean(x * x)))
+            return _pcm_features(*decode_au(data))
         if data[:4] == b"OggS":
             # Ogg-FLAC decodes for REAL (reassemble the native stream,
             # imgops/ogg.py:ogg_flac_to_native -> imgops/flac.py);
@@ -193,14 +181,7 @@ class AudioFeatureStage(PayloadStage):
             except ValueError:
                 native = None
             if native is not None:
-                from img2table_ray.imgops.flac import decode_flac
-
-                s, rate, channels, bits = decode_flac(native)
-                frames = len(s) // channels
-                if frames == 0:
-                    return 0.0, rate, 0.0
-                x = s.astype(np.float64) / float(1 << (bits - 1))
-                return frames / rate, rate, float(np.sqrt(np.mean(x * x)))
+                return _flac_features(native)
             m = parse_ogg(data)
             return m["duration_s"], m["sample_rate"], None
         if data[:4] == b"\x1a\x45\xdf\xa3":
@@ -213,35 +194,18 @@ class AudioFeatureStage(PayloadStage):
             codec, raw = m["codec"], m["payload"]
             rate, channels = m["sample_rate"], m["channels"]
             if codec == "A_FLAC" and m["codec_private"][:4] == b"fLaC":
-                from img2table_ray.imgops.flac import decode_flac
-
-                s, rate, channels, bits = decode_flac(
-                    m["codec_private"] + raw)
-                frames = len(s) // channels
-                if frames == 0:
-                    return 0.0, rate, 0.0
-                x = s.astype(np.float64) / float(1 << (bits - 1))
-                return frames / rate, rate, float(np.sqrt(np.mean(x * x)))
+                return _flac_features(m["codec_private"] + raw)
             if rate and raw and codec.startswith("A_PCM/"):
                 bits = m["bits"] or 16
                 if codec == "A_PCM/FLOAT/IEEE":
-                    dt, w = ("<f4", 4) if bits == 32 else ("<f8", 8)
-                    x = np.frombuffer(raw[: len(raw) - len(raw) % w],
-                                      dt).astype(np.float64)
+                    fmt = "<f4" if bits == 32 else "<f8"
                 elif bits == 16:
-                    dt = "<i2" if codec.endswith("LIT") else ">i2"
-                    x = np.frombuffer(raw[: len(raw) & ~1], dt).astype(
-                        np.float64) / 32768.0
+                    fmt = "<i2" if codec.endswith("LIT") else ">i2"
                 elif bits == 8:  # Matroska 8-bit PCM is unsigned
-                    x = (np.frombuffer(raw, np.uint8).astype(np.float64)
-                         - 128.0) / 128.0
+                    fmt = "u1"
                 else:
                     raise ValueError(f"unsupported A_PCM depth {bits}")
-                frames = len(x) // channels
-                if frames == 0:
-                    return 0.0, rate, 0.0
-                x = x[: frames * channels]
-                return frames / rate, rate, float(np.sqrt(np.mean(x * x)))
+                return _pcm_features(pcm_samples(raw, fmt), rate, channels)
             return m["duration_s"], rate or None, None
         if len(data) > 8 and data[4:8] == b"ftyp":
             # ISO-BMFF audio (.m4a/MOV): PCM and G.711 tracks decode
@@ -250,45 +214,16 @@ class AudioFeatureStage(PayloadStage):
             from img2table_ray.imgops.isobmff import mp4_audio
 
             m = mp4_audio(data)
-            raw, bits = m["payload"], m["bits"]
+            raw, codec = m["payload"], m["codec"]
             rate, channels = m["sample_rate"], m["channels"]
             if raw is None or not rate:
                 return m["duration_s"], rate or None, None
-            codec = m["codec"]
-            if codec in (b"twos", b"sowt"):
-                if bits == 16:
-                    dt = ">i2" if codec == b"twos" else "<i2"
-                    x = np.frombuffer(raw[: len(raw) & ~1], dt).astype(
-                        np.float64) / 32768.0
-                else:  # 8-bit 'twos' is signed
-                    x = np.frombuffer(raw, np.int8).astype(np.float64) / 128.0
-            elif codec == b"raw ":  # Apple 'raw ' = unsigned 8-bit
-                x = (np.frombuffer(raw, np.uint8).astype(np.float64)
-                     - 128.0) / 128.0
-            elif codec in (b"ulaw", b"alaw"):
-                from img2table_ray.imgops.g711 import (alaw_decode,
-                                                       ulaw_decode)
-
-                dec = ulaw_decode if codec == b"ulaw" else alaw_decode
-                x = dec(raw).astype(np.float64) / 32768.0
-            elif codec in (b"fl32", b"fl64"):
-                dt, w = (">f4", 4) if codec == b"fl32" else (">f8", 8)
-                x = np.frombuffer(raw[: len(raw) - len(raw) % w],
-                                  dt).astype(np.float64)
-            elif codec == b"in32":
-                x = np.frombuffer(raw[: len(raw) & ~3], ">i4").astype(
-                    np.float64) / float(1 << 31)
-            else:  # in24: 3-byte big-endian
-                b3 = np.frombuffer(raw[: len(raw) - len(raw) % 3],
-                                   np.uint8).reshape(-1, 3).astype(np.int64)
-                v = (b3[:, 0] << 16) | (b3[:, 1] << 8) | b3[:, 2]
-                v = np.where(v >= 1 << 23, v - (1 << 24), v)
-                x = v.astype(np.float64) / float(1 << 23)
-            frames = len(x) // channels
-            if frames == 0:
-                return 0.0, rate, 0.0
-            x = x[: frames * channels]
-            return frames / rate, rate, float(np.sqrt(np.mean(x * x)))
+            if codec in (b"twos", b"sowt"):  # 8-bit 'twos' is signed
+                fmt = "i1" if m["bits"] != 16 else (
+                    ">i2" if codec == b"twos" else "<i2")
+            else:
+                fmt = _MOV_FORMATS[codec]
+            return _pcm_features(pcm_samples(raw, fmt), rate, channels)
         raise NotImplementedError(
             "compressed audio needs a codec (none in this environment); "
             "WAV/PCM decodes for real")
@@ -477,18 +412,24 @@ class VideoFrameSampleStage(PayloadStage):
                 "decoder library (none in this environment)")
         return fps, len(frames), get, cc.decode("ascii", "replace")
 
+    def _lumas(self, n_frames: int, get) -> list[float]:
+        """Mean luma of ``n_samples`` evenly spaced frames; ``get(i)``
+        returns frame i as (H, W, 3) RGB, so only sampled frames decode."""
+        idx = np.unique(np.linspace(
+            0, n_frames - 1, min(self._n, n_frames)).round().astype(int))
+        lumas = []
+        for i in idx:
+            img = get(int(i)).astype(np.float64)
+            y = (0.299 * img[..., 0] + 0.587 * img[..., 1]
+                 + 0.114 * img[..., 2]) / 255.0
+            lumas.append(round(float(y.mean()), 6))
+        return lumas
+
     def _decode(self, data: bytes):
         if data[:4] == b"RIFF" and data[8:12] == b"AVI ":
             fps, n_frames, get, _ = self._parse_avi(data)
-            idx = np.unique(np.linspace(
-                0, n_frames - 1, min(self._n, n_frames)).round().astype(int))
-            lumas = []
-            for i in idx:
-                img = get(int(i)).astype(np.float64)
-                y = (0.299 * img[..., 0] + 0.587 * img[..., 1]
-                     + 0.114 * img[..., 2]) / 255.0
-                lumas.append(round(float(y.mean()), 6))
-            return round(n_frames / fps, 3), float(fps), n_frames, lumas
+            return (round(n_frames / fps, 3), float(fps), n_frames,
+                    self._lumas(n_frames, get))
         if data[:6] in (b"GIF87a", b"GIF89a"):
             # animated GIF: the most common web "video" needing no
             # external codec.  Frames are DELTAS (disposal/compositing),
@@ -502,15 +443,8 @@ class VideoFrameSampleStage(PayloadStage):
             # delay-0 GIFs render at the conventional 10 cs/frame
             duration = (total_cs if total_cs else 10 * n_frames) / 100.0
             fps = n_frames / duration if duration else 0.0
-            idx = np.unique(np.linspace(
-                0, n_frames - 1, min(self._n, n_frames)).round().astype(int))
-            lumas = []
-            for i in idx:
-                img = frames[int(i)].astype(np.float64)
-                y = (0.299 * img[..., 0] + 0.587 * img[..., 1]
-                     + 0.114 * img[..., 2]) / 255.0
-                lumas.append(round(float(y.mean()), 6))
-            return round(duration, 3), round(fps, 3), n_frames, lumas
+            return (round(duration, 3), round(fps, 3), n_frames,
+                    self._lumas(n_frames, frames.__getitem__))
         from img2table_ray.imgops.apng import is_apng
 
         if is_apng(data):
@@ -525,15 +459,8 @@ class VideoFrameSampleStage(PayloadStage):
             n_frames = len(frames)
             duration = sum(delays) or 0.1 * n_frames
             fps = n_frames / duration
-            idx = np.unique(np.linspace(
-                0, n_frames - 1, min(self._n, n_frames)).round().astype(int))
-            lumas = []
-            for i in idx:
-                img = frames[int(i)].astype(np.float64)
-                y = (0.299 * img[..., 0] + 0.587 * img[..., 1]
-                     + 0.114 * img[..., 2]) / 255.0
-                lumas.append(round(float(y.mean()), 6))
-            return round(duration, 3), round(fps, 3), n_frames, lumas
+            return (round(duration, 3), round(fps, 3), n_frames,
+                    self._lumas(n_frames, frames.__getitem__))
         if len(data) > 8 and data[4:8] == b"ftyp":
             # ISO-BMFF (MP4/MOV): MJPEG-coded tracks decode for REAL
             # (sample tables locate each JPEG, imgops/isobmff.py:
@@ -548,16 +475,8 @@ class VideoFrameSampleStage(PayloadStage):
             except ValueError:
                 codec = None
             if codec in MJPEG_FOURCC:
-                idx = np.unique(np.linspace(
-                    0, n_frames - 1,
-                    min(self._n, n_frames)).round().astype(int))
-                lumas = []
-                for i in idx:
-                    img = decode_jpeg(get(int(i))).astype(np.float64)
-                    y = (0.299 * img[..., 0] + 0.587 * img[..., 1]
-                         + 0.114 * img[..., 2]) / 255.0
-                    lumas.append(round(float(y.mean()), 6))
-                return round(n_frames / fps, 3), float(fps), n_frames, lumas
+                return (round(n_frames / fps, 3), float(fps), n_frames,
+                        self._lumas(n_frames, lambda i: decode_jpeg(get(i))))
             m = parse_mp4(data)
             return m["duration_s"], m["fps"], m["n_frames"], None
         if data[:4] == b"\x1a\x45\xdf\xa3":
@@ -575,17 +494,8 @@ class VideoFrameSampleStage(PayloadStage):
             if codec == "V_MJPEG":
                 from img2table_ray.imgops.jpeg import decode_jpeg
 
-                idx = np.unique(np.linspace(
-                    0, n_frames - 1,
-                    min(self._n, n_frames)).round().astype(int))
-                lumas = []
-                for i in idx:
-                    img = decode_jpeg(get(int(i))).astype(np.float64)
-                    y = (0.299 * img[..., 0] + 0.587 * img[..., 1]
-                         + 0.114 * img[..., 2]) / 255.0
-                    lumas.append(round(float(y.mean()), 6))
-                return (round(n_frames / fps, 3), round(fps, 3),
-                        n_frames, lumas)
+                return (round(n_frames / fps, 3), round(fps, 3), n_frames,
+                        self._lumas(n_frames, lambda i: decode_jpeg(get(i))))
             m = parse_webm(data)
             return m["duration_s"], m["fps"], m["n_frames"], None
         raise NotImplementedError(

@@ -131,3 +131,56 @@ def test_png_deflate_bomb_is_bounded():
     img = decode_image(data)  # first 4x(4*3+1) bytes are valid zero scanlines
     assert img.shape == (4, 4, 3)
     assert not img.any()
+
+
+# An animation keeps one composed canvas per frame, so the frame count
+# alone does not bound memory: a small file with a huge canvas and many
+# 1x1 frames needs frames x canvas pixels.  The child process runs under
+# an address-space limit (its own size + 256 MB) with the pixel cap
+# lowered to 2^22, so a decoder without a frames x canvas budget fails
+# with MemoryError there instead of exhausting the machine.
+_FRAME_BUDGET_CHILD = r"""
+import resource, struct, sys
+import numpy as np
+from img2table_ray.imgops import limits
+from img2table_ray.imgops.apng import apng_frames, encode_apng
+from img2table_ray.imgops.gif import encode_gif, gif_frames
+
+side = 1024  # 2^20-pixel canvas: 3 MB per RGB frame
+px = np.zeros((1, 1, 3), np.uint8)
+if sys.argv[1] == "gif":
+    block = encode_gif(px)[19:-1]  # one 1x1 image descriptor + data
+    data = (b"GIF89a" + struct.pack("<HHBBB", side, side, 0x80, 0, 0)
+            + b"\x00" * 6 + block * 1024 + b"\x3b")
+    decode = gif_frames
+else:
+    one = {"img": np.zeros((1, 1, 4), np.uint8), "delay": (1, 10)}
+    data = encode_apng((side, side), [one] * 512)
+    decode = apng_frames
+vm = next(int(line.split()[1]) for line in open("/proc/self/status")
+          if line.startswith("VmSize:")) << 10
+resource.setrlimit(resource.RLIMIT_AS, (vm + (256 << 20),) * 2)
+limits.MAX_PIXELS = 1 << 22
+try:
+    decode(data)
+except limits.DecodeLimitError:
+    print("limit")
+except MemoryError:
+    print("memory")
+else:
+    print("decoded")
+"""
+
+
+@pytest.mark.parametrize("fmt", ["gif", "apng"])
+def test_animation_frames_times_canvas_is_bounded(fmt):
+    import os
+    import subprocess
+    import sys
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", _FRAME_BUDGET_CHILD, fmt], cwd=repo,
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+    assert out.stdout.split()[-1:] == ["limit"], out.stderr[-2000:]

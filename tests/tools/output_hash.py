@@ -8,11 +8,13 @@ scale-factor directory (e.g. ``.../testdata/sf0.1``).  The query runs in
 a local Ray session of ``NUM_CPUS`` CPUs.  Binary cells are written as
 hex and list cells as JSON arrays, both as strings; the output is then
 sorted by its key columns (those of url, doc_id, page and table_idx it
-has) followed by every other column, written as pandas JSON lines (one
-record per row) and hashed with sha256.  Prints one line: query, sf, row
-count, status counts when the output has a ``status`` column, and the
-hash.  Run it on both sides of a change with the same arguments and
-compare the hashes.
+has) followed by every other column.  Float cells are then written as
+their shortest round-trip ``repr`` strings, so every bit of a float64
+counts (pandas' own JSON writer keeps only 10 significant digits).  The
+output is written as pandas JSON lines (one record per row) and hashed
+with sha256.  Prints one line: query, sf, row count, status counts when
+the output has a ``status`` column, and the hash.  Run it on both sides
+of a change with the same arguments and compare the hashes.
 """
 
 from __future__ import annotations
@@ -37,7 +39,10 @@ NUM_CPUS = 4
 
 
 def _cell(value):
-    """A binary or list cell as a string that JSON and sorting both take."""
+    """A binary, list or float cell as a string that JSON and sorting
+    both take; floats keep every bit."""
+    if isinstance(value, float):
+        return repr(float(value))
     if isinstance(value, (bytes, bytearray)):
         return value.hex()
     if isinstance(value, (list, tuple, np.ndarray)):
@@ -72,6 +77,8 @@ def main() -> int:
     keys = [c for c in KEY_COLUMNS if c in df.columns]
     keys += [c for c in df.columns if c not in keys]
     df = df.sort_values(keys, kind="mergesort").reset_index(drop=True)
+    for col in df.select_dtypes("floating").columns:
+        df[col] = df[col].map(_cell)
     status = ""
     if "status" in df.columns:
         counts = df["status"].value_counts().sort_index()
