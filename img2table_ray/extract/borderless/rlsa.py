@@ -1,8 +1,12 @@
 """Text-mask identification via adaptive RLSA (ref: src/img2table/tables/
 processing/borderless_tables/layout/rlsa.py, after Nikolaou et al. 2010
 "Segmentation of historical machine-printed documents using Adaptive Run
-Length Smoothing" — public algorithm).  numba kernels -> numpy/Python with
-row-run vectorization.
+Length Smoothing" — public algorithm).  The reference's numba kernels
+become whole-image numpy: ``adaptive_rlsa`` takes every consecutive
+same-row pixel pair of the label image at once (one gather for the band
+check, one scatter for the fills), and ``find_obstacles`` finds every
+column's empty runs from the steps of one flat transposed mask.  Their
+loop forms are kept as oracles in tests/test_vectorized_kernels.py.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import numpy as np
 
 from img2table_ray.core.objects import Line, Table
 from img2table_ray.imgops.ccl import connected_components_with_stats
-from img2table_ray.imgops.kernels import dilate, erode, window_sum
+from img2table_ray.imgops.kernels import _slide_extreme_axis, dilate, erode
 
 
 def remove_noise(cc: np.ndarray, cc_stats: np.ndarray, average_height: float,
@@ -37,85 +41,91 @@ def adaptive_rlsa(cc: np.ndarray, cc_stats: np.ndarray, a: float, th: float,
                   c: float) -> np.ndarray:
     """(ref rlsa.py:54-118) run-length smoothing between horizontally
     adjacent CCs subject to distance / height-ratio / overlap / no-other-CC
-    conditions.  Vectorized over consecutive nonzero pixels per row."""
+    conditions, over all consecutive same-row pixel pairs at once."""
     rsla_img = (cc > 0).astype(np.uint8)
     h, w = cc.shape
-    x1s = cc_stats[:, 0]
     y1s = cc_stats[:, 1]
-    ws = cc_stats[:, 2]
     hs = cc_stats[:, 3]
 
-    for row in range(h):
-        cc_row = cc[row]
-        cols = np.nonzero(cc_row)[0]
-        if len(cols) < 2:
-            continue
-        labs = cc_row[cols]
-        prev_cols, cur_cols = cols[:-1], cols[1:]
-        prev_labs, cur_labs = labs[:-1], labs[1:]
+    # consecutive nonzero pixels of one row, as row-major flat indices;
+    # pairs with an obstacle pixel (-1) never fill — the reference skips
+    # them before the same-label branch (rlsa.py:80-82)
+    flat = cc.reshape(-1)
+    idx = np.flatnonzero(flat)
+    labs = flat[idx]
+    pair = np.flatnonzero((labs[:-1] != -1) & (labs[1:] != -1))
+    row = idx[pair + 1] // w
+    keep = idx[pair] // w == row
+    pair, row = pair[keep], row[keep]
+    start, stop = idx[pair], idx[pair + 1]
+    prev_labs, cur_labs = labs[pair], labs[pair + 1]
 
-        # same-label fills (gap inside one CC, e.g. hollow glyphs);
-        # obstacle pixels (-1) never fill — the reference skips them before
-        # the same-label branch (rlsa.py:80-82)
-        same = (prev_labs == cur_labs) & (prev_labs != -1)
-        for p, q in zip(prev_cols[same], cur_cols[same]):
-            rsla_img[row, p:q] = 1
+    # same-label pairs (gap inside one CC, e.g. hollow glyphs) always fill;
+    # the others are candidates
+    fill = prev_labs == cur_labs
+    cand = np.flatnonzero(~fill)
+    pl = prev_labs[cand].astype(np.int64)
+    cl = cur_labs[cand].astype(np.int64)
+    p = start[cand] - row[cand] * w
+    length = stop[cand] - start[cand] - 1
+    hc, hp = hs[cl], hs[pl]
+    height_ratio = np.maximum(hc, hp) / np.maximum(np.minimum(hc, hp), 1)
+    h_overlap = np.minimum(y1s[cl] + hc, y1s[pl] + hp) - np.maximum(y1s[cl], y1s[pl])
+    ok = np.flatnonzero(
+        (length <= a * np.minimum(hc, hp))
+        & (height_ratio <= th)
+        & (h_overlap >= c * np.minimum(hc, hp))
+    )
 
-        # candidate pairs: different labels, neither is an obstacle (-1)
-        cand = (~same) & (prev_labs != -1) & (cur_labs != -1)
-        if not cand.any():
-            continue
-        pl = prev_labs[cand].astype(np.int64)
-        cl = cur_labs[cand].astype(np.int64)
-        p = prev_cols[cand]
-        q = cur_cols[cand]
-        length = q - p - 1
-        hc, hp = hs[cl], hs[pl]
-        height_ratio = np.maximum(hc, hp) / np.maximum(np.minimum(hc, hp), 1)
-        h_overlap = np.minimum(y1s[cl] + hc, y1s[pl] + hp) - np.maximum(y1s[cl], y1s[pl])
-        ok = (
-            (length <= a * np.minimum(hc, hp))
-            & (height_ratio <= th)
-            & (h_overlap >= c * np.minimum(hc, hp))
-        )
-        if not ok.any():
-            continue
-        ylo = max(0, row - 2)
-        yhi = min(row + 3, h)
-        for i in np.where(ok)[0]:
-            # no-other-CC check in the +-2 row band between the two CCs
-            window = cc[ylo:yhi, p[i] + 1 : q[i]]
-            allowed = {-1, 0, int(cl[i]), int(pl[i])}
-            others = np.unique(window)
-            if all(int(v) in allowed for v in others):
-                rsla_img[row, p[i] : q[i]] = 1
+    # no-other-CC check in the +-2 row band between the two CCs: one gather
+    # of cc[row-2:row+3, p+1:q] for every gap (rows clipped to the image,
+    # which only repeats rows already in the band)
+    gap = length[ok]
+    owner = np.repeat(np.arange(len(ok)), gap)
+    cols = np.repeat(p[ok] + 1 - (np.cumsum(gap) - gap), gap) + np.arange(len(owner))
+    rows = np.clip(row[cand[ok]][owner, None] + np.arange(-2, 3), 0, h - 1)
+    vals = cc[rows, cols[:, None]]
+    other = ((vals > 0) & (vals != cl[ok][owner, None])
+             & (vals != pl[ok][owner, None])).any(axis=1)
+    clear = np.ones(len(ok), dtype=bool)
+    clear[owner[other]] = False
+    fill[cand[ok[clear]]] = True
+
+    # fill [p, q) of every filling pair as one index scatter
+    start, n = start[fill], stop[fill] - start[fill]
+    at = np.repeat(start - (np.cumsum(n) - n), n) + np.arange(int(n.sum()))
+    rsla_img.reshape(-1)[at] = 1
     return rsla_img
 
 
 def find_obstacles(img: np.ndarray, min_width: float) -> np.ndarray:
     """(ref rlsa.py:121-159) vertical empty corridors of width >= min_width
     and height > h/5."""
-    mask = np.zeros(img.shape, dtype=bool)
     min_width = int(np.ceil(min_width))
     h, w = img.shape
     if w <= min_width:
-        return mask
-    # windowed any over [col, col+min_width) for cols 0..w-min_width-1
+        return np.zeros(img.shape, dtype=bool)
+    # windowed any over [col, col+min_width) for cols 0..w-min_width-1, one
+    # row per image column so that its runs lie along the fast axis; rows
+    # -1 and h count as set (the reference's leading gap, and its trailing
+    # gap up to the last loop row h-1), as do columns w-min_width..w-1
     on = (img > 0).astype(np.uint8)
-    s = window_sum(on, min_width, 1, ax=0, ay=0)  # anchor at window start
-    has = s[:, : w - min_width] > 0  # (h, w-min_width)
+    has = np.ones((w, h + 2), dtype=np.int8)
+    has[: w - min_width, 1:-1] = _slide_extreme_axis(
+        on, min_width, 0, axis=1, is_max=True)[:, : w - min_width].T
 
-    for col in range(w - min_width):
-        rows = np.nonzero(has[:, col])[0]
-        prev = -1
-        for r in rows:
-            if r - prev - 1 > h / 5:
-                mask[prev + 1 : r, col : col + min_width] = True
-            prev = r
-        # trailing gap (reference keeps the last loop row h-1)
-        if (h - 1) - prev > h / 5:
-            mask[prev + 1 : h, col : col + min_width] = True
-    return mask
+    # empty runs [start, stop): each follows a 1 -> 0 step and ends at a
+    # 0 -> 1 step; those longer than h/5 are gaps
+    step = np.flatnonzero(np.diff(has.reshape(-1)))
+    start, stop = step[0::2] + 1, step[1::2] + 1
+    long = stop - start > h / 5
+    edge = np.zeros(has.size, dtype=np.int8)
+    edge[start[long]] = 1
+    edge[stop[long]] = -1
+    gaps = np.cumsum(edge, dtype=np.int8).view(np.uint8).reshape(w, h + 2)[:, 1:-1]
+    # each gap column marks itself and the min_width - 1 columns after it
+    gaps = _slide_extreme_axis(gaps, min_width, min_width - 1, axis=0, is_max=True)
+    return np.ascontiguousarray(gaps.T).view(bool)
 
 
 def get_text_mask(thresh: np.ndarray, cc_stats_rlsa: np.ndarray, char_length: float,

@@ -273,11 +273,9 @@ def gif_frames(data: bytes, max_frames: int = 1024):
     for ``VideoFrameSampleStage`` (animated GIF is the most common web
     "video" that needs no external codec)."""
     sw, sh, bg_idx, gct, images = _walk(data)
-    if gct is not None and bg_idx < len(gct):
-        canvas = np.tile(gct[bg_idx], (sh, sw, 1)).astype(np.uint8)
-    else:
-        canvas = np.full((sh, sw, 3), 255, np.uint8)
-    background = canvas.copy()
+    background = gct[bg_idx] if gct is not None and bg_idx < len(gct) else 255
+    canvas = np.empty((sh, sw, 3), np.uint8)
+    canvas[:] = background
 
     frames: list[np.ndarray] = []
     delays: list[int] = []
@@ -285,7 +283,8 @@ def gif_frames(data: bytes, max_frames: int = 1024):
         check_frames(len(frames) + 1, sw, sh, "GIF animation")
         ys = slice(im.top, im.top + im.h)
         xs = slice(im.left, im.left + im.w)
-        before = canvas.copy() if im.disposal == 3 else None
+        if im.disposal == 3:
+            saved = canvas[ys, xs].copy()
         rgb = im.ct[im.idx]
         if im.transparent is not None and im.transparent < len(im.ct):
             rgb = np.where((im.idx == im.transparent)[:, :, None],
@@ -294,9 +293,9 @@ def gif_frames(data: bytes, max_frames: int = 1024):
         frames.append(canvas.copy())
         delays.append(im.delay_cs)
         if im.disposal == 2:
-            canvas[ys, xs] = background[ys, xs]
+            canvas[ys, xs] = background
         elif im.disposal == 3:
-            canvas = before
+            canvas[ys, xs] = saved
     if not frames:
         raise GifError("GIF contains no image data")
     return frames, delays

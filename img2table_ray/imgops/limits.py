@@ -60,8 +60,10 @@ def bounded_decompress(data: bytes, expected: int | None = None,
     most that many bytes), decompression simply STOPS at ``expected``
     bytes: byte-identical to the old decompress-then-slice for every
     well-formed stream, without materializing a bomb's tail.  Without it
-    (PDF streams, where no a-priori size exists), output beyond
-    ``MAX_STREAM_BYTES`` raises ``DecodeLimitError`` instead.
+    (PDF streams, where no a-priori size exists), a stream that has not
+    ended within ``MAX_STREAM_BYTES`` of output raises ``DecodeLimitError``
+    instead.  So does a stream cut short, as with ``zlib.decompress``:
+    its partial output would read as silently short content.
     """
     import zlib
 
@@ -69,8 +71,10 @@ def bounded_decompress(data: bytes, expected: int | None = None,
     if expected is not None:
         return d.decompress(data, expected)
     out = d.decompress(data, MAX_STREAM_BYTES)
-    if d.unconsumed_tail and d.decompress(d.unconsumed_tail, 1):
-        raise DecodeLimitError(
-            f"{what}: decompressed output exceeds {MAX_STREAM_BYTES} bytes"
-        )
+    if not d.eof:
+        if len(out) == MAX_STREAM_BYTES:
+            raise DecodeLimitError(
+                f"{what}: decompressed output exceeds {MAX_STREAM_BYTES} bytes"
+            )
+        raise DecodeLimitError(f"{what}: truncated deflate stream")
     return out

@@ -199,8 +199,8 @@ class AudioFeatureStage(PayloadStage):
                 bits = m["bits"] or 16
                 if codec == "A_PCM/FLOAT/IEEE":
                     fmt = "<f4" if bits == 32 else "<f8"
-                elif bits == 16:
-                    fmt = "<i2" if codec.endswith("LIT") else ">i2"
+                elif bits in (16, 24, 32):
+                    fmt = ("<" if codec.endswith("LIT") else ">") + f"i{bits // 8}"
                 elif bits == 8:  # Matroska 8-bit PCM is unsigned
                     fmt = "u1"
                 else:
@@ -219,8 +219,11 @@ class AudioFeatureStage(PayloadStage):
             if raw is None or not rate:
                 return m["duration_s"], rate or None, None
             if codec in (b"twos", b"sowt"):  # 8-bit 'twos' is signed
-                fmt = "i1" if m["bits"] != 16 else (
-                    ">i2" if codec == b"twos" else "<i2")
+                bits = m["bits"]
+                if bits not in (8, 16, 24, 32):
+                    raise ValueError(f"unsupported {codec.decode()} depth {bits}")
+                fmt = "i1" if bits == 8 else (
+                    (">" if codec == b"twos" else "<") + f"i{bits // 8}")
             else:
                 fmt = _MOV_FORMATS[codec]
             return _pcm_features(pcm_samples(raw, fmt), rate, channels)

@@ -120,6 +120,23 @@ def test_bounded_decompress_caps_unsized_streams():
         bounded_decompress(bomb)
 
 
+def test_bounded_decompress_rejects_truncated_streams():
+    import zlib as z
+
+    from img2table_ray.extract.pdftext import _Stream
+    from img2table_ray.imgops.limits import bounded_decompress
+
+    payload = bytes(range(256)) * 64
+    whole = z.compress(payload)
+    assert bounded_decompress(whole) == payload
+    for cut in (1, 4, len(whole) // 2):
+        with pytest.raises(DecodeLimitError, match="truncated"):
+            bounded_decompress(whole[:-cut])
+        # a PDF FlateDecode stream cut short is an error, not short content
+        with pytest.raises(DecodeLimitError, match="truncated"):
+            _Stream({"Filter": "FlateDecode"}, whole[:-cut]).decoded()
+
+
 def test_png_deflate_bomb_is_bounded():
     # tiny PNG dims but IDAT that inflates to 100 MB: decode must not
     # materialize the bomb; it fails the normal way or succeeds on the
@@ -184,3 +201,46 @@ def test_animation_frames_times_canvas_is_bounded(fmt):
         capture_output=True, text=True, timeout=300,
         env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
     assert out.stdout.split()[-1:] == ["limit"], out.stderr[-2000:]
+
+
+# A disposal-3 frame restores only its own region, and disposal 2 paints
+# the background colour, so the walk holds the working canvas and the
+# stored frames, not a background copy and a whole saved canvas beside
+# them.  The child prints its peak-RSS growth over one 1x1 disposal-3
+# frame on a 4096x4096 canvas (48 MB).  It reads its own VmHWM:
+# getrusage's ru_maxrss also counts the forking test process's peak.
+_GIF_DISPOSAL_CHILD = r"""
+import struct
+import numpy as np
+from img2table_ray.imgops.gif import encode_gif, gif_frames
+
+def peak_rss():
+    return next(int(line.split()[1]) for line in open("/proc/self/status")
+                if line.startswith("VmHWM:")) << 10
+
+side = 4096
+block = encode_gif(np.zeros((1, 1, 3), np.uint8))[19:-1]
+gce = b"\x21\xf9\x04" + bytes([3 << 2, 0, 0, 0]) + b"\x00"
+data = (b"GIF89a" + struct.pack("<HHBBB", side, side, 0x80, 0, 0)
+        + b"\x00" * 6 + gce + block + b"\x3b")
+before = peak_rss()
+frames, _ = gif_frames(data)
+assert len(frames) == 1 and frames[0].shape == (side, side, 3)
+print(peak_rss() - before)
+"""
+
+
+def test_gif_disposal_holds_no_extra_canvas():
+    import os
+    import subprocess
+    import sys
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", _GIF_DISPOSAL_CHILD], cwd=repo,
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+    assert out.returncode == 0, out.stderr[-2000:]
+    canvas = 4096 * 4096 * 3
+    # the canvas and the one stored frame; the old walk peaked at ~4
+    assert int(out.stdout.split()[-1]) < 2.5 * canvas

@@ -89,7 +89,8 @@ def _au(enc: int, ch: int, raw: bytes) -> bytes:
     return b".snd" + struct.pack(">IIIII", 24, len(raw), enc, RATE, ch) + raw
 
 
-def _mov(codec: bytes, bits: int, ch: int, raw: bytes) -> bytes:
+def _mov(codec: bytes, bits: int, ch: int, raw: bytes,
+         rate: int = RATE) -> bytes:
     from img2table_ray.imgops.isobmff import _mov_audio_boxes
 
     bpf = max(1, bits // 8) * ch
@@ -99,7 +100,7 @@ def _mov(codec: bytes, bits: int, ch: int, raw: bytes) -> bytes:
             + struct.pack(">I", 0) + b"qt  ")
     mdat = struct.pack(">I", len(raw) + 8) + b"mdat" + raw
     return ftyp + mdat + _mov_audio_boxes(
-        codec, RATE, ch, bits, frames, [raw[:cut], raw[cut:]], len(ftyp) + 8)
+        codec, rate, ch, bits, frames, [raw[:cut], raw[cut:]], len(ftyp) + 8)
 
 
 def _ebml(eid: int, body: bytes) -> bytes:
@@ -148,6 +149,11 @@ CASES = [
     ("mkv", ("A_PCM/INT/BIG", 8), "u1"),
     ("mkv", ("A_PCM/FLOAT/IEEE", 32), "<f4"),
     ("mkv", ("A_PCM/FLOAT/IEEE", 64), "<f8"),
+    # 24- and 32-bit integer PCM in MOV and Matroska
+    ("mov", (b"twos", 24), ">i3"), ("mov", (b"twos", 32), ">i4"),
+    ("mov", (b"sowt", 24), "<i3"), ("mov", (b"sowt", 32), "<i4"),
+    ("mkv", ("A_PCM/INT/LIT", 24), "<i3"), ("mkv", ("A_PCM/INT/BIG", 24), ">i3"),
+    ("mkv", ("A_PCM/INT/LIT", 32), "<i4"), ("mkv", ("A_PCM/INT/BIG", 32), ">i4"),
 ]
 
 
@@ -182,6 +188,28 @@ def test_pcm_decode_is_exact(container, header, fmt, channels):
     x = ref[: frames * channels]
     want = (frames / RATE, RATE, float(np.sqrt(np.mean(x * x))))
     assert AudioFeatureStage()._decode(blob) == want
+
+
+def test_mov_24bit_twos_reads_its_duration():
+    # 0.5 s of a 440 Hz tone at 8 kHz, 24-bit big-endian 'twos'
+    from img2table_ray.pipelines.multimodal import AudioFeatureStage
+
+    t = np.arange(4000) / 8000.0
+    v = np.round(np.sin(2 * np.pi * 440 * t) * 0.5 * (1 << 23)).astype(np.int64)
+    raw = np.stack([(v >> 16) & 0xFF, (v >> 8) & 0xFF, v & 0xFF],
+                   axis=1).astype(np.uint8).tobytes()
+    dur, rate, rms = AudioFeatureStage()._decode(_mov(b"twos", 24, 1, raw,
+                                                      rate=8000))
+    assert (dur, rate) == (0.5, 8000)
+    assert rms == pytest.approx(0.5 / np.sqrt(2), rel=1e-3)
+
+
+@pytest.mark.parametrize("bits", [12, 20, 64])
+def test_mov_twos_rejects_other_depths(bits):
+    from img2table_ray.pipelines.multimodal import AudioFeatureStage
+
+    with pytest.raises(ValueError, match="depth"):
+        AudioFeatureStage()._decode(_mov(b"twos", bits, 1, b"\x00" * 96))
 
 
 def test_g711_reference_matches_the_spec_tables():

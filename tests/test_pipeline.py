@@ -792,13 +792,24 @@ def test_video_gif_animation_real():
     gif += b"\x21\xf9\x04" + bytes([(2 << 2) | 1, 5, 0, 0]) + b"\x00"
     # frame 2: 2x2 at (1,1), indices [[1,0],[0,1]] -> 0 keeps canvas
     gif += img_block(1, 1, 2, 2, [1, 0, 0, 1])
+    # frame 3: GCE disposal 3, a 1x1 red pixel at (0,0); frame 4: 1x1 at (3,2)
+    gif += b"\x21\xf9\x04" + bytes([3 << 2, 0, 0, 0]) + b"\x00"
+    gif += img_block(0, 0, 1, 1, [1])
+    gif += img_block(3, 2, 1, 1, [1])
     gif += b"\x3b"
     fs2, ds2 = gif_frames(bytes(gif))
-    assert len(fs2) == 2 and ds2 == [0, 5]
-    assert (fs2[0] == [0x10, 0x20, 0x30]).all()
+    assert len(fs2) == 4 and ds2 == [0, 5, 0, 0]
+    bg = (0x10, 0x20, 0x30)
+    assert (fs2[0] == bg).all()
     assert tuple(fs2[1][1, 1]) == (255, 0, 0)      # index 1 drawn
-    assert tuple(fs2[1][1, 2]) == (0x10, 0x20, 0x30)  # transparent keeps
+    assert tuple(fs2[1][1, 2]) == bg               # transparent keeps
     assert tuple(fs2[1][2, 2]) == (255, 0, 0)
+    # disposal 2 painted frame 2's region with the background colour
+    assert tuple(fs2[2][0, 0]) == (255, 0, 0)
+    assert (np.delete(fs2[2].reshape(-1, 3), 0, axis=0) == bg).all()
+    # disposal 3 restored frame 3's region to the canvas before it
+    assert tuple(fs2[3][2, 3]) == (255, 0, 0)
+    assert (fs2[3].reshape(-1, 3)[:-1] == bg).all()
 
     # stage path: synth clip fps/duration from the GCE delay family
     st = VideoFrameSampleStage(n_samples=3)

@@ -1,8 +1,8 @@
 """Differential pins for vectorized kernels against their loop forms.
 
 The vectorized implementations (imgops/ccl.py, extract/metrics.py,
-extract/borderless/whitespaces.py) replaced straight ports of the
-reference's numba kernels.  Each test re-states the LOOP form inline
+extract/borderless/whitespaces.py, extract/borderless/rlsa.py) replaced
+straight ports of the reference's numba kernels.  Each test re-states the LOOP form inline
 (matching the reference line-for-line) and asserts bit-identical output
 on randomized inputs, so any future change to the vectorized code that
 drifts from the reference semantics fails here rather than only in the
@@ -12,10 +12,13 @@ end-to-end goldens.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
+from img2table_ray.extract.borderless import rlsa
 from img2table_ray.extract.borderless.whitespaces import compute_whitespaces
 from img2table_ray.extract.metrics import create_character_thresh
 from img2table_ray.imgops.ccl import connected_components_with_stats
+from img2table_ray.imgops.kernels import window_sum
 
 
 def _ccl_bfs(binary: np.ndarray):
@@ -198,3 +201,207 @@ def test_compute_whitespaces_matches_loop_form():
                                   continuous=continuous)
         want = _ws_loop(arr, min_width, min_height, total_height, continuous)
         assert got == want
+
+
+def _adaptive_rlsa_loop(cc, cc_stats, a, th, c):
+    """Row-loop form of adaptive_rlsa (ref rlsa.py:54-118): one pass per
+    image row, one ``np.unique`` per candidate gap."""
+    rsla_img = (cc > 0).astype(np.uint8)
+    h, w = cc.shape
+    x1s = cc_stats[:, 0]
+    y1s = cc_stats[:, 1]
+    ws = cc_stats[:, 2]
+    hs = cc_stats[:, 3]
+
+    for row in range(h):
+        cc_row = cc[row]
+        cols = np.nonzero(cc_row)[0]
+        if len(cols) < 2:
+            continue
+        labs = cc_row[cols]
+        prev_cols, cur_cols = cols[:-1], cols[1:]
+        prev_labs, cur_labs = labs[:-1], labs[1:]
+
+        # same-label fills (gap inside one CC, e.g. hollow glyphs);
+        # obstacle pixels (-1) never fill — the reference skips them before
+        # the same-label branch (rlsa.py:80-82)
+        same = (prev_labs == cur_labs) & (prev_labs != -1)
+        for p, q in zip(prev_cols[same], cur_cols[same]):
+            rsla_img[row, p:q] = 1
+
+        # candidate pairs: different labels, neither is an obstacle (-1)
+        cand = (~same) & (prev_labs != -1) & (cur_labs != -1)
+        if not cand.any():
+            continue
+        pl = prev_labs[cand].astype(np.int64)
+        cl = cur_labs[cand].astype(np.int64)
+        p = prev_cols[cand]
+        q = cur_cols[cand]
+        length = q - p - 1
+        hc, hp = hs[cl], hs[pl]
+        height_ratio = np.maximum(hc, hp) / np.maximum(np.minimum(hc, hp), 1)
+        h_overlap = np.minimum(y1s[cl] + hc, y1s[pl] + hp) - np.maximum(y1s[cl], y1s[pl])
+        ok = (
+            (length <= a * np.minimum(hc, hp))
+            & (height_ratio <= th)
+            & (h_overlap >= c * np.minimum(hc, hp))
+        )
+        if not ok.any():
+            continue
+        ylo = max(0, row - 2)
+        yhi = min(row + 3, h)
+        for i in np.where(ok)[0]:
+            # no-other-CC check in the +-2 row band between the two CCs
+            window = cc[ylo:yhi, p[i] + 1 : q[i]]
+            allowed = {-1, 0, int(cl[i]), int(pl[i])}
+            others = np.unique(window)
+            if all(int(v) in allowed for v in others):
+                rsla_img[row, p[i] : q[i]] = 1
+    return rsla_img
+
+
+def _find_obstacles_loop(img, min_width):
+    """Column-loop form of find_obstacles (ref rlsa.py:121-159)."""
+    mask = np.zeros(img.shape, dtype=bool)
+    min_width = int(np.ceil(min_width))
+    h, w = img.shape
+    if w <= min_width:
+        return mask
+    # windowed any over [col, col+min_width) for cols 0..w-min_width-1
+    on = (img > 0).astype(np.uint8)
+    s = window_sum(on, min_width, 1, ax=0, ay=0)  # anchor at window start
+    has = s[:, : w - min_width] > 0  # (h, w-min_width)
+
+    for col in range(w - min_width):
+        rows = np.nonzero(has[:, col])[0]
+        prev = -1
+        for r in rows:
+            if r - prev - 1 > h / 5:
+                mask[prev + 1 : r, col : col + min_width] = True
+            prev = r
+        # trailing gap (reference keeps the last loop row h-1)
+        if (h - 1) - prev > h / 5:
+            mask[prev + 1 : h, col : col + min_width] = True
+    return mask
+
+
+RLSA_PARAMS = [(1, 3.5, 0.4), (5, 3.5, 0.4), (1.25, 3.5, 0.4), (40, 1e9, -1e9)]
+OBSTACLE_WIDTHS = [1, 2.5, 7, 11]
+
+
+def _random_labels(rng, h, w, obstacles):
+    """CCL labels of a sparse random glyph image, some zeroed as noise,
+    optionally with -1 obstacle pixels laid over them."""
+    img = np.zeros((h, w), dtype=np.uint8)
+    for _ in range(int(rng.integers(1, 30))):
+        y, x = rng.integers(0, h), rng.integers(0, w)
+        gh, gw = rng.integers(1, 8, 2)
+        img[y : y + gh, x : x + gw] = 255
+    img[rng.random((h, w)) < 0.05] = 0
+    _, cc, stats = connected_components_with_stats(img)
+    drop = rng.random(len(stats)) < 0.1
+    drop[0] = False
+    cc[drop[cc]] = 0
+    if obstacles:
+        cc[rng.random((h, w)) < rng.uniform(0.01, 0.2)] = -1
+        y, x = rng.integers(0, h), rng.integers(0, w)
+        cc[:, x : x + int(rng.integers(1, 4))] = -1
+        cc[y : y + int(rng.integers(1, 3)), :] = -1
+    return cc, stats
+
+
+@pytest.mark.parametrize("obstacles", [False, True])
+@pytest.mark.parametrize("params", RLSA_PARAMS)
+def test_adaptive_rlsa_matches_loop_form(params, obstacles):
+    rng = np.random.default_rng(17)
+    for _ in range(60):
+        h, w = (int(v) for v in rng.integers(1, 60, 2))
+        cc, stats = _random_labels(rng, h, w, obstacles)
+        got = rlsa.adaptive_rlsa(cc, stats, *params)
+        want = _adaptive_rlsa_loop(cc, stats, *params)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+def test_find_obstacles_matches_loop_form():
+    rng = np.random.default_rng(23)
+    for _ in range(80):
+        h, w = (int(v) for v in rng.integers(1, 70, 2))
+        img = (rng.random((h, w)) < rng.uniform(0, 0.3)).astype(np.uint8) * 255
+        for mw in OBSTACLE_WIDTHS + [w, w + 3]:
+            assert np.array_equal(rlsa.find_obstacles(img, mw),
+                                  _find_obstacles_loop(img, mw))
+
+
+def test_rlsa_edge_cases():
+    stats = np.array([[0, 0, 5, 5, 25], [0, 0, 1, 1, 1], [1, 0, 1, 1, 1]],
+                     dtype=np.int32)
+    label_images = [
+        np.zeros((0, 0), dtype=np.int32),
+        np.zeros((0, 5), dtype=np.int32),
+        np.zeros((5, 0), dtype=np.int32),
+        np.array([[1, 2, 0, 0, 1, 1, 0, 2]], dtype=np.int32),   # one row
+        np.array([[1], [2], [0], [1]], dtype=np.int32),         # one column
+        np.array([[1, 2, 1, -1, 2, 2, -1, -1]], dtype=np.int32),  # zero-length gaps
+        np.full((3, 4), -1, dtype=np.int32),
+    ]
+    for cc in label_images:
+        for params in RLSA_PARAMS:
+            assert np.array_equal(rlsa.adaptive_rlsa(cc, stats, *params),
+                                  _adaptive_rlsa_loop(cc, stats, *params))
+
+    full = np.full((20, 9), 255, dtype=np.uint8)      # no column has a gap
+    empty = np.zeros((20, 9), dtype=np.uint8)        # every column is all gap
+    part = empty.copy()
+    part[[0, 19], :] = 255                           # gaps touch neither edge
+    part[5, 3] = 255
+    images = [full, empty, part, empty[:1], empty[:, :1], full[:1], empty[:0]]
+    for img in images:
+        for mw in OBSTACLE_WIDTHS + [img.shape[1], img.shape[1] + 1]:
+            assert np.array_equal(rlsa.find_obstacles(img, mw),
+                                  _find_obstacles_loop(img, mw))
+
+
+BORDERLESS_FIXTURES = ["borderless.png", "test.png", "dark.png"]
+
+
+def _table_image(name):
+    from img2table_ray.extract.document import TableImage
+    from img2table_ray.fixtures import fixture_bytes
+    from img2table_ray.imgops.png import decode_image
+
+    return TableImage(img=decode_image(fixture_bytes(name)))
+
+
+@pytest.mark.parametrize("name", BORDERLESS_FIXTURES)
+def test_rlsa_matches_loop_form_on_fixture_intermediates(name, monkeypatch):
+    """Every adaptive_rlsa / find_obstacles input the borderless path builds
+    for a vendored page, checked against the loop forms."""
+    calls = {"rlsa": [], "obstacles": []}
+    rlsa_fn, obstacles_fn = rlsa.adaptive_rlsa, rlsa.find_obstacles
+
+    def record_rlsa(cc, cc_stats, a, th, c):
+        calls["rlsa"].append((cc.copy(), cc_stats.copy(), a, th, c))
+        return rlsa_fn(cc=cc, cc_stats=cc_stats, a=a, th=th, c=c)
+
+    def record_obstacles(img, min_width):
+        calls["obstacles"].append((img.copy(), min_width))
+        return obstacles_fn(img=img, min_width=min_width)
+
+    monkeypatch.setattr(rlsa, "adaptive_rlsa", record_rlsa)
+    monkeypatch.setattr(rlsa, "find_obstacles", record_obstacles)
+    _table_image(name).extract_tables(borderless_tables=True)
+    assert calls["rlsa"] and calls["obstacles"]
+    for cc, stats, a, th, c in calls["rlsa"]:
+        assert np.array_equal(rlsa_fn(cc, stats, a, th, c),
+                              _adaptive_rlsa_loop(cc, stats, a, th, c))
+    for img, mw in calls["obstacles"]:
+        assert np.array_equal(obstacles_fn(img, mw), _find_obstacles_loop(img, mw))
+
+
+@pytest.mark.parametrize("name", BORDERLESS_FIXTURES)
+def test_borderless_tables_match_loop_forms(name, monkeypatch):
+    got = _table_image(name).extract_tables(borderless_tables=True)
+    monkeypatch.setattr(rlsa, "adaptive_rlsa", _adaptive_rlsa_loop)
+    monkeypatch.setattr(rlsa, "find_obstacles", _find_obstacles_loop)
+    assert got == _table_image(name).extract_tables(borderless_tables=True)
