@@ -11,11 +11,10 @@ import numpy as np
 from img2table_ray.core.objects import Cell, Line
 from img2table_ray.imgops.ccl import connected_components_with_stats
 from img2table_ray.imgops.kernels import (
-    bilateral3_color,
+    bilateral3_gray,
     laplacian3_abs,
     morph_close,
     morph_open,
-    rgb2gray,
 )
 
 
@@ -80,16 +79,15 @@ def detect_lines(img: np.ndarray, contours: Optional[list[Cell]],
     """(ref lines.py:87-120): bilateral blur -> Laplacian edges -> zero out
     text contours -> binarize at min(2.5*mean, max) -> directional line
     identification."""
-    blur = bilateral3_color(img, 40.0, 80.0)
-    gray = rgb2gray(blur)
+    gray = bilateral3_gray(img, 40.0, 80.0)
 
     edge_img = laplacian3_abs(gray)
 
     for c in contours:
         edge_img[c.y1 - 1 : c.y2 + 1, c.x1 - 1 : c.x2 + 1] = 0
     binary_img = (
-        255 * (edge_img >= min(2.5 * np.mean(edge_img), np.max(edge_img)))
-    ).astype(np.uint8)
+        edge_img >= min(2.5 * np.mean(edge_img), np.max(edge_img))
+    ).view(np.uint8) * np.uint8(255)
 
     h_lines = identify_straight_lines(thresh=binary_img, min_line_length=min_line_length,
                                       char_length=char_length, vertical=False)

@@ -29,7 +29,7 @@ def threshold_dark_areas(img: np.ndarray, char_length: Optional[float]) -> np.nd
     thresh_kernel = int(char_length) // 2 * 2 + 1
 
     on = sauvola_threshold(gray, thresh_kernel, k=0.2)
-    thresh = (on * 255).astype(np.uint8)
+    thresh = on.view(np.uint8) * np.uint8(255)
     binary_thresh = None
 
     # Mask areas with dark background
@@ -46,7 +46,7 @@ def threshold_dark_areas(img: np.ndarray, char_length: Optional[float]) -> np.nd
         if area / (w * h) >= 0.5 and min(w, h) >= char_length and max(w, h) >= 5 * char_length:
             if binary_thresh is None:
                 inv_on = sauvola_threshold(255 - gray, thresh_kernel, k=0.2)
-                binary_thresh = (inv_on * 255).astype(np.uint8)
+                binary_thresh = inv_on.view(np.uint8) * np.uint8(255)
             thresh[y : y + h, x : x + w] = binary_thresh[y : y + h, x : x + w]
 
     return thresh

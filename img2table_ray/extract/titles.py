@@ -24,12 +24,13 @@ def get_contours_cell(img: np.ndarray, cell: Cell, margin: int = 5, blur_size: i
                       kernel_size: int = 15, merge_vertically: Optional[bool] = True) -> list[Cell]:
     """(ref processing/common.py:133-179): crop -> blur -> adaptive
     threshold -> dilate x4 -> component bboxes -> merged contours."""
-    gray = rgb2gray(img)
-    height, width = gray.shape[:2]
-    cropped = gray[max(cell.y1 - margin, 0): min(cell.y2 + margin, height),
-                   max(cell.x1 - margin, 0): min(cell.x2 + margin, width)]
+    height, width = img.shape[:2]
+    # the conversion is pointwise: crop first, convert only the cell
+    cropped = img[max(cell.y1 - margin, 0): min(cell.y2 + margin, height),
+                  max(cell.x1 - margin, 0): min(cell.x2 + margin, width)]
     if cropped.shape[0] <= 0 or cropped.shape[1] <= 0:
         return []
+    cropped = rgb2gray(cropped)
 
     blur = gaussian_blur(cropped, blur_size)
     thresh = adaptive_threshold_gaussian_inv(blur, 11, 30)

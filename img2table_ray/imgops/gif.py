@@ -165,10 +165,11 @@ def decode_gif(data: bytes) -> np.ndarray:
     # background index is out of table or transparent)
     if (im.left, im.top, im.w, im.h) == (0, 0, sw, sh):
         return np.ascontiguousarray(rgb)
+    canvas = np.empty((sh, sw, 3), np.uint8)
     if gct is not None and bg_idx < len(gct) and bg_idx != im.transparent:
-        canvas = np.tile(gct[bg_idx], (sh, sw, 1)).astype(np.uint8)
+        canvas[:] = gct[bg_idx]
     else:
-        canvas = np.full((sh, sw, 3), 255, np.uint8)
+        canvas[:] = 255
     canvas[im.top : im.top + im.h, im.left : im.left + im.w] = rgb
     return canvas
 

@@ -3,47 +3,67 @@ reference makes.  Each function documents the cv2 call it substitutes and
 follows its arithmetic (fixed-point grayscale, border modes, anchor
 conventions) closely enough to reproduce the reference's pytest goldens.
 
-No OpenCV in the runtime: everything is integral-image / separable-filter
-numpy, O(H*W) independent of kernel size.
+No OpenCV in the runtime.  Every kernel returns exactly the array of the
+plain float64 / per-pixel form it stands for (those forms are kept as
+oracles in tests/test_vectorized_kernels.py); the faster form is exact for
+the reason given here:
+
+* ``rgb2gray``: a page with R == G == B is returned as channel 0, because
+  4899 + 9617 + 1868 = 2**14 makes the fixed-point luma of (v, v, v)
+  exactly (v * 2**14 + 8192) >> 14 = v.
+* ``_slide_extreme_axis`` (``dilate``/``erode``/``morph_*``): the max or
+  min over a window of k is the max or min of two overlapping windows of
+  the largest power of two p <= k, and windows of 2m are pairs of windows
+  of m; max and min are exact in uint8, in any grouping.
+* ``sauvola_threshold``: the window sums of gray and gray**2 are integers,
+  so int32 integral images (int64 once window**2 * 65025 reaches 2**31)
+  give the float64 cumsum differences exactly; a difference of wrapped
+  int32 prefix sums is exact while the true window sum is below 2**31.
+  The float tail is the float64/float32 expression of the reference form.
+* ``bilateral3_gray``: the same float32 products and sums, element for
+  element, on planar channels; a gray-replicated page has one plane, an
+  L1 colour distance of 3 * |d|, and that plane is its gray image (the
+  luma of equal channels, as for ``rgb2gray``).
+* ``gaussian_blur``/``adaptive_threshold_gaussian_inv``: the separable
+  passes run in float32, whose result is within ``_tie_tol(n)`` of the
+  float64 form; a pixel can round differently only if its float32 value
+  lies that close to a half-integer, and those pixels alone are
+  recomputed in float64 in the reference tap order.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+# float32 elements per cache block of the blocked filters: a block, its
+# shifted reads and its temporaries stay resident in L2 across all taps
+BLOCK = 1 << 15
+
+
+def _is_gray(img: np.ndarray) -> bool:
+    """True iff R == G == B at every pixel.  Compared in row blocks, so a
+    colour page costs only the blocks up to its first colour pixel."""
+    rows = max(1, BLOCK // max(1, img.shape[1]))
+    for r0 in range(0, img.shape[0], rows):
+        b = img[r0 : r0 + rows]
+        if not (np.array_equal(b[:, :, 0], b[:, :, 1])
+                and np.array_equal(b[:, :, 0], b[:, :, 2])):
+            return False
+    return True
+
+
+def _luma(r: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(R*4899 + G*9617 + B*1868 + 8192) >> 14 of three uint8 planes."""
+    r, g, b = (c.astype(np.uint32) for c in (r, g, b))
+    return ((r * 4899 + g * 9617 + b * 1868 + 8192) >> 14).astype(np.uint8)
+
 
 def rgb2gray(img: np.ndarray) -> np.ndarray:
     """cv2.cvtColor(img, COLOR_RGB2GRAY) — fixed-point BT.601 luma:
     (R*4899 + G*9617 + B*1868 + 8192) >> 14 on uint8."""
-    r = img[:, :, 0].astype(np.uint32)
-    g = img[:, :, 1].astype(np.uint32)
-    b = img[:, :, 2].astype(np.uint32)
-    return ((r * 4899 + g * 9617 + b * 1868 + 8192) >> 14).astype(np.uint8)
-
-
-def window_sum(img: np.ndarray, kw: int, kh: int,
-               ax: int | None = None, ay: int | None = None) -> np.ndarray:
-    """Windowed sum with out-of-image treated as 0; anchor defaults to
-    (kw//2, kh//2) like cv2.getStructuringElement.
-
-    Implementation: edge-padded integral image + pure slicing, int32
-    accumulation for small-dtype inputs — the hot kernel of all morphology.
-    (A separable two-pass variant with clipped-bound gathers was measured
-    ~20% SLOWER on page-sized images: the per-column fancy gather costs
-    more than the padded table saves.)"""
-    if ax is None:
-        ax = kw // 2
-    if ay is None:
-        ay = kh // 2
-    h, w = img.shape
-    dtype = np.int32 if img.dtype.kind in "ub" and img.size < 2 ** 22 else np.float64
-    ii = np.zeros((h + 1, w + 1), dtype=dtype)
-    np.cumsum(img, axis=0, out=ii[1:, 1:])
-    np.cumsum(ii[1:, 1:], axis=1, out=ii[1:, 1:])
-    # P[r, c] = ii[clip(r - ay, 0, h), clip(c - ax, 0, w)]
-    P = np.pad(ii, ((ay, kh - 1 - ay), (ax, kw - 1 - ax)), mode="edge")
-    return (P[kh : kh + h, kw : kw + w]
-            - P[0:h, kw : kw + w] - P[kh : kh + h, 0:w] + P[0:h, 0:w])
+    if _is_gray(img):
+        return img[:, :, 0].copy()
+    return _luma(img[:, :, 0], img[:, :, 1], img[:, :, 2])
 
 
 def _slide_extreme_axis(x: np.ndarray, k: int, a: int, axis: int,
@@ -53,58 +73,34 @@ def _slide_extreme_axis(x: np.ndarray, k: int, a: int, axis: int,
     contributes the reduction identity (0 for max, 255 for min), i.e.
     border pixels are ignored, cv2 default-border morphology semantics.
 
-    Two regimes, both pure-uint8 (the int32 integral-image form this
-    replaces moved ~5x the bytes and dominated page-level memory
-    bandwidth at high actor counts):
-
-    * k <= 8: reduce over k shifted slices of one padded copy;
-    * k > 8: van Herk / Gil-Werman — two uint8 running-extreme passes
-      over k-sized blocks + one elementwise combine, O(1) per pixel
-      independent of k.
-    """
+    By doubling, all in uint8: windows of 2m are the extreme of two
+    windows of m, ping-ponged between two identity-padded buffers, then
+    one combine of two overlapping windows of the largest power of two
+    p <= k.  log2(k) + 1 passes, each over contiguous shifted slices."""
     if k == 1:
         return x
     op = np.maximum if is_max else np.minimum
-    ident = 0 if is_max else 255
-    h, w = x.shape
     n = x.shape[axis]
-    if k <= 8:
-        shp = (h, n + k - 1) if axis == 1 else (n + k - 1, w)
-        P = np.full(shp, ident, np.uint8)
-        if axis == 1:
-            P[:, a : a + n] = x
-            out = P[:, 0:n].copy()
-            for j in range(1, k):
-                op(out, P[:, j : j + n], out=out)
-        else:
-            P[a : a + n, :] = x
-            out = P[0:n, :].copy()
-            for j in range(1, k):
-                op(out, P[j : j + n, :], out=out)
-        return out
-    # van Herk: pad to a multiple of the block size m == k
-    m = k
-    L = n + k - 1
-    L2 = ((L + m - 1) // m) * m
-    shp = (h, L2) if axis == 1 else (L2, w)
-    P = np.full(shp, ident, np.uint8)
-    if axis == 1:
-        P[:, a : a + n] = x
-        blocks = P.reshape(h, L2 // m, m)
-        F = op.accumulate(blocks, axis=2).reshape(h, L2)
-        B = np.flip(op.accumulate(np.flip(blocks, 2), axis=2), 2).reshape(h, L2)
-        return op(B[:, 0:n], F[:, k - 1 : k - 1 + n])
-    P[a : a + n, :] = x
-    blocks = P.reshape(L2 // m, m, w)
-    F = op.accumulate(blocks, axis=1).reshape(L2, w)
-    B = np.flip(op.accumulate(np.flip(blocks, 1), axis=1), 1).reshape(L2, w)
-    return op(B[0:n, :], F[k - 1 : k - 1 + n, :])
 
+    def at(lo: int, hi: int) -> tuple:
+        return (slice(None), slice(lo, hi)) if axis else (slice(lo, hi),)
 
-def _as_binary255(binary: np.ndarray) -> np.ndarray:
-    """0/255 uint8 copy of a 'binary' image (any nonzero counts as set,
-    matching the counting form's ``binary > 0``)."""
-    return np.where(binary != 0, np.uint8(255), np.uint8(0))
+    shp = list(x.shape)
+    shp[axis] = n + k - 1
+    src = np.full(shp, 0 if is_max else 255, np.uint8)
+    src[at(a, a + n)] = x
+    dst = np.empty_like(src) if k > 2 else None
+    # src[i] holds the extreme of the padded input over [i, i + m)
+    m = 1
+    while 2 * m < k:
+        length = n + k - 2 * m
+        op(src[at(0, length)], src[at(m, m + length)], out=dst[at(0, length)])
+        src, dst = dst, src
+        m *= 2
+    shp[axis] = n
+    out = np.empty(shp, np.uint8)
+    op(src[at(0, n)], src[at(k - m, k - m + n)], out=out)
+    return out
 
 
 def dilate(binary: np.ndarray, kw: int, kh: int) -> np.ndarray:
@@ -117,10 +113,11 @@ def dilate(binary: np.ndarray, kw: int, kh: int) -> np.ndarray:
 
     Rect SEs are separable: sliding max along x then y (identity 0 for the
     ignored border) equals the 2-D windowed max, and for 0/255 input the
-    windowed max IS 'any pixel set' — bit-identical to the integral-image
-    counting form at a fraction of the memory traffic."""
-    b = _as_binary255(binary)
-    b = _slide_extreme_axis(b, kw, kw // 2, axis=1, is_max=True)
+    windowed max IS 'any pixel set' (on other uint8 input it is cv2's own
+    grey-level dilation)."""
+    if kw == kh == 1:
+        return binary.copy()
+    b = _slide_extreme_axis(binary, kw, kw // 2, axis=1, is_max=True)
     return _slide_extreme_axis(b, kh, kh // 2, axis=0, is_max=True)
 
 
@@ -128,8 +125,9 @@ def erode(binary: np.ndarray, kw: int, kh: int) -> np.ndarray:
     """cv2.erode with a rect kernel on a 0/255 image.  OOB treated as +inf
     (border ignored): a pixel survives iff every *in-image* window pixel is
     set — sliding min with identity 255 for out-of-image, separable."""
-    b = _as_binary255(binary)
-    b = _slide_extreme_axis(b, kw, kw // 2, axis=1, is_max=False)
+    if kw == kh == 1:
+        return binary.copy()
+    b = _slide_extreme_axis(binary, kw, kw // 2, axis=1, is_max=False)
     return _slide_extreme_axis(b, kh, kh // 2, axis=0, is_max=False)
 
 
@@ -141,25 +139,30 @@ def morph_close(binary: np.ndarray, kw: int, kh: int) -> np.ndarray:
     return erode(dilate(binary, kw, kh), kw, kh)
 
 
-def box_mean_replicate(img: np.ndarray, k: int) -> np.ndarray:
-    """Normalized k x k box filter with BORDER_REPLICATE, float64 output —
-    the mean filter inside cv2.ximgproc.niBlackThreshold.
+def _window_sums(gray: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Integer k x k window sums of gray and gray**2 with BORDER_REPLICATE.
 
-    Separable cumsum passes (replicate padding commutes with per-axis box
-    sums): no 2-D padded integral table, ~half the float64 traffic of the
-    corner-gather form, and pure slicing instead of np.ix_ gathers."""
+    Rows first (one cumsum along the fast axis over both planes side by
+    side), then columns as one ``np.add`` per row: numpy's cumsum along
+    axis 0 walks the array column by column (46.5 against 8.4 ms on the
+    1200 x 2660 int32 sums of a 1.5 Mpx page)."""
     pad = k // 2
-    h, w = img.shape
-    fp = np.pad(img.astype(np.float64), ((pad, pad), (0, 0)), mode="edge")
-    cs = np.zeros((h + 2 * pad + 1, w), dtype=np.float64)
-    np.cumsum(fp, axis=0, out=cs[1:])
-    v = cs[k:] - cs[:-k]  # slices are views: subtraction must allocate
-    vp = np.pad(v, ((0, 0), (pad, pad)), mode="edge")
-    cs2 = np.zeros((h, w + 2 * pad + 1), dtype=np.float64)
-    np.cumsum(vp, axis=1, out=cs2[:, 1:])
-    out = cs2[:, k:] - cs2[:, :-k]
-    out /= k * k
-    return out
+    h, w = gray.shape
+    dt = np.int32 if k * k * 65025 < 2 ** 31 else np.int64
+    p = np.pad(gray, pad, mode="edge")
+    hp, wp = p.shape
+    cs = np.empty((hp, 2, wp + 1), dt)
+    cs[:, :, 0] = 0
+    cs[:, 0, 1:] = p
+    np.multiply(p, p, out=cs[:, 1, 1:], dtype=dt)
+    np.cumsum(cs[:, :, 1:], axis=2, out=cs[:, :, 1:])
+    rows = (cs[:, :, k:] - cs[:, :, :-k]).reshape(hp, 2 * w)
+    vs = np.empty((hp + 1, 2 * w), dt)
+    vs[0] = 0
+    for i in range(hp):
+        np.add(vs[i], rows[i], out=vs[i + 1])
+    s = (vs[k:] - vs[:-k]).reshape(h, 2, w)
+    return s[:, 0], s[:, 1]
 
 
 def sauvola_threshold(gray: np.ndarray, window: int, k: float = 0.2,
@@ -167,15 +170,26 @@ def sauvola_threshold(gray: np.ndarray, window: int, k: float = 0.2,
     """Sauvola local threshold surface (cv2.ximgproc.niBlackThreshold with
     BINARIZATION_SAUVOLA): t = mean * (1 + k * (std / r - 1)).
 
-    Computed in float32 like OpenCV's CV_32F path.  Returns the boolean
+    Window means of a k x k box with BORDER_REPLICATE in float64 (exact
+    integer sums / window**2), the rest in float32 like OpenCV's CV_32F
+    path; evaluated in row blocks that stay in cache.  Returns the boolean
     'on' mask (gray <= t), matching the reference's THRESH_BINARY_INV use
     (src/img2table/tables/__init__.py:24-27)."""
-    mean = box_mean_replicate(gray, window)
-    sqmean = box_mean_replicate(gray.astype(np.float64) ** 2, window)
-    var = np.maximum(sqmean - mean ** 2, 0.0)
-    std = np.sqrt(var.astype(np.float32))
-    t = mean.astype(np.float32) * (1.0 + k * (std / r - 1.0))
-    return gray.astype(np.float32) <= t
+    s1, s2 = _window_sums(gray, window)
+    n = window * window
+    h, w = gray.shape
+    on = np.empty((h, w), dtype=bool)
+    rows = max(1, BLOCK // max(1, w))
+    for r0 in range(0, h, rows):
+        blk = slice(r0, r0 + rows)
+        mean = s1[blk] / n
+        var = s2[blk] / n
+        var -= mean ** 2
+        np.maximum(var, 0.0, out=var)
+        std = np.sqrt(var.astype(np.float32))
+        t = mean.astype(np.float32) * (1.0 + k * (std / r - 1.0))
+        np.less_equal(gray[blk], t, out=on[blk])
+    return on
 
 
 def gaussian_kernel_1d(ksize: int, sigma: float = 0.0) -> np.ndarray:
@@ -187,57 +201,135 @@ def gaussian_kernel_1d(ksize: int, sigma: float = 0.0) -> np.ndarray:
     return k / k.sum()
 
 
-def _reflect101_pad_1d(arr: np.ndarray, pad: int, axis: int) -> np.ndarray:
-    return np.pad(arr, [(pad, pad) if a == axis else (0, 0) for a in range(arr.ndim)],
-                  mode="reflect")
+def _tie_tol(n: int) -> float:
+    """Bound on |float32 form - float64 form| of an n-tap separable blur
+    of uint8 values (``_taps32``).  With u = 2**-24 and c = n // 2, each
+    pass's float32 result is within (c + 3) * u of the exact sum relative
+    to its <= 255 value (kernel rounding, pair sum and product per term, c
+    additions), and the second pass carries the first one's error once
+    more (the kernel sums to 1): at most (2c + 6) * u * 255 =
+    (n + 5) * u * 255 in all.  The float64 form is off by at most
+    (2n + 2) * 2**-53 * 255.  (2n + 2) * u * 256 exceeds their sum for
+    every odd n >= 3; for n = 1 the kernel is [1.0] and both are exact."""
+    return (2 * n + 2) * 2.0 ** -24 * 256
+
+
+def _taps32(src: np.ndarray, k32: np.ndarray, stride: int,
+            out: np.ndarray) -> None:
+    """out[j] = sum_i k32[i] * src[j + i * stride] on flat float32 arrays,
+    k32 symmetric of odd length: centre tap, then one product per pair of
+    taps.  Cache-blocked; every operand is a contiguous 1-D slice."""
+    n = len(k32)
+    c = n // 2
+    tmp = np.empty(min(BLOCK, out.size), np.float32)
+    for j0 in range(0, out.size, BLOCK):
+        j1 = min(out.size, j0 + BLOCK)
+        acc, t = out[j0:j1], tmp[: j1 - j0]
+        np.multiply(src[j0 + c * stride : j1 + c * stride], k32[c], out=acc)
+        for i in range(c):
+            a, b = i * stride, (n - 1 - i) * stride
+            np.add(src[j0 + a : j1 + a], src[j0 + b : j1 + b], out=t)
+            t *= k32[i]
+            acc += t
+
+
+def _gaussian32(img: np.ndarray, k: np.ndarray, rmap: np.ndarray,
+                cmap: np.ndarray) -> np.ndarray:
+    """Separable blur of a 2-D uint8 image in float32 with kernel ``k``
+    (odd length) and border index maps ``rmap``/``cmap``: an (h, w + n - 1)
+    array whose first w columns are the result (the rest is finite junk
+    of the flat row-major passes)."""
+    n, pad = len(k), len(k) // 2
+    h, w = img.shape
+    w2 = w + n - 1
+    k32 = k.astype(np.float32)
+    # row pass into rows pad..pad+h of a (h + 2pad, w2) buffer
+    rows = np.empty((h + 2 * pad, w2), np.float32)
+    flat = rows.reshape(-1)
+    end = (pad + h) * w2
+    _taps32(img[:, cmap].astype(np.float32).reshape(-1), k32, 1,
+            flat[pad * w2 : end - (n - 1)])
+    flat[end - (n - 1) : end] = 0
+    rows[:pad] = rows[pad + rmap[:pad]]
+    rows[pad + h :] = rows[pad + rmap[pad + h :]]
+    v = np.empty((h, w2), np.float32)
+    _taps32(flat, k32, w2, v.reshape(-1))
+    return v
+
+
+def _gaussian_rint(img: np.ndarray, ksize: int, sigma: float,
+                   mode: str) -> np.ndarray:
+    """rint of the separable Gaussian of a 2-D uint8 image, border
+    ``mode`` as np.pad names it ("reflect" = reflect-101, "edge" =
+    replicate), exactly as the float64 form rounds it: row pass, then
+    column pass, each tap-ordered from 0 (``_convolve_axis``).  ksize odd,
+    as cv2 requires.
+
+    Float32 passes (``_gaussian32``); pixels within ``_tie_tol`` of a
+    half-integer are recomputed in float64.  When those are many
+    (band * ksize >= pixels), the whole image takes the float64 form
+    instead, so no image costs much more than that form alone."""
+    if ksize % 2 == 0:
+        raise ValueError(f"Gaussian ksize must be odd, got {ksize}")
+    k = gaussian_kernel_1d(ksize, sigma)
+    n, pad = ksize, ksize // 2
+    h, w = img.shape
+    # np.pad of the index ranges: a crop smaller than the kernel gets
+    # exactly np.pad's repeated reflection
+    rmap = np.pad(np.arange(h), pad, mode=mode)
+    cmap = np.pad(np.arange(w), pad, mode=mode)
+    v = _gaussian32(img, k, rmap, cmap)
+    w2 = v.shape[1]
+    out = np.rint(v)
+    # |v - rint(v)| is exact; it exceeds 0.5 - tol iff v lies within tol
+    # of a half-integer
+    np.subtract(v, out, out=v)
+    np.abs(v, out=v)
+    ys, xs = np.divmod(np.flatnonzero(v.reshape(-1) > 0.5 - _tie_tol(n)), w2)
+    ys, xs = ys[xs < w], xs[xs < w]
+    if ys.size * n >= h * w:
+        f = _convolve_axis(img[:, cmap].astype(np.float64), k, axis=1)
+        return np.rint(_convolve_axis(f[rmap], k, axis=0))
+    out = out[:, :w]
+    step = max(1, (1 << 18) // (n * n))
+    taps = np.arange(n)
+    for s in range(0, ys.size, step):
+        y, x = ys[s : s + step], xs[s : s + step]
+        g = img[rmap[y[:, None] + taps][:, :, None],
+                cmap[x[:, None] + taps][:, None, :]].astype(np.float64)
+        r = np.zeros(g.shape[:2])
+        for j in range(n):
+            r += k[j] * g[:, :, j]
+        acc = np.zeros(len(y))
+        for i in range(n):
+            acc += k[i] * r[:, i]
+        out[y, x] = np.rint(acc)
+    return out
 
 
 def gaussian_blur(img: np.ndarray, ksize: int, sigma: float = 0.0) -> np.ndarray:
     """cv2.GaussianBlur((k,k), sigma) on uint8 with BORDER_DEFAULT
     (reflect-101); rounded back to uint8."""
-    k = gaussian_kernel_1d(ksize, sigma)
-    pad = ksize // 2
-    f = img.astype(np.float64)
-    f = _reflect101_pad_1d(f, pad, axis=1)
-    f = _convolve_axis(f, k, axis=1)
-    f = _reflect101_pad_1d(f, pad, axis=0)
-    f = _convolve_axis(f, k, axis=0)
-    return np.clip(np.rint(f), 0, 255).astype(np.uint8)
+    out = _gaussian_rint(img, ksize, sigma, "reflect")
+    # a weighted mean of 0..255 with weights >= 0 is never below 0
+    return np.minimum(out, 255, out=out).astype(np.uint8)
 
 
 def _convolve_axis(f: np.ndarray, k: np.ndarray, axis: int) -> np.ndarray:
-    """'valid' correlation of a padded array along an axis.
-
-    Cache-blocked: the k-tap accumulation walks the full image k times, so
-    without blocking a 23-tap blur streams ~2k x image bytes through DRAM.
-    Chunking rows (axis=1) / columns (axis=0) keeps each chunk + its output
-    resident in L2 across all taps — identical arithmetic (per-element tap
-    order unchanged, bit-exact), ~k x less memory traffic.  Bandwidth is
-    the scaling ceiling of a saturated extraction pool."""
+    """'valid' correlation of a padded float64 array along an axis, taps
+    accumulated in order from 0: the float64 form the Gaussian kernels
+    reproduce, run whole only when too many pixels are near ties."""
     n = len(k)
-    # small images fit in LLC — blocking would only add per-chunk Python
-    # overhead (measured slower below ~4 MB)
-    blocked = f.nbytes > (4 << 20)
     if axis == 1:
         w_out = f.shape[1] - n + 1
         out = np.zeros((f.shape[0], w_out), dtype=np.float64)
-        rows = (max(1, (192 * 1024) // (max(1, f.shape[1]) * 8))
-                if blocked else f.shape[0])
-        for r0 in range(0, f.shape[0], rows):
-            blk = f[r0 : r0 + rows]
-            ob = out[r0 : r0 + rows]
-            for i in range(n):
-                ob += k[i] * blk[:, i : i + w_out]
+        for i in range(n):
+            out += k[i] * f[:, i : i + w_out]
         return out
     h_out = f.shape[0] - n + 1
     out = np.zeros((h_out, f.shape[1]), dtype=np.float64)
-    rows = (max(1, (192 * 1024) // (max(1, f.shape[1]) * 8))
-            if blocked else h_out)
-    for r0 in range(0, h_out, rows):
-        ob = out[r0 : r0 + rows]
-        ch = ob.shape[0]
-        for i in range(n):
-            ob += k[i] * f[r0 + i : r0 + i + ch, :]
+    for i in range(n):
+        out += k[i] * f[i : i + h_out, :]
     return out
 
 
@@ -255,18 +347,23 @@ def laplacian3_abs(gray: np.ndarray) -> np.ndarray:
     return np.minimum(lap, 255).astype(np.uint8)
 
 
-def bilateral3_color(img: np.ndarray, sigma_color: float = 40.0,
-                     sigma_space: float = 80.0) -> np.ndarray:
-    """cv2.bilateralFilter(img, d=3, 40, 80) on RGB uint8.
+def _bilateral3_planes(img: np.ndarray, sigma_color: float,
+                       sigma_space: float) -> list[np.ndarray]:
+    """cv2.bilateralFilter(img, d=3, sigma_color, sigma_space) on RGB
+    uint8, as uint8 planes: one for a gray-replicated page (its three
+    output channels are equal), else R, G, B.
 
     d=3 -> radius 1; OpenCV keeps offsets with euclidean norm <= radius,
     i.e. the 4-neighborhood + centre.  Color weight uses the L1 distance
-    over channels: exp(-0.5 * (|dr|+|dg|+|db|)^2 / sigma_color^2)."""
+    over channels: exp(-0.5 * (|dr|+|dg|+|db|)^2 / sigma_color^2).
+
+    Each channel is padded (reflect-101, BORDER_DEFAULT) once, as int16
+    and float32 planes read through flat row-major offsets (+-1, +-row),
+    in cache blocks with preallocated buffers.  A gray-replicated page
+    (R == G == B) is one plane with L1 distance 3 * |d|."""
     h, w, _ = img.shape
     gauss_color = -0.5 / (sigma_color ** 2)
     gauss_space = -0.5 / (sigma_space ** 2)
-    i16 = img.astype(np.int16)
-    padded_i = np.pad(i16, ((1, 1), (1, 1), (0, 0)), mode="reflect")  # BORDER_DEFAULT
     # OpenCV precomputes color weights on integer L1 distances 0..765
     cw_table = np.exp(gauss_color * (np.arange(256 * 3, dtype=np.float32) ** 2))
     # flush subnormal weights to zero: high-contrast edges otherwise drag
@@ -274,37 +371,65 @@ def bilateral3_color(img: np.ndarray, sigma_color: float = 40.0,
     # a 1e-38 weight contributes ~1e-36 to a ~1e2 accumulator — far below
     # uint8 rounding resolution, so outputs are unchanged
     cw_table[cw_table < np.float32(1.2e-38)] = 0.0
-    # planar accumulation (measured ~2.4x vs interleaved (H,W,3) broadcasts,
-    # bit-identical): centre offset has weight exactly 1 (l1=0, exp(0)=1)
-    nums = [img[:, :, c].astype(np.float32) for c in range(3)]
-    den = np.ones((h, w), dtype=np.float32)
-    l1 = np.empty((h, w), dtype=np.int16)
-    d = np.empty((h, w), dtype=np.int16)
-    for dy, dx in ((-1, 0), (1, 0), (0, -1), (0, 1)):
-        sw = np.float32(np.exp(gauss_space * (dy * dy + dx * dx)))
-        nb = padded_i[1 + dy : 1 + dy + h, 1 + dx : 1 + dx + w, :]
-        np.subtract(nb[:, :, 0], i16[:, :, 0], out=l1)
-        np.abs(l1, out=l1)
-        for c in (1, 2):
-            np.subtract(nb[:, :, c], i16[:, :, c], out=d)
-            np.abs(d, out=d)
-            l1 += d
-        wgt = cw_table[l1]
-        wgt *= sw
-        for c in range(3):
-            nums[c] += nb[:, :, c].astype(np.float32) * wgt
-        den += wgt
-    out = np.empty((h, w, 3), dtype=np.uint8)
-    for c in range(3):
-        q = nums[c] / den
-        # cv2 rounds to nearest on store
-        out[:, :, c] = np.clip(np.rint(q), 0, 255).astype(np.uint8)
-    return out
+    gray = _is_gray(img)
+    w2 = w + 2
+    pi = [np.pad(img[:, :, c], 1, mode="reflect").astype(np.int16).reshape(-1)
+          for c in range(1 if gray else 3)]
+    pf = [p.astype(np.float32) for p in pi]
+    res = [np.empty((h + 2) * w2, np.float32) for _ in pi]
+    offsets = [(np.float32(np.exp(gauss_space * (dy * dy + dx * dx))), dy * w2 + dx)
+               for dy, dx in ((-1, 0), (1, 0), (0, -1), (0, 1))]
+    size = min(BLOCK, h * w2)
+    l1, d = np.empty(size, np.int16), np.empty(size, np.int16)
+    wgt, prod, den = (np.empty(size, np.float32) for _ in range(3))
+    # flat positions of rows 1..h of the padded grid, pad columns included
+    lo, hi = w2 + 1, (h + 1) * w2 - 1
+    for s in range(lo, hi, BLOCK):
+        e = min(hi, s + BLOCK)
+        L1, D, W, P, DEN = l1[: e - s], d[: e - s], wgt[: e - s], prod[: e - s], den[: e - s]
+        # centre offset has weight exactly 1 (l1=0, exp(0)=1)
+        DEN[:] = 1
+        nums = [r[s:e] for r in res]
+        for num, p in zip(nums, pf):
+            num[:] = p[s:e]
+        for sw, off in offsets:
+            for c, p in enumerate(pi):
+                dst = D if c else L1
+                np.subtract(p[s + off : e + off], p[s:e], out=dst)
+                np.abs(dst, out=dst)
+                if c:
+                    L1 += D
+            if gray:
+                L1 *= 3
+            np.take(cw_table, L1, out=W)
+            W *= sw
+            for num, p in zip(nums, pf):
+                np.multiply(p[s + off : e + off], W, out=P)
+                num += P
+            DEN += W
+        for num in nums:
+            num /= DEN
+            # cv2 rounds to nearest on store; a weighted mean of 0..255
+            # with weights >= 0 is never below 0
+            np.rint(num, out=num)
+            np.minimum(num, 255, out=num)
+    return [r.reshape(h + 2, w2)[1 : h + 1, 1 : w + 1].astype(np.uint8)
+            for r in res]
+
+
+def bilateral3_gray(img: np.ndarray, sigma_color: float = 40.0,
+                    sigma_space: float = 80.0) -> np.ndarray:
+    """cv2.bilateralFilter(img, d=3, 40, 80) then cv2.cvtColor(RGB2GRAY),
+    with the page's grayness decided once: the filtered plane of a
+    gray-replicated page is its gray image, else the luma of the three
+    filtered planes (``_bilateral3_planes``)."""
+    planes = _bilateral3_planes(img, sigma_color, sigma_space)
+    return planes[0] if len(planes) == 1 else _luma(*planes)
 
 
 def in_range_mask(img: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """cv2.inRange(img, lo, hi) -> 0/255 uint8."""
-    return (((img >= lo) & (img <= hi)) * 255).astype(np.uint8)
+    return ((img >= lo) & (img <= hi)).view(np.uint8) * np.uint8(255)
 
 
 def adaptive_threshold_gaussian_inv(gray: np.ndarray, block: int, c: float) -> np.ndarray:
@@ -313,13 +438,8 @@ def adaptive_threshold_gaussian_inv(gray: np.ndarray, block: int, c: float) -> n
     maxval when src > thresh for BINARY; INV flips: dst=255 iff
     src <= thresh - 1 ... cv2 computes idelta and a LUT; effectively
     dst = 255 iff src <= mean - C (integer thresholds))."""
-    k = gaussian_kernel_1d(block)
-    pad = block // 2
-    # adaptiveThreshold uses BORDER_REPLICATE for the local mean
-    f = np.pad(gray.astype(np.float64), ((0, 0), (pad, pad)), mode="edge")
-    f = _convolve_axis(f, k, axis=1)
-    f = np.pad(f, ((pad, pad), (0, 0)), mode="edge")
-    f = _convolve_axis(f, k, axis=0)
-    mean = np.rint(f)  # cv2 stores the blurred mean as uint8
+    # adaptiveThreshold uses BORDER_REPLICATE for the local mean, and cv2
+    # stores the blurred mean as uint8
+    mean = _gaussian_rint(gray, block, 0.0, "edge").astype(np.float64)
     # cv2: dst = (src > mean - C) ? 0 : 255  for THRESH_BINARY_INV
     return np.where(gray.astype(np.float64) > mean - c, 0, 255).astype(np.uint8)

@@ -145,6 +145,10 @@ def _asof_stitch(g: pd.DataFrame) -> pd.DataFrame:
     s_rank = np.searchsorted(users, summaries["user_id"].to_numpy())
     l_rank = np.searchsorted(users, lefts["user_id"].to_numpy())
     SHIFT = np.int64(1) << np.int64(22)  # tbucket < 2^22 until year 13000
+    for tb in (summaries["tbucket"].to_numpy(), lefts["tbucket"].to_numpy()):
+        if not ((tb >= 0) & (tb < SHIFT)).all():
+            raise ValueError("asof time bucket outside [0, 2**22) overflows "
+                             "the key packing")
     s_key = s_rank.astype("int64") * SHIFT + summaries["tbucket"].to_numpy()
     l_key = l_rank.astype("int64") * SHIFT + lefts["tbucket"].to_numpy()
     order = np.argsort(s_key, kind="stable")
@@ -197,11 +201,16 @@ def _asof_tagger(left_type: str, right_type: str, span_us: int,
     not with users x buckets; a fine key never splits coarse groups)."""
 
     def tag(batch: pa.Table) -> pd.DataFrame:
-        df = batch.select(["event_id", "user_id", "ts", "event_type"]
-                          ).to_pandas()
-        df = df[df["event_type"].isin([left_type, right_type])]
-        ts_us = df["ts"].astype("int64")
-        tbucket = (ts_us // span_us).astype("int64")
+        batch = batch.select(["event_id", "user_id", "ts", "event_type"])
+        # microseconds from Arrow, whatever the column's unit: to_pandas
+        # may hand back another one, which would scale tbucket by 1000
+        # (safe=False truncates sub-microsecond digits)
+        ts_us = (batch["ts"].cast(pa.timestamp("us"), safe=False)
+                 .cast(pa.int64()).to_numpy(zero_copy_only=False))
+        df = batch.to_pandas()
+        keep = df["event_type"].isin([left_type, right_type]).to_numpy()
+        df = df[keep]
+        tbucket = pd.Series(ts_us[keep] // span_us, index=df.index)
         coarse = ((df["user_id"] * np.int64(0x9E3779B1) + tbucket)
                   % width).astype("int64")
         return pd.DataFrame(

@@ -244,3 +244,43 @@ def test_gif_disposal_holds_no_extra_canvas():
     canvas = 4096 * 4096 * 3
     # the canvas and the one stored frame; the old walk peaked at ~4
     assert int(out.stdout.split()[-1]) < 2.5 * canvas
+
+
+# decode_gif fills the logical screen in place: one 1x1 frame on a
+# 4096x4096 screen with a global background colour costs one canvas
+# (48 MB), not a tiled canvas and its uint8 copy.
+_GIF_SCREEN_CHILD = r"""
+import struct
+import numpy as np
+from img2table_ray.imgops.gif import decode_gif, encode_gif
+
+def peak_rss():
+    return next(int(line.split()[1]) for line in open("/proc/self/status")
+                if line.startswith("VmHWM:")) << 10
+
+side = 4096
+block = encode_gif(np.zeros((1, 1, 3), np.uint8))[19:-1]
+data = (b"GIF89a" + struct.pack("<HHBBB", side, side, 0x80, 0, 0)
+        + bytes([10, 20, 30, 0, 0, 0]) + block + b"\x3b")
+before = peak_rss()
+img = decode_gif(data)
+assert img.shape == (side, side, 3) and img.dtype == np.uint8
+assert (img[0, 1] == [10, 20, 30]).all() and (img[-1, -1] == [10, 20, 30]).all()
+print(peak_rss() - before)
+"""
+
+
+def test_gif_screen_holds_one_canvas():
+    import os
+    import subprocess
+    import sys
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", _GIF_SCREEN_CHILD], cwd=repo,
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+    assert out.returncode == 0, out.stderr[-2000:]
+    canvas = 4096 * 4096 * 3
+    # the returned canvas; the tiled form peaked at two
+    assert int(out.stdout.split()[-1]) < 1.5 * canvas

@@ -184,3 +184,36 @@ def test_asof_hot_user_groups_stay_bounded(tmp_path, ray_session):
                        suffixes=("", "_ref"))
     assert (merged["click_event_id"]
             == merged["click_event_id_ref"].astype("int64")).all()
+
+
+@pytest.mark.parametrize("unit", ["s", "ms", "us", "ns"])
+def test_asof_tagger_buckets_from_arrow_microseconds(unit):
+    """tbucket counts microseconds whatever the unit of the Arrow ts
+    column and whatever unit to_pandas would hand back; a bucket outside
+    the 2**22 key packing, past it or before 1970, is refused rather than
+    folded into a neighbouring user's keys."""
+    import pyarrow as pa
+
+    span_us = joins.ASOF_BUCKET_HOURS * 3600 * 1_000_000
+    ts = pd.to_datetime(["2024-03-01 10:00", "2024-03-01 11:30",
+                         "2024-03-02 00:00"]).astype(f"datetime64[{unit}]")
+    batch = pa.table({
+        "event_id": pa.array([1, 2, 3], pa.int64()),
+        "user_id": pa.array([7, 7, 8], pa.int64()),
+        "ts": pa.array(ts, pa.timestamp(unit)),
+        "event_type": ["purchase", "view", "click"],
+    })
+    out = joins._asof_tagger("purchase", "click", span_us, 16)(batch)
+    us = ts.values.astype("datetime64[us]").astype("int64")
+    assert out["event_id"].tolist() == [1, 3]
+    assert out["tbucket"].tolist() == [int(us[0]) // span_us, int(us[2]) // span_us]
+    assert out["side"].tolist() == [0, 1]
+
+    for bad in (1 << 22, -1):
+        g = pd.DataFrame({
+            "kind": [1, 2], "tbucket": [bad, 3], "user_id": [7, 7],
+            "event_id": [1, 0], "ts": ts[:2], "click_event_id": [0, 2],
+            "click_ts": ts[:2],
+        })
+        with pytest.raises(ValueError, match="2\\*\\*22"):
+            joins._asof_stitch(g)

@@ -7,6 +7,11 @@ straight ports of the reference's numba kernels.  Each test re-states the LOOP f
 on randomized inputs, so any future change to the vectorized code that
 drifts from the reference semantics fails here rather than only in the
 end-to-end goldens.
+
+The image kernels of imgops/kernels.py (morphology, Sauvola, bilateral,
+Gaussian, grayscale) are pinned the same way against the plain forms they
+replaced: van Herk sliding extremes, float64 box means, interleaved
+bilateral reads and float64 separable Gaussians.
 """
 
 from __future__ import annotations
@@ -17,8 +22,8 @@ import pytest
 from img2table_ray.extract.borderless import rlsa
 from img2table_ray.extract.borderless.whitespaces import compute_whitespaces
 from img2table_ray.extract.metrics import create_character_thresh
+from img2table_ray.imgops import kernels
 from img2table_ray.imgops.ccl import connected_components_with_stats
-from img2table_ray.imgops.kernels import window_sum
 
 
 def _ccl_bfs(binary: np.ndarray):
@@ -260,6 +265,28 @@ def _adaptive_rlsa_loop(cc, cc_stats, a, th, c):
     return rsla_img
 
 
+def window_sum(img: np.ndarray, kw: int, kh: int,
+               ax: int | None = None, ay: int | None = None) -> np.ndarray:
+    """Windowed sum with out-of-image treated as 0; anchor defaults to
+    (kw//2, kh//2) like cv2.getStructuringElement.
+
+    Implementation: edge-padded integral image + pure slicing, int32
+    accumulation for small-dtype inputs."""
+    if ax is None:
+        ax = kw // 2
+    if ay is None:
+        ay = kh // 2
+    h, w = img.shape
+    dtype = np.int32 if img.dtype.kind in "ub" and img.size < 2 ** 22 else np.float64
+    ii = np.zeros((h + 1, w + 1), dtype=dtype)
+    np.cumsum(img, axis=0, out=ii[1:, 1:])
+    np.cumsum(ii[1:, 1:], axis=1, out=ii[1:, 1:])
+    # P[r, c] = ii[clip(r - ay, 0, h), clip(c - ax, 0, w)]
+    P = np.pad(ii, ((ay, kh - 1 - ay), (ax, kw - 1 - ax)), mode="edge")
+    return (P[kh : kh + h, kw : kw + w]
+            - P[0:h, kw : kw + w] - P[kh : kh + h, 0:w] + P[0:h, 0:w])
+
+
 def _find_obstacles_loop(img, min_width):
     """Column-loop form of find_obstacles (ref rlsa.py:121-159)."""
     mask = np.zeros(img.shape, dtype=bool)
@@ -405,3 +432,441 @@ def test_borderless_tables_match_loop_forms(name, monkeypatch):
     monkeypatch.setattr(rlsa, "adaptive_rlsa", _adaptive_rlsa_loop)
     monkeypatch.setattr(rlsa, "find_obstacles", _find_obstacles_loop)
     assert got == _table_image(name).extract_tables(borderless_tables=True)
+
+
+# ---- image kernels (imgops/kernels.py) against the forms they replaced ----
+
+def _rgb2gray_fixed_point(img):
+    r = img[:, :, 0].astype(np.uint32)
+    g = img[:, :, 1].astype(np.uint32)
+    b = img[:, :, 2].astype(np.uint32)
+    return ((r * 4899 + g * 9617 + b * 1868 + 8192) >> 14).astype(np.uint8)
+
+
+def _slide_extreme_axis_van_herk(x: np.ndarray, k: int, a: int, axis: int,
+                                 is_max: bool) -> np.ndarray:
+    """Sliding max/min of a uint8 array along ``axis`` with window ``k``,
+    anchor ``a`` (out[i] reduces input indices [i-a, i-a+k)); out-of-image
+    contributes the reduction identity (0 for max, 255 for min), i.e.
+    border pixels are ignored, cv2 default-border morphology semantics.
+
+    Two regimes, both pure-uint8 (the int32 integral-image form this
+    replaces moved ~5x the bytes and dominated page-level memory
+    bandwidth at high actor counts):
+
+    * k <= 8: reduce over k shifted slices of one padded copy;
+    * k > 8: van Herk / Gil-Werman — two uint8 running-extreme passes
+      over k-sized blocks + one elementwise combine, O(1) per pixel
+      independent of k.
+    """
+    if k == 1:
+        return x
+    op = np.maximum if is_max else np.minimum
+    ident = 0 if is_max else 255
+    h, w = x.shape
+    n = x.shape[axis]
+    if k <= 8:
+        shp = (h, n + k - 1) if axis == 1 else (n + k - 1, w)
+        P = np.full(shp, ident, np.uint8)
+        if axis == 1:
+            P[:, a : a + n] = x
+            out = P[:, 0:n].copy()
+            for j in range(1, k):
+                op(out, P[:, j : j + n], out=out)
+        else:
+            P[a : a + n, :] = x
+            out = P[0:n, :].copy()
+            for j in range(1, k):
+                op(out, P[j : j + n, :], out=out)
+        return out
+    # van Herk: pad to a multiple of the block size m == k
+    m = k
+    L = n + k - 1
+    L2 = ((L + m - 1) // m) * m
+    shp = (h, L2) if axis == 1 else (L2, w)
+    P = np.full(shp, ident, np.uint8)
+    if axis == 1:
+        P[:, a : a + n] = x
+        blocks = P.reshape(h, L2 // m, m)
+        F = op.accumulate(blocks, axis=2).reshape(h, L2)
+        B = np.flip(op.accumulate(np.flip(blocks, 2), axis=2), 2).reshape(h, L2)
+        return op(B[:, 0:n], F[:, k - 1 : k - 1 + n])
+    P[a : a + n, :] = x
+    blocks = P.reshape(L2 // m, m, w)
+    F = op.accumulate(blocks, axis=1).reshape(L2, w)
+    B = np.flip(op.accumulate(np.flip(blocks, 1), axis=1), 1).reshape(L2, w)
+    return op(B[0:n, :], F[k - 1 : k - 1 + n, :])
+
+
+def _as_binary255(binary: np.ndarray) -> np.ndarray:
+    return np.where(binary != 0, np.uint8(255), np.uint8(0))
+
+
+def _dilate_binary255(binary, kw, kh):
+    b = _as_binary255(binary)
+    b = _slide_extreme_axis_van_herk(b, kw, kw // 2, axis=1, is_max=True)
+    return _slide_extreme_axis_van_herk(b, kh, kh // 2, axis=0, is_max=True)
+
+
+def _erode_binary255(binary, kw, kh):
+    b = _as_binary255(binary)
+    b = _slide_extreme_axis_van_herk(b, kw, kw // 2, axis=1, is_max=False)
+    return _slide_extreme_axis_van_herk(b, kh, kh // 2, axis=0, is_max=False)
+
+
+def box_mean_replicate(img: np.ndarray, k: int) -> np.ndarray:
+    """Normalized k x k box filter with BORDER_REPLICATE, float64 output —
+    the mean filter inside cv2.ximgproc.niBlackThreshold."""
+    pad = k // 2
+    h, w = img.shape
+    fp = np.pad(img.astype(np.float64), ((pad, pad), (0, 0)), mode="edge")
+    cs = np.zeros((h + 2 * pad + 1, w), dtype=np.float64)
+    np.cumsum(fp, axis=0, out=cs[1:])
+    v = cs[k:] - cs[:-k]  # slices are views: subtraction must allocate
+    vp = np.pad(v, ((0, 0), (pad, pad)), mode="edge")
+    cs2 = np.zeros((h, w + 2 * pad + 1), dtype=np.float64)
+    np.cumsum(vp, axis=1, out=cs2[:, 1:])
+    out = cs2[:, k:] - cs2[:, :-k]
+    out /= k * k
+    return out
+
+
+def _sauvola_float64(gray, window, k=0.2, r=128.0):
+    mean = box_mean_replicate(gray, window)
+    sqmean = box_mean_replicate(gray.astype(np.float64) ** 2, window)
+    var = np.maximum(sqmean - mean ** 2, 0.0)
+    std = np.sqrt(var.astype(np.float32))
+    t = mean.astype(np.float32) * (1.0 + k * (std / r - 1.0))
+    return gray.astype(np.float32) <= t
+
+
+def _bilateral_interleaved(img, sigma_color=40.0, sigma_space=80.0):
+    """cv2.bilateralFilter(img, d=3, 40, 80): neighbours read from one
+    interleaved (H, W, 3) int16 padded copy."""
+    h, w, _ = img.shape
+    gauss_color = -0.5 / (sigma_color ** 2)
+    gauss_space = -0.5 / (sigma_space ** 2)
+    i16 = img.astype(np.int16)
+    padded_i = np.pad(i16, ((1, 1), (1, 1), (0, 0)), mode="reflect")  # BORDER_DEFAULT
+    cw_table = np.exp(gauss_color * (np.arange(256 * 3, dtype=np.float32) ** 2))
+    cw_table[cw_table < np.float32(1.2e-38)] = 0.0
+    nums = [img[:, :, c].astype(np.float32) for c in range(3)]
+    den = np.ones((h, w), dtype=np.float32)
+    l1 = np.empty((h, w), dtype=np.int16)
+    d = np.empty((h, w), dtype=np.int16)
+    for dy, dx in ((-1, 0), (1, 0), (0, -1), (0, 1)):
+        sw = np.float32(np.exp(gauss_space * (dy * dy + dx * dx)))
+        nb = padded_i[1 + dy : 1 + dy + h, 1 + dx : 1 + dx + w, :]
+        np.subtract(nb[:, :, 0], i16[:, :, 0], out=l1)
+        np.abs(l1, out=l1)
+        for c in (1, 2):
+            np.subtract(nb[:, :, c], i16[:, :, c], out=d)
+            np.abs(d, out=d)
+            l1 += d
+        wgt = cw_table[l1]
+        wgt *= sw
+        for c in range(3):
+            nums[c] += nb[:, :, c].astype(np.float32) * wgt
+        den += wgt
+    out = np.empty((h, w, 3), dtype=np.uint8)
+    for c in range(3):
+        q = nums[c] / den
+        out[:, :, c] = np.clip(np.rint(q), 0, 255).astype(np.uint8)
+    return out
+
+
+def _convolve_axis_float64(f, k, axis):
+    """'valid' correlation along an axis, taps accumulated from 0 (the
+    per-element order of the blocked form the Gaussian kernels replaced)."""
+    n = len(k)
+    if axis == 1:
+        w_out = f.shape[1] - n + 1
+        out = np.zeros((f.shape[0], w_out), dtype=np.float64)
+        for i in range(n):
+            out += k[i] * f[:, i : i + w_out]
+        return out
+    h_out = f.shape[0] - n + 1
+    out = np.zeros((h_out, f.shape[1]), dtype=np.float64)
+    for i in range(n):
+        out += k[i] * f[i : i + h_out, :]
+    return out
+
+
+def _gaussian_float64(img, ksize, mode, sigma=0.0):
+    """Unrounded float64 separable Gaussian, border ``mode`` as np.pad
+    names it ("reflect" = reflect-101, "edge" = replicate)."""
+    k = kernels.gaussian_kernel_1d(ksize, sigma)
+    pad = ksize // 2
+    f = np.pad(img.astype(np.float64), ((0, 0), (pad, pad)), mode=mode)
+    f = _convolve_axis_float64(f, k, axis=1)
+    f = np.pad(f, ((pad, pad), (0, 0)), mode=mode)
+    return _convolve_axis_float64(f, k, axis=0)
+
+
+def _gaussian_blur_float64(img, ksize, sigma=0.0):
+    f = _gaussian_float64(img, ksize, "reflect", sigma)
+    return np.clip(np.rint(f), 0, 255).astype(np.uint8)
+
+
+def _adaptive_threshold_float64(gray, block, c):
+    mean = np.rint(_gaussian_float64(gray, block, "edge"))
+    return np.where(gray.astype(np.float64) > mean - c, 0, 255).astype(np.uint8)
+
+
+IMAGE_FIXTURES = ["test.png", "dark.png", "borderless.png", "blank.png",
+                  "contours.png", "titles.jpg", "test.pdf"]
+
+
+def _fixture_rgb(name):
+    """A vendored image, or the first page of a vendored PDF as the
+    renderer draws it (gray-replicated, 200 dpi)."""
+    from img2table_ray.extract.pdfraster import render_pdf
+    from img2table_ray.fixtures import fixture_bytes
+    from img2table_ray.imgops.png import decode_image
+
+    if name.endswith(".pdf"):
+        return render_pdf(fixture_bytes(name), pages=[0])[0]
+    return decode_image(fixture_bytes(name))
+
+
+def _random_rgb(rng, n, max_side=48):
+    """Colour, gray-replicated and two-equal-channel images, 1x1 and
+    one-pixel-thin shapes included."""
+    shapes = [(1, 1), (1, 7), (7, 1), (2, 2), (1, 60), (60, 1)]
+    shapes += [tuple(int(v) for v in rng.integers(1, max_side, 2)) for _ in range(n)]
+    for i, (h, w) in enumerate(shapes):
+        img = rng.integers(0, 256, (h, w, 3), dtype=np.uint8)
+        if i % 3 == 0:
+            img[:, :, 1] = img[:, :, 2] = img[:, :, 0]
+        elif i % 3 == 1:
+            img[:, :, 2] = img[:, :, 0]
+        yield img
+
+
+def _assert_same(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def test_rgb2gray_matches_fixed_point_form():
+    rng = np.random.default_rng(31)
+    for img in _random_rgb(rng, 40):
+        _assert_same(kernels.rgb2gray(img), _rgb2gray_fixed_point(img))
+    for name in IMAGE_FIXTURES:
+        img = _fixture_rgb(name)
+        gray = np.repeat(img[:, :, :1], 3, axis=2)
+        _assert_same(kernels.rgb2gray(img), _rgb2gray_fixed_point(img))
+        _assert_same(kernels.rgb2gray(gray), _rgb2gray_fixed_point(gray))
+        # one colour pixel in the first or the last row block
+        for y, x in ((0, 0), (-1, -1)):
+            tinted = gray.copy()
+            tinted[y, x, 1] ^= 1
+            assert not kernels._is_gray(tinted)
+            _assert_same(kernels.rgb2gray(tinted), _rgb2gray_fixed_point(tinted))
+
+
+SLIDE_WINDOWS = [1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 20, 37, 64, 150]
+
+
+def test_slide_extreme_matches_van_herk():
+    rng = np.random.default_rng(37)
+    for trial in range(40):
+        h, w = (int(v) for v in rng.integers(1, 70, 2))
+        if trial % 2:
+            x = rng.integers(0, 256, (h, w), dtype=np.uint8)
+        else:
+            x = (rng.random((h, w)) < 0.3).astype(np.uint8) * 255
+        for k in SLIDE_WINDOWS:
+            a = int(rng.integers(0, k))
+            for axis in (0, 1):
+                for is_max in (True, False):
+                    _assert_same(
+                        kernels._slide_extreme_axis(x, k, a, axis, is_max),
+                        _slide_extreme_axis_van_herk(x, k, a, axis, is_max))
+
+
+MORPH_WINDOWS = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (1, 3), (3, 3),
+                 (4, 6), (9, 2), (2, 9), (15, 15), (16, 1), (1, 33), (40, 7)]
+MORPH_OPS = [
+    ("dilate", _dilate_binary255),
+    ("erode", _erode_binary255),
+    ("morph_open", lambda b, kw, kh: _dilate_binary255(_erode_binary255(b, kw, kh), kw, kh)),
+    ("morph_close", lambda b, kw, kh: _erode_binary255(_dilate_binary255(b, kw, kh), kw, kh)),
+]
+
+
+def test_morphology_matches_binary255_forms():
+    """Every caller passes 0/255 images; the dropped 0/255 copy was the
+    identity on them, and a k = 1 window still returns a fresh array."""
+    rng = np.random.default_rng(41)
+    images = [(rng.random((h, w)) < p).astype(np.uint8) * 255
+              for h, w, p in [(1, 1, 0.5), (1, 30, 0.5), (30, 1, 0.5),
+                              (25, 40, 0.1), (40, 25, 0.6), (64, 64, 0.3)]]
+    images.append(kernels.sauvola_threshold(
+        _rgb2gray_fixed_point(_fixture_rgb("test.png")), 11).view(np.uint8) * np.uint8(255))
+    for img in images:
+        before = img.copy()
+        for kw, kh in MORPH_WINDOWS:
+            for name, oracle in MORPH_OPS:
+                got = getattr(kernels, name)(img, kw, kh)
+                _assert_same(got, oracle(img, kw, kh))
+                assert not np.shares_memory(got, img)
+        assert np.array_equal(img, before)
+
+
+SAUVOLA_WINDOWS = [1, 3, 5, 11, 23, 61, 181, 183]
+
+
+def test_sauvola_matches_box_mean_form():
+    rng = np.random.default_rng(43)
+    for img in _random_rgb(rng, 30):
+        gray = _rgb2gray_fixed_point(img)
+        for window in SAUVOLA_WINDOWS:
+            _assert_same(kernels.sauvola_threshold(gray, window),
+                         _sauvola_float64(gray, window))
+    # prefix sums past 2**31 wrap in int32; window sums stay exact
+    bright = np.full((2000, 40), 255, np.uint8)
+    bright[::7, ::3] = 0
+    assert 2000 * 23 * 65025 > 2 ** 31
+    _assert_same(kernels.sauvola_threshold(bright, 23),
+                 _sauvola_float64(bright, 23))
+    # a window of 183 on a bright page sums gray**2 past 2**31: int64 sums
+    # (int32 would wrap the sum itself and drop the sparse 204s)
+    bright = np.full((200, 200), 255, np.uint8)
+    bright[7::25, 7::25] = 204
+    assert 183 * 183 * 65025 >= 2 ** 31
+    for window in (181, 183):
+        _assert_same(kernels.sauvola_threshold(bright, window),
+                     _sauvola_float64(bright, window))
+
+
+@pytest.mark.parametrize("name", IMAGE_FIXTURES)
+def test_threshold_kernels_match_on_fixture(name):
+    gray = _rgb2gray_fixed_point(_fixture_rgb(name))
+    for window in (11, 23):
+        _assert_same(kernels.sauvola_threshold(gray, window),
+                     _sauvola_float64(gray, window))
+        _assert_same(kernels.sauvola_threshold(255 - gray, window),
+                     _sauvola_float64(255 - gray, window))
+    for ksize in (5, 9, 23):
+        blur = kernels.gaussian_blur(gray, ksize)
+        _assert_same(blur, _gaussian_blur_float64(gray, ksize))
+        _assert_same(kernels.in_range_mask(blur, 0, 100),
+                     (((blur >= 0) & (blur <= 100)) * 255).astype(np.uint8))
+    crop = gray[100:180, 200:520]
+    _assert_same(kernels.adaptive_threshold_gaussian_inv(crop, 11, 30),
+                 _adaptive_threshold_float64(crop, 11, 30))
+
+
+def _assert_bilateral_same(img):
+    """Every filtered channel, and the gray image of the filtered page,
+    exactly as the interleaved form gives them."""
+    want = _bilateral_interleaved(img)
+    planes = kernels._bilateral3_planes(img, 40.0, 80.0)
+    assert len(planes) == (1 if kernels._is_gray(img) else 3)
+    for c in range(3):
+        _assert_same(planes[c % len(planes)], want[:, :, c])
+    _assert_same(kernels.bilateral3_gray(img), _rgb2gray_fixed_point(want))
+
+
+def test_bilateral_matches_interleaved_form():
+    rng = np.random.default_rng(47)
+    for img in _random_rgb(rng, 40):
+        _assert_bilateral_same(img)
+    # hard edges: weights underflow to the flushed-to-zero table entries
+    edges = np.zeros((30, 30, 3), np.uint8)
+    edges[:, ::2] = 255
+    edges[::3, :, 1] = 128
+    _assert_bilateral_same(edges)
+
+
+@pytest.mark.parametrize("name", IMAGE_FIXTURES)
+def test_bilateral_matches_on_fixture(name):
+    img = _fixture_rgb(name)
+    _assert_bilateral_same(img)
+    _assert_bilateral_same(np.repeat(img[:, :, :1], 3, axis=2))
+    # one colour pixel in the last row: the page is not gray
+    tinted = np.repeat(img[:, :, :1], 3, axis=2)
+    tinted[-1, -1, 2] ^= 1
+    assert not kernels._is_gray(tinted)
+    _assert_bilateral_same(tinted)
+
+
+def test_gaussian_matches_float64_form_every_odd_ksize():
+    """Odd ksize 3..255 on images thinner and smaller than the kernel
+    (np.pad's repeated reflection) as well as larger ones."""
+    rng = np.random.default_rng(53)
+    images = [rng.integers(0, 256, shape, dtype=np.uint8)
+              for shape in [(1, 1), (1, 9), (9, 1), (3, 40), (40, 3), (31, 47)]]
+    for ksize in range(3, 256, 2):
+        for img in images:
+            _assert_same(kernels.gaussian_blur(img, ksize),
+                         _gaussian_blur_float64(img, ksize))
+    for img in images:
+        for block in (3, 11, 31):
+            for c in (30, 2.5, -7):
+                _assert_same(kernels.adaptive_threshold_gaussian_inv(img, block, c),
+                             _adaptive_threshold_float64(img, block, c))
+
+
+def _blocks(h, w, a, b):
+    """One-grey-level steps: a checkerboard of a x b blocks of 100 and 101.
+    Its blurs land on or next to half-integers."""
+    return (100 + np.add.outer(np.arange(h) // a, np.arange(w) // b) % 2).astype(np.uint8)
+
+
+def _tie_stress():
+    """Noise with four 32x32 step patches: enough band pixels to matter,
+    few enough that they are recomputed one by one."""
+    img = np.random.default_rng(59).integers(0, 256, (240, 480), dtype=np.uint8)
+    for i, (a, b) in enumerate([(1, 1), (2, 2), (1, 3), (2, 1)]):
+        img[40:72, 40 + 100 * i : 72 + 100 * i] = _blocks(32, 32, a, b)
+    return img
+
+
+def _float32_pass(img, ksize, mode):
+    h, w = img.shape
+    pad = ksize // 2
+    return kernels._gaussian32(img, kernels.gaussian_kernel_1d(ksize),
+                               np.pad(np.arange(h), pad, mode=mode),
+                               np.pad(np.arange(w), pad, mode=mode))[:, :w]
+
+
+@pytest.mark.parametrize("ksize", [3, 5, 9, 11, 23, 51])
+def test_gaussian_tie_band_recomputes_exactly(ksize):
+    img = _tie_stress()
+    for mode in ("reflect", "edge"):
+        v32 = _float32_pass(img, ksize, mode)
+        band = np.abs(v32 - np.floor(v32) - 0.5) < kernels._tie_tol(ksize)
+        assert band.sum() * ksize < img.size  # the per-pixel recompute path
+        if ksize in (9, 23, 51):
+            # float32 alone rounds some pixels the other way
+            f64 = _gaussian_float64(img, ksize, mode)
+            assert (np.rint(v32) != np.rint(f64)).any()
+    _assert_same(kernels.gaussian_blur(img, ksize),
+                 _gaussian_blur_float64(img, ksize))
+    _assert_same(kernels.adaptive_threshold_gaussian_inv(img, ksize, 0),
+                 _adaptive_threshold_float64(img, ksize, 0))
+
+
+@pytest.mark.parametrize("a,b", [(1, 1), (1, 2), (2, 2), (1, 3)])
+def test_gaussian_whole_image_ties_take_float64_form(a, b):
+    """A page of one-level steps: nearly every pixel is in the band, so the
+    whole image takes the float64 form."""
+    img = _blocks(64, 128, a, b)
+    v32 = _float32_pass(img, 23, "reflect")
+    assert (np.abs(v32 - np.floor(v32) - 0.5) < kernels._tie_tol(23)).sum() * 23 >= img.size
+    _assert_same(kernels.gaussian_blur(img, 23), _gaussian_blur_float64(img, 23))
+    _assert_same(kernels.adaptive_threshold_gaussian_inv(img, 23, 1),
+                 _adaptive_threshold_float64(img, 23, 1))
+
+
+@pytest.mark.parametrize("name", IMAGE_FIXTURES)
+def test_gaussian_float32_error_below_tie_tol(name):
+    """The float32 passes stay inside the band that decides which pixels
+    are recomputed, by the margin the written bound claims."""
+    gray = _rgb2gray_fixed_point(_fixture_rgb(name))
+    for ksize in (5, 9, 23, 51):
+        v32 = _float32_pass(gray, ksize, "reflect")
+        err = np.abs(v32.astype(np.float64) - _gaussian_float64(gray, ksize, "reflect"))
+        assert err.max() < kernels._tie_tol(ksize)

@@ -1,0 +1,77 @@
+"""Single-page latency of the table extraction on the vendored fixtures.
+
+    python tests/tools/page_bench.py [--runs N]
+
+Times ``extract_tables_from_image(img, implicit_rows=True)`` on
+``test.png``, ``dark.png`` and ``borderless.png``, in this process, after
+one warm-up call per page.  Prints one line per page: min and median ms
+per page over N runs, then the median ms of the three classical-CV
+layers inside it: threshold (``threshold_dark_areas``), metrics
+(``compute_img_metrics``) and lines (``detect_lines``).  Run it on both
+sides of a change, one right after the other, and compare.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import statistics
+import sys
+import time
+
+REPO = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))))
+
+PAGES = ("test.png", "dark.png", "borderless.png")
+LAYERS = (("threshold", "threshold_dark_areas"),
+          ("metrics", "compute_img_metrics"),
+          ("lines", "detect_lines"))
+
+
+def _timed(fn, spent, layer):
+    def wrapper(*args, **kwargs):
+        t0 = time.perf_counter()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            spent[layer] += time.perf_counter() - t0
+    return wrapper
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--runs", type=int, default=20)
+    args = ap.parse_args()
+
+    sys.path.insert(0, REPO)
+    from img2table_ray.extract import document
+    from img2table_ray.fixtures import fixture_bytes
+    from img2table_ray.imgops.png import decode_image
+
+    spent = {layer: 0.0 for layer, _ in LAYERS}
+    for layer, name in LAYERS:
+        setattr(document, name, _timed(getattr(document, name), spent, layer))
+
+    for page in PAGES:
+        img = decode_image(fixture_bytes(page))
+        document.extract_tables_from_image(img, implicit_rows=True)
+        totals, splits = [], {layer: [] for layer, _ in LAYERS}
+        for _ in range(args.runs):
+            for layer in spent:
+                spent[layer] = 0.0
+            t0 = time.perf_counter()
+            document.extract_tables_from_image(img, implicit_rows=True)
+            totals.append(time.perf_counter() - t0)
+            for layer, v in spent.items():
+                splits[layer].append(v)
+        parts = "  ".join(f"{layer} {1e3 * statistics.median(v):7.1f}"
+                          for layer, v in splits.items())
+        print(f"{page:15s} {img.shape[1]}x{img.shape[0]}  "
+              f"min {1e3 * min(totals):7.1f}  "
+              f"median {1e3 * statistics.median(totals):7.1f} ms/page  "
+              f"({parts})", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
