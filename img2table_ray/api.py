@@ -232,8 +232,9 @@ class Image(Document):
 
 
 class MultiPageDocument(Document):
-    """Multi-page document over the MPNG container (PDF stand-in; real PDFs
-    need pypdfium2 — see extract/pdf.py)."""
+    """Multi-page document over the MPNG container (the repo's multi-page
+    image stand-in; real PDFs are rendered by the :class:`PDF` class —
+    see extract/pdf.py)."""
 
     def __init__(self, src, pages: Optional[list[int]] = None,
                  detect_rotation: bool = False) -> None:

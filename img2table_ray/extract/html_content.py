@@ -209,7 +209,7 @@ def wrap_boilerplate(doc_id: int, text: str) -> str:
     comments = "".join(
         f'<div class="comment"><a href="/u/{_USERS[(r + i) % 5]}">'
         f"@{_USERS[(r + i) % 5]}</a><span> nice post "
-        f"thanks for sharing #{i}</span></div>'"
+        f"thanks for sharing #{i}</span></div>"
         for i in range(1 + r % 3))
     about = ('<div class="about"><p><a href="/team">Built by the team'
              "</a> est. 2020</p></div>")

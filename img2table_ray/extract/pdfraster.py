@@ -1058,8 +1058,7 @@ class _Raster:
 
 
 def render_pdf(data: bytes, pages: list[int] | None = None,
-               dpi: float = 200.0, text_ink: bool = True
-               ) -> list[np.ndarray]:
+               dpi: float = 200.0) -> list[np.ndarray]:
     """Rasterize selected pages of a PDF -> list of (H, W, 3) uint8 RGB.
 
     Vector-layer rendering (see module docstring); raises
@@ -1079,7 +1078,6 @@ def render_pdf(data: bytes, pages: list[int] | None = None,
         except PdfTextError:
             content = b""
         r.run(content, page.get("Resources") or {}, r.base)
-        if text_ink:
-            r.draw_text_ink(page)
+        r.draw_text_ink(page)
         out.append(np.repeat(r.canvas[:, :, None], 3, axis=2))
     return out

@@ -37,11 +37,6 @@ def md5_hex_many(strings: "list[str] | np.ndarray") -> np.ndarray:
     return np.array([md5(s.encode("utf-8")).hexdigest() for s in strings], dtype=object)
 
 
-def md5_int60(s: str) -> int:
-    """First 60 bits of md5(s) as a non-negative int (fits int64)."""
-    return int(hashlib.md5(s.encode("utf-8")).hexdigest()[:HEX_CHARS], 16)
-
-
 def md5_int60_many(strings) -> np.ndarray:
     md5 = hashlib.md5
     return np.array(

@@ -637,17 +637,14 @@ def _riff_chunks(data: bytes):
         pos += 8 + size + (size & 1)  # chunks are word-aligned
 
 
-def decode_webp(data: bytes, allow_foreign_vp8: bool = True) -> np.ndarray:
+def decode_webp(data: bytes) -> np.ndarray:
     """RIFF container -> first VP8L (lossless) or VP8 (lossy keyframe)
     image as (H, W, 3) uint8 RGB.
 
     Lossy ``VP8 `` chunks decode through ``vp8.py``, which since round 4
     carries the real RFC 6386 default tables (``vp8_tables.py``) and is
     pinned pixel-exact against libwebp output on foreign streams
-    (tests/test_vp8_interop.py), so the round-3 self-encoded-only gate is
-    gone.  ``allow_foreign_vp8`` is kept for signature compatibility and
-    ignored."""
-    del allow_foreign_vp8
+    (tests/test_vp8_interop.py)."""
     if data[:4] != b"RIFF" or data[8:12] != b"WEBP":
         raise WebpError("not a WebP file")
     for tag, payload in _riff_chunks(data):

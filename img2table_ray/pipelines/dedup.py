@@ -11,10 +11,14 @@ Scale notes (100 TB design, tested single-node):
   *partial* min-reduce per batch (combiner) before the global
   ``groupby(hash)`` — the shuffle moves one row per (hash, batch), not one
   per document.
-* ``minhash_lsh_pairs``: signature computation is embarrassingly parallel
-  per batch; the only shuffle is the (band, band_hash) groupby whose groups
-  are tiny (near-dup buckets).  Hot buckets (identical boilerplate) are
-  capped per group with a documented limit rather than exploding O(n²).
+* ``minhash_lsh_pairs`` / ``simhash_near_dup``: signature computation is
+  embarrassingly parallel per batch; the only shuffle before the pair
+  distinct is ``stages.util.map_key_groups`` on the bucket key ((band,
+  band_hash) or (chunk, chunk_val)): a bucket never splits across calls,
+  and a call holds one slot of buckets (``pair_slots()`` slots), never
+  the corpus.  ``_hot_bucket_pairs`` walks a slot's buckets; hot buckets
+  (identical boilerplate) are capped at MAX_BUCKET docs rather than
+  exploding O(n²).
 * ``embedding_dup_pairs``: IVF-bucketed candidate generation (multi-probe
   assignment -> within-bucket pairs -> pair-key dedup) — per-task memory is
   O(bucket), never O(corpus).
@@ -33,6 +37,8 @@ import ray.data
 from ray.data.aggregate import Min
 
 from img2table_ray.functions import hashing
+from img2table_ray.stages.util import (actor_concurrency, map_key_groups,
+                                       shuffle_width)
 
 SHINGLE_K = 3  # word-shingle width
 NUM_HASHES = 16  # minhash signature length
@@ -79,8 +85,6 @@ def exact_dedup(sf_dir: str) -> ray.data.Dataset:
     # input block count (measured 3-4x on the combiner output), and the
     # combiner output is tiny relative to the input (at 100 TB the coalesce
     # is noise next to the scan); width scales with cluster CPUs
-    from img2table_ray.stages.util import shuffle_width
-
     partial = partial.repartition(shuffle_width())
     return partial.groupby("content_hash").aggregate(Min("doc_id", alias_name="doc_id"))
 
@@ -115,45 +119,54 @@ def _minhash_explode(batch: pd.DataFrame) -> pd.DataFrame:
     )
 
 
+def _hot_bucket_pairs(df: pd.DataFrame) -> tuple[pd.DataFrame, np.ndarray,
+                                             np.ndarray]:
+    """The within-bucket pairs of every bucket ``code`` in ``df`` (columns
+    ``code``, ``doc_id`` and any per-doc payload).  One walk: drop
+    duplicate (code, doc_id) rows, count, keep the codes with >= 2 docs,
+    sort by (code, doc_id), and keep each bucket's first MAX_BUCKET docs.
+    Returns those rows and the positions ``(a, b)`` into them of every
+    pair a < b within one bucket, bucket by bucket in row-major order."""
+    df = df.drop_duplicates(["code", "doc_id"])
+    counts = df["code"].value_counts()
+    hot = df[df["code"].isin(counts[counts >= 2].index)
+             ].sort_values(["code", "doc_id"])
+    code = hot["code"].to_numpy()
+    start = np.flatnonzero(np.r_[True, code[1:] != code[:-1]])
+    size = np.diff(np.r_[start, len(code)])
+    pos = np.arange(len(code)) - np.repeat(start, size)
+    keep = pos < MAX_BUCKET
+    hot, pos = hot[keep], pos[keep]
+    size = np.minimum(size, MAX_BUCKET)
+    # row i pairs with the rest of its bucket: rows i+1 .. bucket end
+    partners = np.repeat(size, size) - 1 - pos
+    a = np.repeat(np.arange(len(hot)), partners)
+    step = np.arange(len(a)) - np.repeat(np.cumsum(partners) - partners,
+                                         partners)
+    return hot, a, a + 1 + step
+
+
 def _slot_pairs(group: pd.DataFrame) -> pd.DataFrame:
-    """Within-bucket pairs for EVERY (band, band_hash) bucket hashed into
-    this slot.  One Python call handles thousands of buckets: grouping by
-    a coarse slot key instead of the bucket key cut map_groups' per-group
+    """Within-bucket pairs for EVERY (band, band_hash) bucket of one slot.
+    One Python call handles thousands of buckets: grouping by a slot of
+    the bucket key instead of the bucket key cut map_groups' per-group
     UDF overhead from ~38k calls to ``pair_slots()`` calls (measured
     4.8 s -> 0.6 s on the sf0.1 stage); bucket semantics (dedup, sort,
     MAX_BUCKET hot-key cap) are unchanged and pinned by the oracle."""
-    if not len(group):
-        return pd.DataFrame({"doc_id_a": pd.Series(dtype="int64"),
-                             "doc_id_b": pd.Series(dtype="int64")})
     codes, _ = pd.factorize(
         group["band"].astype(str) + "\x1f" + group["band_hash"].astype(str),
         sort=False)
-    df = pd.DataFrame({"code": codes, "doc_id": group["doc_id"].to_numpy()})
-    df = df.drop_duplicates()
-    counts = df["code"].value_counts()
-    hot = counts[counts >= 2].index
-    out_a: list[np.ndarray] = []
-    out_b: list[np.ndarray] = []
-    sub = df[df["code"].isin(hot)].sort_values(["code", "doc_id"])
-    for _, g in sub.groupby("code", sort=False):
-        ids = g["doc_id"].to_numpy()[:MAX_BUCKET]
-        ia, ib = np.triu_indices(len(ids), k=1)
-        out_a.append(ids[ia])
-        out_b.append(ids[ib])
-    if not out_a:
-        return pd.DataFrame({"doc_id_a": pd.Series(dtype="int64"),
-                             "doc_id_b": pd.Series(dtype="int64")})
-    return pd.DataFrame({"doc_id_a": np.concatenate(out_a),
-                         "doc_id_b": np.concatenate(out_b)})
+    hot, a, b = _hot_bucket_pairs(pd.DataFrame(
+        {"code": codes, "doc_id": group["doc_id"].to_numpy()}))
+    ids = hot["doc_id"].to_numpy()
+    return pd.DataFrame({"doc_id_a": ids[a], "doc_id_b": ids[b]})
 
 
 def pair_slots() -> int:
-    """Slot count for the coarse-bucket pair stage: scales with cluster
+    """Slot count for the bucket pair stage: scales with cluster
     CPUs (parallelism) — and on a real deployment should additionally be
     floored by corpus_bytes / target_group_bytes so one slot's rows
     (corpus x bands / slots) stay addressable in a single pandas group."""
-    from img2table_ray.stages.util import actor_concurrency
-
     return 4 * actor_concurrency()
 
 
@@ -164,7 +177,6 @@ def minhash_lsh_pairs(sf_dir: str) -> ray.data.Dataset:
     -> pairs -> distinct.
     """
     from img2table_ray.sources.readers import read_parquet_clean
-    from img2table_ray.stages.util import actor_concurrency
 
     # signature hashing is the CPU-heavy stage: split the READ into enough
     # blocks that stateless map tasks fill the CPUs (override_num_blocks is
@@ -176,28 +188,14 @@ def minhash_lsh_pairs(sf_dir: str) -> ray.data.Dataset:
     ).map_batches(_minhash_explode, batch_format="pandas", batch_size=1024)
     # coalesce before the shuffle (sort-shuffle fixed cost scales with
     # input block count; the exploded band rows are tiny relative to the
-    # corpus); width derived from cluster size, never a hardcode
-    from img2table_ray.stages.util import shuffle_width
-
-    # group by a COARSE deterministic slot of the bucket key, not the
-    # bucket key itself: map_groups invokes its UDF once per group, and
-    # per-(band, band_hash) grouping meant ~38k Python calls on tiny
-    # buckets (4.8 s of the 10.6 s pipeline at sf0.1).  _slot_pairs
-    # recovers exact bucket semantics vectorized inside each slot.
-    n_slots = pair_slots()
-
-    def tag_slot(b: pd.DataFrame) -> pd.DataFrame:
-        h = pd.util.hash_array(b["band_hash"].to_numpy(object))
-        b = b.copy()
-        b["slot"] = ((h ^ (b["band"].to_numpy(np.uint64)
-                           * np.uint64(0x9E3779B97F4A7C15)))
-                     % np.uint64(n_slots)).astype(np.int64)
-        return b
-
-    pairs = (exploded.map_batches(tag_slot, batch_format="pandas")
-             .repartition(shuffle_width())
-             .groupby("slot")
-             .map_groups(_slot_pairs, batch_format="pandas"))
+    # corpus); width derived from cluster size, never a hardcode.  Then
+    # group by a slot of the bucket key, not the bucket key itself:
+    # map_groups invokes its UDF once per group, and per-(band,
+    # band_hash) grouping meant ~38k Python calls on tiny buckets (4.8 s
+    # of the 10.6 s pipeline at sf0.1).  _slot_pairs recovers exact
+    # bucket semantics vectorized inside each slot.
+    pairs = map_key_groups(exploded.repartition(shuffle_width()),
+                           ["band", "band_hash"], _slot_pairs, pair_slots())
     # per-batch combiner: a pair found in several bands usually lands in the
     # same output batch — drop duplicates BEFORE the distinct shuffle
     pairs = pairs.map_batches(
@@ -239,8 +237,6 @@ def minhash_dedup(sf_dir: str) -> ray.data.Dataset:
     a documented safety valve, not a tuning knob.  Oracle: recursive CTE
     (transitive closure + min) in ``oracles.minhash_dedup_sql``.
     """
-    from img2table_ray.stages.util import shuffle_width
-
     width = shuffle_width()
     # candidate pairs are tiny relative to the corpus (near-dup buckets);
     # materialize once so the edge set isn't recomputed every round
@@ -315,8 +311,6 @@ def ngram_jaccard_pairs(sf_dir: str) -> ray.data.Dataset:
     compared exactly.  Both joins are bucketed by doc_id; the pair side is
     tiny, the shingle side streams through the shuffle once per join.
     """
-    from img2table_ray.stages.util import actor_concurrency
-
     cand = minhash_lsh_pairs(sf_dir)
 
     def shingle_ds(id_col: str, sh_col: str) -> ray.data.Dataset:
@@ -416,39 +410,17 @@ def simhash_near_dup(sf_dir: str, max_hamming: int = 3) -> ray.data.Dataset:
     exploded = sims.map_batches(explode_chunks, batch_format="pandas")
 
     def slot_chunk_pairs(group: pd.DataFrame) -> pd.DataFrame:
-        """Hamming-verified pairs for every (chunk, chunk_val) bucket
-        hashed into this slot (coarse-slot grouping: one UDF call covers
-        thousands of buckets — see _slot_pairs)."""
-        df = group.drop_duplicates(["code", "doc_id"])
-        counts = df["code"].value_counts()
-        hot = counts[counts >= 2].index
-        outs = []
-        sub = df[df["code"].isin(hot)].sort_values(["code", "doc_id"])
-        for _, g in sub.groupby("code", sort=False):
-            outs.append(chunk_pairs(g))
-        if not outs:
-            return pd.DataFrame(
-                {"doc_id_a": pd.Series(dtype="int64"),
-                 "doc_id_b": pd.Series(dtype="int64"),
-                 "hamming": pd.Series(dtype="int64")}
-            )
-        return pd.concat(outs, ignore_index=True)
-
-    def chunk_pairs(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.drop_duplicates("doc_id").sort_values("doc_id")
-        ids = g["doc_id"].to_numpy()[:MAX_BUCKET]
-        hs = g["simhash"].to_numpy()[:MAX_BUCKET]
-        if len(ids) < 2:
-            return pd.DataFrame(
-                {"doc_id_a": pd.Series(dtype="int64"),
-                 "doc_id_b": pd.Series(dtype="int64"),
-                 "hamming": pd.Series(dtype="int64")}
-            )
-        ia, ib = np.triu_indices(len(ids), k=1)
+        """Hamming-verified pairs for every (chunk, chunk_val) bucket of
+        one slot (see _slot_pairs)."""
+        hot, a, b = _hot_bucket_pairs(group.assign(
+            code=group["chunk"].to_numpy(np.int64) * 32768
+            + group["chunk_val"].to_numpy(np.int64)))
+        ids = hot["doc_id"].to_numpy()
+        hs = hot["simhash"].to_numpy()
         # vectorized 64-bit popcount (Hacker's Delight 5-2): the Python
         # int.bit_count() loop was fine at 64-doc buckets but not at the
         # ~36k pairs a 269-doc bucket generates
-        v = (hs[ia] ^ hs[ib]).astype(np.uint64)
+        v = (hs[a] ^ hs[b]).astype(np.uint64)
         v = v - ((v >> np.uint64(1)) & np.uint64(0x5555555555555555))
         v = ((v & np.uint64(0x3333333333333333))
              + ((v >> np.uint64(2)) & np.uint64(0x3333333333333333)))
@@ -456,35 +428,16 @@ def simhash_near_dup(sf_dir: str, max_hamming: int = 3) -> ray.data.Dataset:
         ham = ((v * np.uint64(0x0101010101010101)) >> np.uint64(56)
                ).astype(np.int64)
         keep = ham <= max_hamming
-        return pd.DataFrame(
-            {"doc_id_a": ids[ia][keep], "doc_id_b": ids[ib][keep],
-             "hamming": ham[keep]}
-        )
+        return pd.DataFrame({"doc_id_a": ids[a][keep],
+                             "doc_id_b": ids[b][keep], "hamming": ham[keep]})
 
-    from img2table_ray.stages.util import shuffle_width
-
-    # coarse-slot grouping (see minhash_lsh_pairs): the bucket key
-    # (chunk, chunk_val) is a small integer, so the slot is exact modulo
-    # arithmetic — no string hashing needed
-    n_slots = pair_slots()
-
-    def tag_slot(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["code"] = b["chunk"].to_numpy(np.int64) * 32768 + b[
-            "chunk_val"].to_numpy(np.int64)
-        b["slot"] = b["code"] % n_slots
-        return b
-
-    pairs = (exploded.map_batches(tag_slot, batch_format="pandas")
-             .repartition(shuffle_width())
-             .groupby("slot")
-             .map_groups(slot_chunk_pairs, batch_format="pandas"))
-    from ray.data.aggregate import Min as _Min
-
+    pairs = map_key_groups(exploded.repartition(shuffle_width()),
+                           ["chunk", "chunk_val"], slot_chunk_pairs,
+                           pair_slots())
     return (
         pairs.repartition(shuffle_width())
         .groupby(["doc_id_a", "doc_id_b"])
-        .aggregate(_Min("hamming", alias_name="hamming"))
+        .aggregate(Min("hamming", alias_name="hamming"))
     )
 
 

@@ -6,10 +6,11 @@ map_batches + groupby().map_groups" — Ray Data has no built-in for any
 of them.  Each is expressed Ray-Data-first and documents the
 partitioning assumption it relies on:
 
-* ``asof_join`` — hash-bucket both sides on the ``by`` key, co-locate
-  with one ``groupby(bucket).map_groups``, sorted backward-search inside
-  the group (pandas ``merge_asof``).  Assumes per-key history fits a
-  bucket's memory (buckets scale with the cluster, keys never split).
+* ``asof_join`` — both sides go through ``stages.util.map_key_groups``
+  on (user, 24 h time bucket): a vectorized backward search (pandas
+  ``merge_asof``) per slot finds the within-bucket matches, and a second
+  grouping on the user alone stitches the unmatched stubs across bucket
+  seams.  No call holds one user's whole history.
 * ``range_join`` — the small interval side is broadcast (``ray.put``
   once, read per task), probe side streams through ``map_batches`` with
   a vectorized interval test + per-batch partial aggregation.  No
@@ -30,7 +31,8 @@ import ray.data
 from ray.data.aggregate import Sum
 
 from img2table_ray.sources.readers import read_parquet_clean
-from img2table_ray.stages.util import shuffle_width
+from img2table_ray.stages.util import (map_key_groups, shuffle_width,
+                                       time_bucket)
 
 US_PER_SEC = 1_000_000
 
@@ -43,10 +45,10 @@ ASOF_BUCKET_HOURS = 24  # coarse time bucket bounding per-group events
 
 
 def _asof_local(g: pd.DataFrame) -> pd.DataFrame:
-    """As-of join ONE COARSE group (many (user, time-bucket) keys at
-    once, vectorized with ``merge_asof(by=[user, tbucket])`` — a
-    per-fine-key map_groups pays ~ms of pandas overhead per group,
-    which at users x buckets groups dominated the join).  Emits three
+    """As-of join ONE slot (many (user, time-bucket) keys at once,
+    vectorized with ``merge_asof(by=[user, tbucket])`` — a per-key
+    map_groups pays ~ms of pandas overhead per group, which at users x
+    buckets groups dominated the join).  Emits three
     row kinds in one schema: kind 0 = FINAL matched left rows (a
     within-bucket match is always more recent than anything in an
     earlier bucket); kind 1 = unmatched left stubs (their match, if
@@ -127,8 +129,8 @@ _ASOF_STAGE1_EMPTY = pd.DataFrame(
 
 def _asof_stitch(g: pd.DataFrame) -> pd.DataFrame:
     """Match unmatched left stubs against each user's latest earlier-
-    bucket right event, VECTORIZED across every user in one coarse
-    group.  Because time buckets partition the timeline, per-user
+    bucket right event, VECTORIZED across every user in one slot.
+    Because time buckets partition the timeline, per-user
     summary timestamps ascend with tbucket, so the prefix-latest right
     for a stub in bucket t is simply the summary with the largest
     tbucket < t — one searchsorted over (user-rank, tbucket) keys, no
@@ -194,25 +196,16 @@ def _asof_finalize(df: pd.DataFrame) -> pd.DataFrame:
                "gap_us"]]
 
 
-def _asof_tagger(left_type: str, right_type: str, span_us: int,
-                 width: int):
-    """Batch tagger: side, time bucket, and the COARSE shuffle key
-    (hash of (user, tbucket) so group count scales with the cluster,
-    not with users x buckets; a fine key never splits coarse groups)."""
+def _asof_tagger(left_type: str, right_type: str, span_us: int):
+    """Batch tagger: the ``left_type``/``right_type`` events with their
+    side (0 left, 1 right) and time bucket."""
 
     def tag(batch: pa.Table) -> pd.DataFrame:
         batch = batch.select(["event_id", "user_id", "ts", "event_type"])
-        # microseconds from Arrow, whatever the column's unit: to_pandas
-        # may hand back another one, which would scale tbucket by 1000
-        # (safe=False truncates sub-microsecond digits)
-        ts_us = (batch["ts"].cast(pa.timestamp("us"), safe=False)
-                 .cast(pa.int64()).to_numpy(zero_copy_only=False))
+        tbucket = time_bucket(batch["ts"], span_us)
         df = batch.to_pandas()
         keep = df["event_type"].isin([left_type, right_type]).to_numpy()
         df = df[keep]
-        tbucket = pd.Series(ts_us[keep] // span_us, index=df.index)
-        coarse = ((df["user_id"] * np.int64(0x9E3779B1) + tbucket)
-                  % width).astype("int64")
         return pd.DataFrame(
             {
                 "event_id": df["event_id"],
@@ -220,8 +213,7 @@ def _asof_tagger(left_type: str, right_type: str, span_us: int,
                 "ts": df["ts"],
                 "side": np.where(df["event_type"] == left_type, 0, 1
                                  ).astype("int64"),
-                "tbucket": tbucket,
-                "coarse": coarse,
+                "tbucket": pd.Series(tbucket[keep], index=df.index),
             }
         )
 
@@ -239,10 +231,10 @@ def asof_join(sf_dir: str, left_type: str = "purchase",
     (it is always more recent than anything in an earlier bucket) and
     never reshuffles; only unmatched left STUBS plus one latest-right
     summary per active bucket reach the per-user stitch, which walks
-    the prefix-latest right across bucket seams.  Keys never split
-    across groups; group sizes are bounded by one bucket's activity
-    (stage 1) or by stubs + summaries (stage 2), never by a user's raw
-    history.
+    the prefix-latest right across bucket seams.  Both stages go
+    through ``map_key_groups`` (keys never split across calls); a call
+    holds one slot of (user, bucket) activity (stage 1) or of stubs +
+    summaries (stage 2), never a user's raw history.
 
     Columns: event_id, user_id, ts, click_event_id, click_ts,
     gap_us (int64 microseconds, exact).
@@ -255,33 +247,23 @@ def asof_join(sf_dir: str, left_type: str = "purchase",
     span_us = ASOF_BUCKET_HOURS * 3600 * US_PER_SEC
     width = shuffle_width(min_width=16)
 
-    stage1 = (
+    stage1 = map_key_groups(
         read_parquet_clean(
             f"{sf_dir}/events.parquet",
             columns=["event_id", "user_id", "ts", "event_type"],
-        )
-        .map_batches(_asof_tagger(left_type, right_type, span_us, width),
-                     batch_format="pyarrow", batch_size=65536)
-        .groupby("coarse")
-        .map_groups(lambda g: _asof_local(g.drop(columns=["coarse"])),
-                    batch_format="pandas")
-    )
+        ).map_batches(_asof_tagger(left_type, right_type, span_us),
+                      batch_format="pyarrow", batch_size=65536),
+        ["user_id", "tbucket"], _asof_local, width)
     matched = stage1.map_batches(
         lambda df: _asof_finalize(
             df[df["kind"] == 0].drop(columns=["kind", "tbucket"])),
         batch_format="pandas",
     )
-    stitched = (
-        stage1.map_batches(
-            lambda df: df[df["kind"] != 0].assign(
-                ucoarse=(df[df["kind"] != 0]["user_id"] % width
-                         ).astype("int64")),
-            batch_format="pandas")
-        .groupby("ucoarse")
-        .map_groups(lambda g: _asof_stitch(g.drop(columns=["ucoarse"])),
-                    batch_format="pandas")
-        .map_batches(_asof_finalize, batch_format="pandas")
-    )
+    stitched = map_key_groups(
+        stage1.map_batches(lambda df: df[df["kind"] != 0],
+                           batch_format="pandas"),
+        ["user_id"], _asof_stitch, width,
+    ).map_batches(_asof_finalize, batch_format="pandas")
     # output is one row per matched left event — stays a streaming
     # Dataset (consume with write_parquet / iter_batches)
     return matched.union(stitched)
@@ -369,15 +351,14 @@ def sliding_window(sf_dir: str) -> "ray.data.Dataset":
     ``map_batches`` (bounded duplication, never a join against a window
     table), partials combine per (window, type) per batch, and only the
     combined partials — O(windows x types x batches) rows — reach the
-    final combine.  That combine groups by a COARSE bucket of the window
-    key (``shuffle_width()`` buckets) and merges each bucket with one
+    final combine.  That combine goes through ``map_key_groups`` on the
+    window start (``shuffle_width()`` slots) and merges each slot with one
     vectorized pandas groupby: Ray's named-column aggregate pays ~ms of
     per-group overhead, which at one group per (window, type) made this
-    37 s on 13.5k groups; the coarse-bucket form is the same shuffle with
+    37 s on 13.5k groups; the slot form is the same shuffle with
     O(width) groups and runs in well under a second.
     """
     nhops = WINDOW_US // HOP_US
-    width = shuffle_width(min_width=16)
 
     def partial(batch: pa.Table) -> pd.DataFrame:
         ts = batch["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
@@ -393,10 +374,8 @@ def sliding_window(sf_dir: str) -> "ray.data.Dataset":
                 "value": np.tile(val, nhops),
             }
         )
-        out = df.groupby(["window_start", "event_type"], as_index=False
-                         ).agg(p_n=("value", "size"), p_sum=("value", "sum"))
-        out["bucket"] = (out["window_start"] // HOP_US) % width
-        return out
+        return df.groupby(["window_start", "event_type"], as_index=False
+                          ).agg(p_n=("value", "size"), p_sum=("value", "sum"))
 
     def combine(g: pd.DataFrame) -> pd.DataFrame:
         out = g.groupby(["window_start", "event_type"], as_index=False
@@ -409,11 +388,8 @@ def sliding_window(sf_dir: str) -> "ray.data.Dataset":
 
     # output is one row per (window, type) — it grows with the stream's
     # time span, so it too stays a streaming Dataset
-    return (
+    return map_key_groups(
         read_parquet_clean(f"{sf_dir}/events.parquet",
                            columns=["ts", "event_type", "value"])
-        .map_batches(partial, batch_format="pyarrow", batch_size=65536)
-        .groupby("bucket")
-        .map_groups(lambda g: combine(g.drop(columns=["bucket"])),
-                    batch_format="pandas")
-    )
+        .map_batches(partial, batch_format="pyarrow", batch_size=65536),
+        ["window_start"], combine, shuffle_width(min_width=16))

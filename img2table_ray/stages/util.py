@@ -1,10 +1,13 @@
-"""Stage-sizing helpers shared by all Ray Data pipelines, and the base of
-the actor-pool stages that map one binary payload column."""
+"""Stage-sizing helpers shared by all Ray Data pipelines, the key-slot
+grouping of the bucketed wide operators, and the base of the actor-pool
+stages that map one binary payload column."""
 
 from __future__ import annotations
 
 import hashlib
 
+import numpy as np
+import pandas as pd
 import pyarrow as pa
 import ray
 
@@ -46,6 +49,45 @@ def shuffle_width(min_width: int = 8, cpus_per_block: int = 4) -> int:
     except Exception:
         total = 4
     return max(min_width, total // cpus_per_block)
+
+
+def map_key_groups(ds, keys: list[str], fn, width: int):
+    """``fn`` over the rows of ``ds`` split into ``width`` slots by key.
+
+    Every row goes to slot ``hash(row[keys]) % width`` (pandas'
+    ``hash_pandas_object``, deterministic across processes), and ``fn``
+    is called once per slot with a pandas frame of the slot's rows, the
+    slot column dropped.  The bound: a key's rows never split across
+    calls, and one call holds the rows of one slot.  With a time bucket
+    among the keys, a hot user's history spreads over the slots bucket
+    by bucket, so no call holds one user's whole history (the hot-key
+    partitioning of *MapReduce Algorithms for Big Data Analysis*, VLDB
+    2012).  Grouping by slot rather than by key keeps Ray's per-group UDF
+    cost (~ms per call) at ``width`` calls instead of one per key, so
+    ``fn`` handles many keys per call.
+    """
+
+    def tag(batch: pa.Table) -> pa.Table:
+        h = pd.util.hash_pandas_object(batch.select(keys).to_pandas(),
+                                       index=False).to_numpy()
+        return batch.append_column(
+            "_slot", pa.array((h % np.uint64(width)).astype(np.int64)))
+
+    return (ds.map_batches(tag, batch_format="pyarrow")
+            .groupby("_slot")
+            .map_groups(lambda g: fn(g.drop(columns=["_slot"])),
+                        batch_format="pandas"))
+
+
+def time_bucket(ts: pa.ChunkedArray, span_us: int) -> np.ndarray:
+    """Index of the ``span_us``-microsecond bucket of each timestamp.
+
+    Microseconds come from Arrow whatever the column's unit: ``to_pandas``
+    may hand back another unit, which would scale the bucket by 1000
+    (``safe=False`` truncates sub-microsecond digits)."""
+    us = (ts.cast(pa.timestamp("us"), safe=False).cast(pa.int64())
+          .to_numpy(zero_copy_only=False))
+    return us // span_us
 
 
 class PayloadStage:

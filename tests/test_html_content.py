@@ -17,6 +17,15 @@ def test_harness_roundtrip_whole_corpus():
         assert main_content(wrap_boilerplate(doc_id, text)) == text
 
 
+def test_harness_closes_comment_divs_cleanly():
+    # every comment count (1-3) and block order: no stray quote after a
+    # closing tag leaks into the boilerplate text
+    for doc_id in range(30):
+        html = wrap_boilerplate(doc_id, "some real words of content")
+        assert "</div>'" not in html
+        assert html.count("<div") == html.count("</div>")
+
+
 def test_drops_script_style_nav_subtrees():
     html = ("<body><nav><p>menu menu menu menu</p></nav>"
             "<script>var p = '<p>fake</p>';</script>"

@@ -203,7 +203,7 @@ def test_asof_tagger_buckets_from_arrow_microseconds(unit):
         "ts": pa.array(ts, pa.timestamp(unit)),
         "event_type": ["purchase", "view", "click"],
     })
-    out = joins._asof_tagger("purchase", "click", span_us, 16)(batch)
+    out = joins._asof_tagger("purchase", "click", span_us)(batch)
     us = ts.values.astype("datetime64[us]").astype("int64")
     assert out["event_id"].tolist() == [1, 3]
     assert out["tbucket"].tolist() == [int(us[0]) // span_us, int(us[2]) // span_us]
