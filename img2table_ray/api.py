@@ -117,7 +117,7 @@ class TesseractOCR(OCRInstance):
         from img2table_ray.extract.content import OCRWords, parse_hocr
 
         with ThreadPoolExecutor(max_workers=self.n_threads) as pool:
-            pages = list(pool.map(self.hocr, document.images))
+            pages = list(pool.map(self.hocr, document._pages))
         records = []
         for page, hocr in enumerate(pages):
             records.extend(parse_hocr(hocr, page=page))
@@ -175,6 +175,13 @@ class Document:
 
     @property
     def images(self) -> list[np.ndarray]:
+        """The pages as the reference's (H, W, 3) RGB; ``_pages``, which
+        the extraction reads, keeps a gray page as one (H, W) plane."""
+        return [np.repeat(p[:, :, None], 3, axis=2) if p.ndim == 2 else p
+                for p in self._pages]
+
+    @property
+    def _pages(self) -> list[np.ndarray]:
         raise NotImplementedError
 
     def extract_tables(self, ocr: Optional[OCRInstance] = None,
@@ -186,7 +193,7 @@ class Document:
 
         words = ocr.of(self) if ocr is not None else None
         out: dict[int, list[ExtractedTable]] = {}
-        for idx, img in enumerate(self.images):
+        for idx, img in enumerate(self._pages):
             page_words = words.page(idx) if words is not None else None
             res = extract_tables_from_image(
                 img, words=page_words, implicit_rows=implicit_rows,
@@ -222,7 +229,7 @@ class Image(Document):
     property gives the flat list."""
 
     @property
-    def images(self) -> list[np.ndarray]:
+    def _pages(self) -> list[np.ndarray]:
         from img2table_ray.imgops.png import decode_image
 
         return [decode_image(self.bytes)]
@@ -242,7 +249,7 @@ class MultiPageDocument(Document):
         self.pages = sorted(pages) if isinstance(pages, list) else None
 
     @property
-    def images(self) -> list[np.ndarray]:
+    def _pages(self) -> list[np.ndarray]:
         from img2table_ray.extract.pdf import split_mpng
         from img2table_ray.imgops.png import decode_image
 
@@ -292,7 +299,7 @@ class PDF(Document):
         return PdfOCR().of(self)
 
     @property
-    def images(self) -> list[np.ndarray]:
+    def _pages(self) -> list[np.ndarray]:
         from img2table_ray.extract.pdf import PdfiumRenderer
 
         return PdfiumRenderer().render(self.bytes, pages=self.pages)

@@ -25,6 +25,7 @@ from img2table_ray.extract.tables import (
 )
 from img2table_ray.extract.threshold import threshold_dark_areas
 from img2table_ray.extract.titles import get_title_tables
+from img2table_ray.imgops.kernels import _is_gray
 
 
 @dataclass
@@ -36,9 +37,12 @@ class PageExtraction:
 
 
 class TableImage:
-    """(ref tables/image.py:21-134)"""
+    """(ref tables/image.py:21-134).  Grayness is decided once per page:
+    an R == G == B page is kept as its channel 0, one (H, W) plane."""
 
     def __init__(self, img: np.ndarray, min_confidence: int = 50) -> None:
+        if img.ndim == 3 and _is_gray(img):
+            img = np.ascontiguousarray(img[:, :, 0])
         self.img = img
         self.min_confidence = min_confidence
         self.lines: list[Line] = []
@@ -118,7 +122,7 @@ def extract_tables_from_image(img: np.ndarray, words: Optional[OCRWords] = None,
         tables = [tb.get_content(ocr_words=words, min_confidence=min_confidence)
                   for tb in tables]
         tables = [tb for tb in tables if max(tb.nb_rows, tb.nb_columns) >= 2]
-        tables = get_title_tables(img=img, tables=tables, words=words)
+        tables = get_title_tables(img=ti.img, tables=tables, words=words)
 
     extracted = [
         table_to_extracted(tb) for tb in tables

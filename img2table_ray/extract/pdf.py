@@ -80,8 +80,9 @@ class PdfiumRenderer:
 
     Actor contract (identical to what a pypdfium2-backed implementation
     uses): constructed once per actor, ``render(data, pages=None) ->
-    list[np.ndarray]`` returns RGB arrays rendered at 200 DPI
-    (scale 200/72), one per selected page.
+    list[np.ndarray]`` returns pages rendered at 200 DPI (scale 200/72),
+    one per selected page, as (H, W) gray planes (pypdfium2 gives RGB;
+    every page consumer takes both).
 
     pypdfium2 is absent from this container, so rendering is backed by
     the pure-Python VECTOR rasterizer (``extract/pdfraster.py``): path

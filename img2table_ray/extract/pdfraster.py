@@ -46,6 +46,7 @@ import zlib
 
 import numpy as np
 
+from img2table_ray.imgops.kernels import luma_float
 from img2table_ray.imgops.limits import bounded_decompress
 
 from img2table_ray.extract.pdftext import (
@@ -420,10 +421,8 @@ def _decode_image_xobject(doc: PdfDocument, xo: _Stream):
                     data = bounded_decompress(data, what="PDF image stream")
                 else:
                     return None
-            rgb = decode_jpeg(data)
-            return np.clip(
-                0.299 * rgb[..., 0] + 0.587 * rgb[..., 1] + 0.114 * rgb[..., 2],
-                0, 255).astype(np.uint8)
+            return np.clip(luma_float(decode_jpeg(data)), 0,
+                           255).astype(np.uint8)
         if filters in ([], ["FlateDecode"]):
             data = (xo.raw if not filters else
                     bounded_decompress(xo.raw, what="PDF image stream"))
@@ -438,15 +437,11 @@ def _decode_image_xobject(doc: PdfDocument, xo: _Stream):
             if ncomp == 1:
                 return a[..., 0].copy()
             if ncomp == 3:
-                return np.clip(0.299 * a[..., 0] + 0.587 * a[..., 1]
-                               + 0.114 * a[..., 2], 0, 255).astype(np.uint8)
+                return np.clip(luma_float(a), 0, 255).astype(np.uint8)
             # CMYK
-            k = a[..., 3].astype(np.int32)
-            r = 255 - np.minimum(255, a[..., 0].astype(np.int32) + k)
-            g = 255 - np.minimum(255, a[..., 1].astype(np.int32) + k)
-            b = 255 - np.minimum(255, a[..., 2].astype(np.int32) + k)
-            return np.clip(0.299 * r + 0.587 * g + 0.114 * b, 0,
-                           255).astype(np.uint8)
+            rgb = 255 - np.minimum(255, a[..., :3].astype(np.int32)
+                                   + a[..., 3:4].astype(np.int32))
+            return np.clip(luma_float(rgb), 0, 255).astype(np.uint8)
     except Exception:
         return None
     return None
@@ -1059,7 +1054,8 @@ class _Raster:
 
 def render_pdf(data: bytes, pages: list[int] | None = None,
                dpi: float = 200.0) -> list[np.ndarray]:
-    """Rasterize selected pages of a PDF -> list of (H, W, 3) uint8 RGB.
+    """Rasterize selected pages of a PDF -> list of (H, W) uint8 gray
+    planes (``api.PDF.images`` gives the reference's (H, W, 3) RGB).
 
     Vector-layer rendering (see module docstring); raises
     :class:`PdfRasterError` / :class:`PdfTextError` on undecodable files.
@@ -1079,5 +1075,5 @@ def render_pdf(data: bytes, pages: list[int] | None = None,
             content = b""
         r.run(content, page.get("Resources") or {}, r.base)
         r.draw_text_ink(page)
-        out.append(np.repeat(r.canvas[:, :, None], 3, axis=2))
+        out.append(r.canvas)
     return out

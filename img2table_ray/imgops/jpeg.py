@@ -1127,9 +1127,10 @@ def _ycck_to_cmyk(y: np.ndarray, cb: np.ndarray, cr: np.ndarray):
 
 
 def decode_jpeg(data: bytes) -> np.ndarray:
-    """Decode baseline or progressive JPEG bytes -> (H, W, 3) uint8 RGB
-    array (grayscale JPEGs are replicated to 3 channels; CMYK/YCCK Adobe
-    JPEGs composited per cv2's CMYK2BGR — matching cv2 IMREAD_COLOR)."""
+    """Decode baseline or progressive JPEG bytes -> (H, W) gray or
+    (H, W, 3) RGB uint8 array (a one-component JPEG is its one plane,
+    where cv2 IMREAD_COLOR would copy it into three channels; CMYK/YCCK
+    Adobe JPEGs composited per cv2's CMYK2BGR)."""
     width, height, comps, qt, mode = _decode_frame(data)
     hmax = max(c.h for c in comps)
     vmax = max(c.v for c in comps)
@@ -1145,7 +1146,7 @@ def decode_jpeg(data: bytes) -> np.ndarray:
         plane = plane[:ch, :cw]
         planes.append(_upsample(plane, hmax // c.h, vmax // c.v, width, height))
     if len(planes) == 1:
-        return np.repeat(planes[0][:, :, None], 3, axis=2)
+        return np.ascontiguousarray(planes[0])
     if mode == "rgb":  # 3-component RGB JPEG: planes ARE the channels
         return np.stack(planes, axis=2)
     if mode == "ycck":

@@ -6,9 +6,10 @@ conventions) closely enough to reproduce the reference's pytest goldens.
 No OpenCV in the runtime.  Every kernel returns exactly the array of the
 plain float64 / per-pixel form it stands for (those forms are kept as
 oracles in tests/test_vectorized_kernels.py); the faster form is exact for
-the reason given here:
+the reason given here.  Grayness arrives as ``img.ndim``: an (H, W) plane
+is a gray page, the reference's (H, W, 3) page of three equal channels.
 
-* ``rgb2gray``: a page with R == G == B is returned as channel 0, because
+* ``rgb2gray``: a gray plane is its own gray image, because
   4899 + 9617 + 1868 = 2**14 makes the fixed-point luma of (v, v, v)
   exactly (v * 2**14 + 8192) >> 14 = v.
 * ``_slide_extreme_axis`` (``dilate``/``erode``/``morph_*``): the max or
@@ -21,9 +22,9 @@ the reason given here:
   int32 prefix sums is exact while the true window sum is below 2**31.
   The float tail is the float64/float32 expression of the reference form.
 * ``bilateral3_gray``: the same float32 products and sums, element for
-  element, on planar channels; a gray-replicated page has one plane, an
-  L1 colour distance of 3 * |d|, and that plane is its gray image (the
-  luma of equal channels, as for ``rgb2gray``).
+  element, on planar channels; a gray plane is filtered once with the L1
+  colour distance 3 * |d| of three equal channels, and the filtered plane
+  is its gray image (the luma of equal channels, as for ``rgb2gray``).
 * ``gaussian_blur``/``adaptive_threshold_gaussian_inv``: the separable
   passes run in float32, whose result is within ``_tie_tol(n)`` of the
   float64 form; a pixel can round differently only if its float32 value
@@ -60,10 +61,18 @@ def _luma(r: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def rgb2gray(img: np.ndarray) -> np.ndarray:
     """cv2.cvtColor(img, COLOR_RGB2GRAY) — fixed-point BT.601 luma:
-    (R*4899 + G*9617 + B*1868 + 8192) >> 14 on uint8."""
-    if _is_gray(img):
-        return img[:, :, 0].copy()
+    (R*4899 + G*9617 + B*1868 + 8192) >> 14 on uint8; a gray plane is
+    its own gray image."""
+    if img.ndim == 2:
+        return np.ascontiguousarray(img)
     return _luma(img[:, :, 0], img[:, :, 1], img[:, :, 2])
+
+
+def luma_float(img: np.ndarray) -> np.ndarray:
+    """0.299 R + 0.587 G + 0.114 B in float64 (not cv2's fixed point); a
+    gray plane is each of R, G, B."""
+    r, g, b = (img,) * 3 if img.ndim == 2 else img.transpose(2, 0, 1)[:3]
+    return 0.299 * r + 0.587 * g + 0.114 * b
 
 
 def _slide_extreme_axis(x: np.ndarray, k: int, a: int, axis: int,
@@ -350,8 +359,7 @@ def laplacian3_abs(gray: np.ndarray) -> np.ndarray:
 def _bilateral3_planes(img: np.ndarray, sigma_color: float,
                        sigma_space: float) -> list[np.ndarray]:
     """cv2.bilateralFilter(img, d=3, sigma_color, sigma_space) on RGB
-    uint8, as uint8 planes: one for a gray-replicated page (its three
-    output channels are equal), else R, G, B.
+    uint8, as uint8 planes: one for a gray plane, else R, G, B.
 
     d=3 -> radius 1; OpenCV keeps offsets with euclidean norm <= radius,
     i.e. the 4-neighborhood + centre.  Color weight uses the L1 distance
@@ -359,9 +367,9 @@ def _bilateral3_planes(img: np.ndarray, sigma_color: float,
 
     Each channel is padded (reflect-101, BORDER_DEFAULT) once, as int16
     and float32 planes read through flat row-major offsets (+-1, +-row),
-    in cache blocks with preallocated buffers.  A gray-replicated page
-    (R == G == B) is one plane with L1 distance 3 * |d|."""
-    h, w, _ = img.shape
+    in cache blocks with preallocated buffers.  A gray plane has the L1
+    distance 3 * |d| of three equal channels."""
+    h, w = img.shape[:2]
     gauss_color = -0.5 / (sigma_color ** 2)
     gauss_space = -0.5 / (sigma_space ** 2)
     # OpenCV precomputes color weights on integer L1 distances 0..765
@@ -371,10 +379,10 @@ def _bilateral3_planes(img: np.ndarray, sigma_color: float,
     # a 1e-38 weight contributes ~1e-36 to a ~1e2 accumulator — far below
     # uint8 rounding resolution, so outputs are unchanged
     cw_table[cw_table < np.float32(1.2e-38)] = 0.0
-    gray = _is_gray(img)
+    gray = img.ndim == 2
     w2 = w + 2
-    pi = [np.pad(img[:, :, c], 1, mode="reflect").astype(np.int16).reshape(-1)
-          for c in range(1 if gray else 3)]
+    pi = [np.pad(c, 1, mode="reflect").astype(np.int16).reshape(-1)
+          for c in ([img] if gray else img.transpose(2, 0, 1))]
     pf = [p.astype(np.float32) for p in pi]
     res = [np.empty((h + 2) * w2, np.float32) for _ in pi]
     offsets = [(np.float32(np.exp(gauss_space * (dy * dy + dx * dx))), dy * w2 + dx)
@@ -419,10 +427,9 @@ def _bilateral3_planes(img: np.ndarray, sigma_color: float,
 
 def bilateral3_gray(img: np.ndarray, sigma_color: float = 40.0,
                     sigma_space: float = 80.0) -> np.ndarray:
-    """cv2.bilateralFilter(img, d=3, 40, 80) then cv2.cvtColor(RGB2GRAY),
-    with the page's grayness decided once: the filtered plane of a
-    gray-replicated page is its gray image, else the luma of the three
-    filtered planes (``_bilateral3_planes``)."""
+    """cv2.bilateralFilter(img, d=3, 40, 80) then cv2.cvtColor(RGB2GRAY):
+    the filtered plane of a gray plane is its gray image, else the luma
+    of the three filtered planes (``_bilateral3_planes``)."""
     planes = _bilateral3_planes(img, sigma_color, sigma_space)
     return planes[0] if len(planes) == 1 else _luma(*planes)
 

@@ -3,9 +3,10 @@
 The execution containers ship no image libraries (no cv2/PIL), so page-image
 bytes are decoded here inside the extraction UDFs.  Supports the formats the
 corpus uses: 8-bit depth, color types 0 (gray), 2 (RGB), 3 (palette),
-4 (gray+alpha), 6 (RGBA), non-interlaced.  Decode returns an RGB uint8 array
-(alpha dropped, matching cv2.imdecode(..., IMREAD_COLOR) + BGR2RGB in the
-reference, src/img2table/document/image.py:25-32).
+4 (gray+alpha), 6 (RGBA), non-interlaced.  Decode returns an (H, W) gray
+plane or an (H, W, 3) RGB uint8 array, alpha dropped (the reference's
+cv2.imdecode(..., IMREAD_COLOR) + BGR2RGB, src/img2table/document/image.py:
+25-32, copies gray into three channels; the page layers take the plane).
 
 Filter reconstruction follows the PNG spec (RFC 2083 §6): None/Sub/Up/
 Average/Paeth, applied row-sequentially with numpy per-row vectorization
@@ -94,7 +95,7 @@ def unfilter_idat(compressed: bytes, width: int, height: int,
 
 
 def decode_png(data: bytes) -> np.ndarray:
-    """Decode PNG bytes -> (H, W, 3) uint8 RGB array."""
+    """Decode PNG bytes -> (H, W) gray or (H, W, 3) RGB uint8 array."""
     if data[:8] != _SIG:
         raise PngError("not a PNG file")
     pos = 8
@@ -131,7 +132,7 @@ def decode_png(data: bytes) -> np.ndarray:
 
     img = unfilter_idat(b"".join(idat), width, height, channels)
     if color_type == 0:
-        return np.repeat(img, 3, axis=2)
+        return img[:, :, 0]
     if color_type == 2:
         return img.copy()
     if color_type == 3:
@@ -139,7 +140,7 @@ def decode_png(data: bytes) -> np.ndarray:
             raise PngError("palette image without PLTE")
         return palette[img[:, :, 0]]
     if color_type == 4:
-        return np.repeat(img[:, :, :1], 3, axis=2)
+        return img[:, :, 0].copy()  # gray + alpha -> drop alpha
     return img[:, :, :3].copy()  # RGBA -> drop alpha
 
 
@@ -192,7 +193,7 @@ def decode_bmp(data: bytes) -> np.ndarray:
 
 def decode_image(data: bytes) -> np.ndarray:
     """Sniff container and decode PNG, BMP, JPEG (baseline+progressive),
-    TIFF, or GIF -> (H, W, 3) uint8 RGB array."""
+    TIFF, GIF or WebP -> (H, W) gray or (H, W, 3) RGB uint8 array."""
     if data[:8] == _SIG:
         return decode_png(data)
     if data[:2] == b"BM":

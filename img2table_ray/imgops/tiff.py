@@ -15,7 +15,8 @@ counted error records upstream, never task failures.
 The reference accepts TIFF implicitly through cv2.imdecode
 (/root/reference/src/img2table/document/image.py:25-32, libtiff under
 the hood); this is a from-spec reimplementation (TIFF 6.0, Adobe 1992),
-not a port.  Output convention matches decode_png: (H, W, 3) uint8 RGB.
+not a port.  Output convention matches decode_png: an (H, W) uint8 plane
+for bilevel and gray photometrics, else (H, W, 3) uint8 RGB.
 
 ``encode_tiff`` exists for tests and thumbnail sinks: 8-bit chunky
 strips, None / PackBits / LZW / Deflate — its LZW is an independent
@@ -185,7 +186,8 @@ def _decompress(chunk: bytes, compression: int, expected: int) -> bytes:
 
 
 def decode_tiff(data: bytes) -> np.ndarray:
-    """Decode TIFF bytes (first IFD / first image) -> (H, W, 3) uint8 RGB."""
+    """Decode TIFF bytes (first IFD / first image) -> (H, W) gray or
+    (H, W, 3) RGB uint8 array."""
     if len(data) < 8:
         raise TiffError("truncated TIFF header")
     if data[:2] == b"II":
@@ -282,6 +284,31 @@ def decode_tiff(data: bytes) -> np.ndarray:
             dec = g3_2d_decode  # T.4 2-D extension (tagged lines)
         return dec
 
+    def _bilevel(bits_arr: np.ndarray) -> np.ndarray:
+        """0/1 samples -> the (H, W) gray plane (1 = black unless
+        BlackIsZero)."""
+        return (bits_arr if photometric == 1 else 1 - bits_arr) * np.uint8(255)
+
+    def _pixels(img: np.ndarray) -> np.ndarray:
+        """(H, W, spp) 8-bit samples -> the (H, W) gray plane or RGB."""
+        if photometric in (0, 1):
+            g = img[:, :, 0]
+            return np.ascontiguousarray(255 - g if photometric == 0 else g)
+        if photometric == 2:
+            if spp < 3:
+                raise TiffError("RGB TIFF with fewer than 3 samples")
+            return np.ascontiguousarray(img[:, :, :3])  # drop alpha/extra
+        if photometric == 3:
+            cmap = tags.get(320)
+            if cmap is None or len(cmap) < 3 * (1 << depth):
+                raise TiffError("missing/short ColorMap")
+            n = 1 << depth
+            lut = (np.array(cmap[: 3 * n], np.uint16).reshape(3, n).T >> 8
+                   ).astype(np.uint8)
+            return lut[img[:, :, 0]]
+        raise TiffError(
+            f"unsupported PhotometricInterpretation {photometric}")
+
     if tiled:
         from img2table_ray.imgops.g4 import FaxError
 
@@ -321,10 +348,7 @@ def decode_tiff(data: bytes) -> np.ndarray:
                         axis=1)[:, :tile_w]
                 canvas[ty * tile_len : (ty + 1) * tile_len,
                        tx * tile_w : (tx + 1) * tile_w] = bits_t
-            bits_arr = canvas[:height, :width]
-            gray = (bits_arr * np.uint8(255)) if photometric == 1 else (
-                (1 - bits_arr) * np.uint8(255))
-            return np.repeat(gray.astype(np.uint8)[:, :, None], 3, axis=2)
+            return _bilevel(canvas[:height, :width])
 
         chan = spp if planar == 1 else 1
 
@@ -353,25 +377,7 @@ def decode_tiff(data: bytes) -> np.ndarray:
                                  axis=2)
         else:
             img = read_plane_tiled(0)
-        if photometric in (0, 1):
-            g = img[:, :, 0]
-            if photometric == 0:
-                g = 255 - g
-            return np.repeat(g[:, :, None], 3, axis=2).astype(np.uint8)
-        if photometric == 2:
-            if spp < 3:
-                raise TiffError("RGB TIFF with fewer than 3 samples")
-            return np.ascontiguousarray(img[:, :, :3])
-        if photometric == 3:
-            cmap = tags.get(320)
-            if cmap is None or len(cmap) < 3 * (1 << depth):
-                raise TiffError("missing/short ColorMap")
-            n = 1 << depth
-            lut = (np.array(cmap[: 3 * n], np.uint16).reshape(3, n).T >> 8
-                   ).astype(np.uint8)
-            return lut[img[:, :, 0]]
-        raise TiffError(
-            f"unsupported PhotometricInterpretation {photometric}")
+        return _pixels(img)
 
     strips_per_plane = -(-height // rows_per_strip)
     n_planes = spp if planar == 2 else 1
@@ -416,9 +422,7 @@ def decode_tiff(data: bytes) -> np.ndarray:
         else:
             packed = read_plane(0)
             bits_arr = np.unpackbits(packed, axis=1)[:, :width]
-        gray = (bits_arr * np.uint8(255)) if photometric == 1 else (
-            (1 - bits_arr) * np.uint8(255))
-        return np.repeat(gray.astype(np.uint8)[:, :, None], 3, axis=2)
+        return _bilevel(bits_arr)
 
     if planar == 2:
         planes = [read_plane(p) for p in range(spp)]
@@ -431,24 +435,7 @@ def decode_tiff(data: bytes) -> np.ndarray:
             flat = np.cumsum(flat, axis=1, dtype=np.uint8)
         img = flat
 
-    if photometric in (0, 1):
-        g = img[:, :, 0]
-        if photometric == 0:
-            g = 255 - g
-        return np.repeat(g[:, :, None], 3, axis=2).astype(np.uint8)
-    if photometric == 2:
-        if spp < 3:
-            raise TiffError("RGB TIFF with fewer than 3 samples")
-        return np.ascontiguousarray(img[:, :, :3])  # drop alpha/extra
-    if photometric == 3:
-        cmap = tags.get(320)
-        if cmap is None or len(cmap) < 3 * (1 << depth):
-            raise TiffError("missing/short ColorMap")
-        n = 1 << depth
-        lut = (np.array(cmap[: 3 * n], np.uint16).reshape(3, n).T >> 8
-               ).astype(np.uint8)
-        return lut[img[:, :, 0]]
-    raise TiffError(f"unsupported PhotometricInterpretation {photometric}")
+    return _pixels(img)
 
 
 def encode_tiff_g4(bits: np.ndarray, compression: int = 4) -> bytes:

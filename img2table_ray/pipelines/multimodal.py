@@ -417,16 +417,13 @@ class VideoFrameSampleStage(PayloadStage):
 
     def _lumas(self, n_frames: int, get) -> list[float]:
         """Mean luma of ``n_samples`` evenly spaced frames; ``get(i)``
-        returns frame i as (H, W, 3) RGB, so only sampled frames decode."""
+        returns frame i (gray plane or RGB), so only sampled frames decode."""
+        from img2table_ray.imgops.kernels import luma_float
+
         idx = np.unique(np.linspace(
             0, n_frames - 1, min(self._n, n_frames)).round().astype(int))
-        lumas = []
-        for i in idx:
-            img = get(int(i)).astype(np.float64)
-            y = (0.299 * img[..., 0] + 0.587 * img[..., 1]
-                 + 0.114 * img[..., 2]) / 255.0
-            lumas.append(round(float(y.mean()), 6))
-        return lumas
+        return [round(float((luma_float(get(int(i))) / 255.0).mean()), 6)
+                for i in idx]
 
     def _decode(self, data: bytes):
         if data[:4] == b"RIFF" and data[8:12] == b"AVI ":

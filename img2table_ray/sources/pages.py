@@ -247,8 +247,7 @@ def generate_pages(out_dir: str, n_rows: int, include_fixtures: bool = True,
                 from img2table_ray.imgops.vp8 import encode_webp_vp8
 
                 g2, hocr2 = synth_table_image(3, 3, i)
-                data, _recon = encode_webp_vp8(
-                    np.repeat(g2[:, :, None], 3, axis=2), qindex=40)
+                data, _recon = encode_webp_vp8(g2, qindex=40)
                 return ("webplossy3x3", data, [(0, hocr2)])
             from img2table_ray.imgops.webp import encode_webp_lossless
 

@@ -145,10 +145,10 @@ def page_rows(ds: ray.data.Dataset) -> ray.data.Dataset:
 
 
 def decode_page(data: bytes, page: int = 0) -> np.ndarray:
-    """RGB array of one exploded page row: a PDF row carries the whole
-    document plus its page index, so the selected page is rendered; any
-    other row's bytes are one image (MPNG pages were sliced by
-    ``explode_pages``)."""
+    """(H, W) gray or (H, W, 3) RGB uint8 array of one exploded page row:
+    a PDF row carries the whole document plus its page index, so the
+    selected page is rendered; any other row's bytes are one image (MPNG
+    pages were sliced by ``explode_pages``)."""
     from img2table_ray.extract.pdf import sniff_kind
     from img2table_ray.imgops.png import decode_image
 

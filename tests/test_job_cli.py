@@ -9,13 +9,15 @@ import os
 import subprocess
 import sys
 
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
 
 def _run_job(args: list[str]) -> dict:
     env = dict(os.environ, RAY_GRAFT_CPUS="4")
     out = subprocess.run(
         [sys.executable, "-m", "img2table_ray.job", *args],
         capture_output=True, text=True, timeout=300, env=env, check=True,
-        cwd="/root/repo",
+        cwd=REPO,
     )
     return json.loads(out.stdout.strip().splitlines()[-1])
 
@@ -26,7 +28,7 @@ def test_job_cli_runs_and_resumes(tmp_path):
     subprocess.run(
         [sys.executable, "-m", "img2table_ray.sources.pages",
          "--out", str(pages), "--rows", "48"],
-        check=True, timeout=120, cwd="/root/repo",
+        check=True, timeout=120, cwd=REPO,
     )
 
     s1 = _run_job(["--input", str(pages), "--out", str(out)])

@@ -46,7 +46,9 @@ def _mini_pdf(content: bytes, media=(0, 0, 72, 72), extra_objs=(),
 
 
 def _gray(img):
-    return img[..., 0]
+    """A rendered page: one (H, W) uint8 gray plane."""
+    assert img.ndim == 2 and img.dtype == np.uint8
+    return img
 
 
 def test_rect_fill_and_y_flip():
@@ -217,10 +219,15 @@ def test_inline_image_ei_inside_payload_is_skipped():
 
 
 def test_fixture_render_shape_matches_reference():
-    # ref test_pdf.py:40 — pdfium render shape (2200, 1700, 3), 2 pages
+    # ref test_pdf.py:40 — pdfium render shape (2200, 1700, 3), 2 pages;
+    # the renderer gives the gray plane, api.PDF.images the RGB page
+    from img2table_ray.api import PDF
+
     imgs = render_pdf(fixture_bytes("test.pdf"))
     assert len(imgs) == 2
-    assert all(im.shape == (2200, 1700, 3) for im in imgs)
+    assert all(im.shape == (2200, 1700) for im in imgs)
+    assert all(im.shape == (2200, 1700, 3)
+               for im in PDF(fixture_bytes("test.pdf")).images)
     imgs0 = render_pdf(fixture_bytes("test.pdf"), pages=[0])
     assert len(imgs0) == 1
     with pytest.raises(PdfRasterError):

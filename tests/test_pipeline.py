@@ -398,6 +398,25 @@ def test_video_avi_decode_real():
         st._decode(synth_avi(1, "MJPG").replace(b"MJPG", b"H264"))
 
 
+def test_frame_lumas_of_gray_plane_match_three_channel_form():
+    """A gray frame (a one-component MJPEG decodes to one plane) has the
+    mean luma of its three-channel copy, bit for bit."""
+    import numpy as np
+
+    from img2table_ray.pipelines.multimodal import VideoFrameSampleStage
+
+    rng = np.random.default_rng(5)
+    frames = [rng.integers(0, 256, (9, 13), dtype=np.uint8) for _ in range(5)]
+    want = []
+    for i in (0, 2, 4):
+        img = np.repeat(frames[i][:, :, None], 3, axis=2).astype(np.float64)
+        y = (0.299 * img[..., 0] + 0.587 * img[..., 1]
+             + 0.114 * img[..., 2]) / 255.0
+        want.append(round(float(y.mean()), 6))
+    st = VideoFrameSampleStage(n_samples=3)
+    assert st._lumas(5, frames.__getitem__) == want
+
+
 def test_audio_flac_decode_real():
     """Round-5 FLAC codec (imgops/flac.py): lossless encode->decode is
     BIT-EXACT across every subframe type and stereo mode the spec

@@ -118,20 +118,21 @@ def test_stats_add_rows_is_async_and_flush_drains(ray_session):
     assert sum(c[0] for c in shards.totals().values()) == n_batches * 5 + 1
 
 
-def test_sessionize_hot_user_bounded_groups(ray_session, tmp_path):
+def test_sessionize_hot_user_bounded_groups(ray_session, tmp_path,
+                                            monkeypatch):
     """VERDICT r4 §next-5: one bot-grade user with 10^6 events must not
-    form one unbounded pandas group.  The event groupby keys on
-    (user_id, 24 h bucket) — max group = one day of one user's events —
-    and the seam stitch reassembles the single long session exactly."""
+    form one unbounded pandas group.  Every call that ``sessionize`` makes
+    through ``map_key_groups`` is observed: the raw events reach the calls
+    keyed on (user_id, 24 h bucket), which together see all of the hot
+    user's events but never all of them in one call; the seam stitch
+    reassembles the single long session exactly."""
     import numpy as np
     import pandas as pd
     import pyarrow as pa
     import pyarrow.parquet as pq
 
-    from img2table_ray.pipelines.relational import (
-        SESSION_BUCKET_HOURS,
-        sessionize,
-    )
+    import img2table_ray.pipelines.relational as relational
+    from img2table_ray.pipelines.relational import sessionize
 
     n_bot = 1_000_000
     bot_ts = pd.Timestamp("2025-01-01") + pd.to_timedelta(
@@ -151,15 +152,25 @@ def test_sessionize_hot_user_bounded_groups(ray_session, tmp_path):
     })
     pq.write_table(pa.Table.from_pandas(df), str(tmp_path / "events.parquet"))
 
-    # the structural guard: the pipeline's group key bounds group size at
-    # one user-day (1440 rows here), NOT the user's full history
-    bucket = (df["ts"] - pd.Timestamp(0)) // pd.Timedelta(
-        hours=SESSION_BUCKET_HOURS)
-    max_group = df.groupby(["user_id", bucket]).size().max()
-    assert max_group == 24 * 60
-    assert df.groupby("user_id").size().max() == n_bot  # what r4 shipped
+    # the structural guard: each grouped call logs (its keys, its rows of
+    # user 7) from the worker that runs it
+    log = tmp_path / "calls.log"
+    real = relational.map_key_groups
 
+    def observed(ds, keys, fn, width):
+        def logged(g):
+            with open(log, "a") as f:
+                f.write(f"{'+'.join(keys)} {int((g['user_id'] == 7).sum())}\n")
+            return fn(g)
+        return real(ds, keys, logged, width)
+
+    monkeypatch.setattr(relational, "map_key_groups", observed)
     out = sessionize(str(tmp_path)).to_pandas()
+    calls = [line.split() for line in log.read_text().splitlines()]
+    hot = [int(n) for k, n in calls if "bucket" in k.split("+")]
+    assert sum(hot) == n_bot  # the raw events went through the bucketed calls
+    assert max(hot) < n_bot  # ... and no call held the whole history
+    assert all(int(n) < n_bot for _, n in calls)
     bot = out[out["user_id"] == 7]
     assert len(bot) == 1  # stitched back into ONE session across ~695 seams
     assert bot.iloc[0]["session_id"] == 0

@@ -88,7 +88,7 @@ def test_fontfile2_rasterizer_path():
     with open(DEJAVU, "rb") as f:
         font_bytes = f.read()
     pdf = _mini_pdf_with_ttf(b"Hio", font_bytes)
-    img = render_pdf(pdf, dpi=72)[0][..., 0]
+    img = render_pdf(pdf, dpi=72)[0]
     ink = img < 128
     assert img.shape == (100, 200)
     # text baseline at user y=40 -> device row 60; 24pt caps ~17px tall

@@ -151,7 +151,7 @@ def _mini_pdf_with_t1(font_bytes: bytes) -> bytes:
 
 def test_fontfile_rasterizer_path():
     pdf = _mini_pdf_with_t1(_build_font())
-    img = render_pdf(pdf, dpi=72)[0][..., 0]
+    img = render_pdf(pdf, dpi=72)[0]
     ink = img < 128
     # 'A' -> square glyph: 300/1000 * 50pt = 15pt square at pen (20,20)
     # + glyph-space offset (100,0)/1000*50 = (5,0): device x 25..40,

@@ -400,6 +400,26 @@ def _table_image(name):
     return TableImage(img=decode_image(fixture_bytes(name)))
 
 
+@pytest.mark.parametrize("name", ["test.png", "borderless.png"])
+def test_table_image_reads_gray_page_as_plane(name):
+    """TableImage keeps an R == G == B page as its contiguous channel 0 and
+    a colour page as it is; the plane and its three-channel copy give the
+    same page extraction, bordered and borderless."""
+    from img2table_ray.extract.document import (TableImage,
+                                                extract_tables_from_image)
+
+    img = _fixture_rgb(name)
+    plane = np.ascontiguousarray(img[:, :, 0])
+    ti = TableImage(img=_replicated(plane))
+    assert ti.img.ndim == 2 and ti.img.flags.c_contiguous
+    assert np.array_equal(ti.img, plane)
+    assert TableImage(img=img).img is img
+    for borderless in (False, True):
+        assert (extract_tables_from_image(plane, borderless_tables=borderless)
+                == extract_tables_from_image(_replicated(plane),
+                                             borderless_tables=borderless))
+
+
 @pytest.mark.parametrize("name", BORDERLESS_FIXTURES)
 def test_rlsa_matches_loop_form_on_fixture_intermediates(name, monkeypatch):
     """Every adaptive_rlsa / find_obstacles input the borderless path builds
@@ -618,15 +638,21 @@ IMAGE_FIXTURES = ["test.png", "dark.png", "borderless.png", "blank.png",
 
 
 def _fixture_rgb(name):
-    """A vendored image, or the first page of a vendored PDF as the
-    renderer draws it (gray-replicated, 200 dpi)."""
+    """A vendored image as (H, W, 3) RGB, or the first page of a vendored
+    PDF as the renderer draws it (200 dpi), copied into three channels."""
     from img2table_ray.extract.pdfraster import render_pdf
     from img2table_ray.fixtures import fixture_bytes
     from img2table_ray.imgops.png import decode_image
 
     if name.endswith(".pdf"):
-        return render_pdf(fixture_bytes(name), pages=[0])[0]
+        return _replicated(render_pdf(fixture_bytes(name), pages=[0])[0])
     return decode_image(fixture_bytes(name))
+
+
+def _replicated(plane):
+    """A gray plane copied into three interleaved channels: the page the
+    reference's cv2 calls see."""
+    return np.repeat(plane[:, :, None], 3, axis=2)
 
 
 def _random_rgb(rng, n, max_side=48):
@@ -649,14 +675,19 @@ def _assert_same(got, want):
 
 
 def test_rgb2gray_matches_fixed_point_form():
+    """RGB pages, and each gray plane against the fixed-point luma of its
+    three-channel copy."""
     rng = np.random.default_rng(31)
     for img in _random_rgb(rng, 40):
         _assert_same(kernels.rgb2gray(img), _rgb2gray_fixed_point(img))
+        _assert_same(kernels.rgb2gray(img[:, :, 0]),
+                     _rgb2gray_fixed_point(_replicated(img[:, :, 0])))
     for name in IMAGE_FIXTURES:
         img = _fixture_rgb(name)
-        gray = np.repeat(img[:, :, :1], 3, axis=2)
+        gray = _replicated(img[:, :, 0])
         _assert_same(kernels.rgb2gray(img), _rgb2gray_fixed_point(img))
         _assert_same(kernels.rgb2gray(gray), _rgb2gray_fixed_point(gray))
+        _assert_same(kernels.rgb2gray(img[:, :, 0]), _rgb2gray_fixed_point(gray))
         # one colour pixel in the first or the last row block
         for y, x in ((0, 0), (-1, -1)):
             tinted = gray.copy()
@@ -760,10 +791,11 @@ def test_threshold_kernels_match_on_fixture(name):
 
 def _assert_bilateral_same(img):
     """Every filtered channel, and the gray image of the filtered page,
-    exactly as the interleaved form gives them."""
-    want = _bilateral_interleaved(img)
+    exactly as the interleaved form gives them; a gray plane against the
+    interleaved form of its three-channel copy."""
+    want = _bilateral_interleaved(_replicated(img) if img.ndim == 2 else img)
     planes = kernels._bilateral3_planes(img, 40.0, 80.0)
-    assert len(planes) == (1 if kernels._is_gray(img) else 3)
+    assert len(planes) == (1 if img.ndim == 2 else 3)
     for c in range(3):
         _assert_same(planes[c % len(planes)], want[:, :, c])
     _assert_same(kernels.bilateral3_gray(img), _rgb2gray_fixed_point(want))
@@ -773,6 +805,7 @@ def test_bilateral_matches_interleaved_form():
     rng = np.random.default_rng(47)
     for img in _random_rgb(rng, 40):
         _assert_bilateral_same(img)
+        _assert_bilateral_same(img[:, :, 0])
     # hard edges: weights underflow to the flushed-to-zero table entries
     edges = np.zeros((30, 30, 3), np.uint8)
     edges[:, ::2] = 255
@@ -785,6 +818,7 @@ def test_bilateral_matches_on_fixture(name):
     img = _fixture_rgb(name)
     _assert_bilateral_same(img)
     _assert_bilateral_same(np.repeat(img[:, :, :1], 3, axis=2))
+    _assert_bilateral_same(np.ascontiguousarray(img[:, :, 0]))
     # one colour pixel in the last row: the page is not gray
     tinted = np.repeat(img[:, :, :1], 3, axis=2)
     tinted[-1, -1, 2] ^= 1

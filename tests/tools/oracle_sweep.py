@@ -18,11 +18,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import sys
 
 import duckdb
 import ray
 
+# the checkout this file belongs to, whichever copy is run
+REPO = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))))
 TABLES = ["region", "nation", "customer", "supplier", "part", "orders",
           "lineitem", "events", "documents", "embeddings"]
 
@@ -60,7 +64,7 @@ def main() -> int:
     if not ray.is_initialized():
         ray.init(address="local", include_dashboard=False,
                  logging_level="ERROR")
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, REPO)
     import __ray_entry__ as em
 
     qs, osql = em.queries(), em.oracle_sql()

@@ -55,6 +55,25 @@ def output_hash(df) -> str:
         df.to_json(orient="records", lines=True).encode()).hexdigest()
 
 
+def digest(out) -> tuple[int, str, str]:
+    """(row count, status counts, sha256) of one query output (a Ray
+    Dataset or a pandas frame), normalized as the module docstring says;
+    the status counts are "" when the output has no ``status`` column."""
+    df = out.to_pandas() if hasattr(out, "to_pandas") else out
+    for col in df.columns[df.dtypes == object]:
+        df[col] = df[col].map(_cell)
+    keys = [c for c in KEY_COLUMNS if c in df.columns]
+    keys += [c for c in df.columns if c not in keys]
+    df = df.sort_values(keys, kind="mergesort").reset_index(drop=True)
+    for col in df.select_dtypes("floating").columns:
+        df[col] = df[col].map(_cell)
+    status = ""
+    if "status" in df.columns:
+        counts = df["status"].value_counts().sort_index()
+        status = ",".join(f"{k}={v}" for k, v in counts.items())
+    return len(df), status, output_hash(df)
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("query")
@@ -70,21 +89,10 @@ def main() -> int:
     sys.path.insert(0, REPO)
     import __ray_entry__ as em
 
-    out = em.queries()[args.query](args.sf)
-    df = out.to_pandas() if hasattr(out, "to_pandas") else out
-    for col in df.columns[df.dtypes == object]:
-        df[col] = df[col].map(_cell)
-    keys = [c for c in KEY_COLUMNS if c in df.columns]
-    keys += [c for c in df.columns if c not in keys]
-    df = df.sort_values(keys, kind="mergesort").reset_index(drop=True)
-    for col in df.select_dtypes("floating").columns:
-        df[col] = df[col].map(_cell)
-    status = ""
-    if "status" in df.columns:
-        counts = df["status"].value_counts().sort_index()
-        status = " " + ",".join(f"{k}={v}" for k, v in counts.items())
+    rows, status, sha = digest(em.queries()[args.query](args.sf))
+    status = f" {status}" if status else ""
     print(f"{args.query} {os.path.basename(os.path.normpath(args.sf))} "
-          f"rows={len(df)}{status} sha256={output_hash(df)}")
+          f"rows={rows}{status} sha256={sha}")
     ray.shutdown()
     return 0
 
