@@ -19,13 +19,13 @@ from img2table_ray.extract.borderless.rlsa import identify_text_mask
 from img2table_ray.extract.borderless.rows import identify_delimiter_group_rows
 from img2table_ray.extract.borderless.table import identify_table
 from img2table_ray.extract.borderless.table_segments import get_table_segments
-from img2table_ray.imgops.ccl import connected_components_with_stats
+from img2table_ray.imgops.ccl import connected_components_stats
 
 
 def get_image_elements(thresh: np.ndarray, char_length: float) -> list[Cell]:
     """(ref layout/image_elements.py:8-28) — findContours RETR_EXTERNAL
     bounding rects == 8-connectivity component bboxes."""
-    _, _, stats = connected_components_with_stats(thresh)
+    stats = connected_components_stats(thresh)
     elements = []
     for idx in range(1, len(stats)):
         x, y, w, h, _ = (int(v) for v in stats[idx])

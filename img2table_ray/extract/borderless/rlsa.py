@@ -16,7 +16,10 @@ from typing import Optional
 import numpy as np
 
 from img2table_ray.core.objects import Line, Table
-from img2table_ray.imgops.ccl import connected_components_with_stats
+from img2table_ray.imgops.ccl import (
+    connected_components_stats,
+    connected_components_with_stats,
+)
 from img2table_ray.imgops.kernels import _slide_extreme_axis, dilate, erode
 
 
@@ -205,9 +208,7 @@ def identify_text_mask(thresh: np.ndarray, lines: list[Line], char_length: float
 
     rlsa_image = adaptive_rlsa(cc=cc_obstacles, cc_stats=cc_stats, a=5, th=3.5, c=0.4)
 
-    _, _, cc_stats_rlsa = connected_components_with_stats(
-        (255 * (rlsa_image > 0)).astype(np.uint8)
-    )
+    cc_stats_rlsa = connected_components_stats(rlsa_image)
 
     text_mask = get_text_mask(thresh=thresh, cc_stats_rlsa=cc_stats_rlsa,
                               char_length=char_length, median_width=median_width)

@@ -1,5 +1,13 @@
 """Cell-grid identification from detected ruling lines
-(ref: src/img2table/tables/processing/bordered_tables/cells/*), numpy/Python.
+(ref: src/img2table/tables/processing/bordered_tables/cells/*), numpy.
+
+``identify_cells`` keeps the reference's order of operations without its
+Python loops: every horizontal-line pair is tested at once (int64
+differences over float64 division, the same IEEE operation as Python's
+int / int, so the +-0.02 tests hold exactly), the two sorted dedup passes
+are a lexsort plus first-of-group, and the delimiter scan is one
+(cells x vertical lines) mask.  Pair and delimiter masks are built in row
+blocks so their temporaries stay bounded on pages with many lines.
 """
 
 from __future__ import annotations
@@ -8,64 +16,71 @@ import numpy as np
 
 from img2table_ray.core.objects import Cell, Line
 
+_BLOCK = 1 << 16  # mask entries per block
+
+
+def _blocks(n_rows: int, n_cols: int):
+    step = max(1, _BLOCK // max(n_cols, 1))
+    for start in range(0, n_rows, step):
+        yield slice(start, min(start + step, n_rows))
+
+
+def _first_of_groups(rows: np.ndarray) -> np.ndarray:
+    """Sort (n, 4) rows lexicographically and keep each row whose first
+    three columns differ from the row before.  The reference seeds the
+    previous key with (0, 0, 0), so a first group keyed (0, 0, 0) is
+    dropped (ref identification.py:39-60)."""
+    rows = rows[np.lexsort(rows.T[::-1])]
+    key = rows[:, :3]
+    prev = np.concatenate([np.zeros((1, 3), dtype=key.dtype), key])[:-1]
+    return rows[(key != prev).any(axis=1)]
+
 
 def identify_cells(h_lines_arr: np.ndarray, v_lines_arr: np.ndarray) -> np.ndarray:
     """Candidate cell bands from h-line pairs + v-line delimiters
     (ref cells/identification.py:9-90, order of operations preserved)."""
-    potential_cells = []
-    n = h_lines_arr.shape[0]
-    for i in range(n):
-        x1i, y1i, x2i, y2i = (int(v) for v in h_lines_arr[i])
-        for j in range(n):
-            x1j, y1j, x2j, y2j = (int(v) for v in h_lines_arr[j])
-            if y1i >= y1j:
-                continue
-            denom = (x2i - x1i) or 1
-            l_corresponds = -0.02 <= (x1i - x1j) / denom <= 0.02
-            r_corresponds = -0.02 <= (x2i - x2j) / denom <= 0.02
-            l_contained = (x1i <= x1j <= x2i) or (x1j <= x1i <= x2j)
-            r_contained = (x1i <= x2j <= x2i) or (x1j <= x2i <= x2j)
-            if (l_corresponds or l_contained) and (r_corresponds or r_contained):
-                potential_cells.append([max(x1i, x1j), min(x2i, x2j), y1i, y2j])
-
-    if not potential_cells:
-        return np.empty((0, 4), dtype=np.int64)
-
+    lines = np.asarray(h_lines_arr, dtype=np.int64).reshape(-1, 4)
+    x1, y1, x2, y2 = lines.T
+    ends = lines[:, [0, 2]]
+    denom = x2 - x1
+    denom[denom == 0] = 1
+    potential = [np.empty((0, 4), dtype=np.int64)]
+    for blk in _blocks(len(lines), len(lines)):
+        # left and right ends at once: each corresponds within 2% of line
+        # i's width, or lies inside the other line
+        e_i = ends[blk, None]
+        ok = ((np.abs((e_i - ends) / denom[blk, None, None]) <= 0.02)
+              | ((x1[blk, None, None] <= ends) & (ends <= x2[blk, None, None]))
+              | ((x1[:, None] <= e_i) & (e_i <= x2[:, None])))
+        i, j = np.nonzero((y1[blk, None] < y1) & ok.all(axis=2))
+        i += blk.start
+        potential.append(np.column_stack([np.maximum(x1[i], x1[j]),
+                                          np.minimum(x2[i], x2[j]), y1[i], y2[j]]))
     # Two-pass dedup: keep lowest lower bound per (x1, x2, y1), then highest
-    # upper bound per (x1, x2, y2) (ref identification.py:39-60)
-    potential_cells = sorted(potential_cells)
-    dedup_upper = []
-    prev = (0, 0, 0)
-    for x1, x2, y1, y2 in potential_cells:
-        if (x1, x2, y1) != prev:
-            dedup_upper.append([x1, x2, y2, -y1])
-        prev = (x1, x2, y1)
+    # upper bound per (x1, x2, y2)
+    upper = _first_of_groups(np.concatenate(potential))
+    lower = _first_of_groups(upper[:, [0, 1, 3, 2]] * np.array([1, 1, 1, -1]))
+    cx1, cx2, cy2 = lower[:, 0], lower[:, 1], lower[:, 2]
+    cy1 = -lower[:, 3]
 
-    dedup_upper = sorted(dedup_upper)
-    dedup_lower = []
-    prev = (0, 0, 0)
-    for x1, x2, y2, neg_y1 in dedup_upper:
-        if (x1, x2, y2) != prev:
-            dedup_lower.append([x1, x2, -neg_y1, y2])
-        prev = (x1, x2, y2)
-
-    cells = []
-    for x1, x2, y1, y2 in dedup_lower:
-        margin = max(5, (x2 - x1) * 0.025)
-        delimiters = []
-        for j in range(v_lines_arr.shape[0]):
-            x1v, y1v, x2v, y2v = (int(v) for v in v_lines_arr[j])
-            if x1 - margin <= x1v <= x2 + margin:
-                overlap = min(y2, y2v) - max(y1, y1v)
-                tolerance = max(5, min(10, 0.1 * (y2 - y1)))
-                if y2 - y1 - overlap <= tolerance:
-                    delimiters.append(x1v)
-        if len(delimiters) >= 2:
-            delimiters = sorted(delimiters)
-            for d1, d2 in zip(delimiters, delimiters[1:]):
-                cells.append([d1, y1, d2, y2])
-
-    return np.array(cells, dtype=np.int64) if cells else np.empty((0, 4), dtype=np.int64)
+    # delimiters: v-lines in x order, so each cell's hits come out sorted
+    v = np.asarray(v_lines_arr, dtype=np.int64).reshape(-1, 4)
+    v = v[np.argsort(v[:, 0], kind="stable")]
+    xv, y1v, y2v = v[:, 0], v[:, 1], v[:, 3]
+    margin = np.maximum(5, (cx2 - cx1) * 0.025)
+    tolerance = np.maximum(5, np.minimum(10, 0.1 * (cy2 - cy1)))
+    cells = [np.empty((0, 4), dtype=np.int64)]
+    for blk in _blocks(len(cx1), len(xv)):
+        c1, c2 = cy1[blk, None], cy2[blk, None]
+        overlap = np.minimum(c2, y2v) - np.maximum(c1, y1v)
+        hit = ((cx1[blk, None] - margin[blk, None] <= xv)
+               & (xv <= cx2[blk, None] + margin[blk, None])
+               & (c2 - c1 - overlap <= tolerance[blk, None]))
+        r, c = np.nonzero(hit)
+        k = np.flatnonzero(r[:-1] == r[1:])
+        r = r[k] + blk.start
+        cells.append(np.column_stack([xv[c[k]], cy1[r], xv[c[k + 1]], cy2[r]]))
+    return np.concatenate(cells)
 
 
 def get_cells_dataframe(horizontal_lines: list[Line], vertical_lines: list[Line]) -> list[Cell]:

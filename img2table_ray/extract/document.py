@@ -49,7 +49,7 @@ class TableImage:
         self.tables: list[Table] = []
         self.thresh = threshold_dark_areas(img=img, char_length=11)
         self.char_length, self.median_line_sep, self.contours = compute_img_metrics(
-            thresh=self.thresh.copy()
+            thresh=self.thresh
         )
 
     def ruling_lines(self) -> tuple[list[Line], list[Line]]:

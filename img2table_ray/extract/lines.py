@@ -9,7 +9,7 @@ from typing import Optional
 import numpy as np
 
 from img2table_ray.core.objects import Cell, Line
-from img2table_ray.imgops.ccl import connected_components_with_stats
+from img2table_ray.imgops.ccl import connected_components_stats
 from img2table_ray.imgops.kernels import (
     bilateral3_gray,
     laplacian3_abs,
@@ -38,7 +38,7 @@ def identify_straight_lines(thresh: np.ndarray, min_line_length: float,
     fw, fh = (1, d3) if vertical else (d3, 1)
     final_mask = morph_open(mask_dotted, fw, fh)
 
-    _, _, stats = connected_components_with_stats(final_mask)
+    stats = connected_components_stats(final_mask)
 
     lines = []
     for idx in range(1, len(stats)):

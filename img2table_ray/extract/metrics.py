@@ -19,7 +19,10 @@ from typing import Optional
 import numpy as np
 
 from img2table_ray.core.objects import Cell
-from img2table_ray.imgops.ccl import connected_components_with_stats
+from img2table_ray.imgops.ccl import (
+    connected_components_stats,
+    connected_components_with_stats,
+)
 from img2table_ray.imgops.kernels import morph_close
 
 
@@ -288,7 +291,7 @@ def compute_median_line_sep(thresh_chars: np.ndarray, chars_array: np.ndarray,
     kh = int(char_length // 3 + 1)
     closed = morph_close(thresh_chars, kw, kh)
 
-    _, _, stats = connected_components_with_stats(closed)
+    stats = connected_components_stats(closed)
     stats_contours = recompute_contours(stats=stats, chars_array=chars_array)
 
     row_separations = get_row_separations(stats=stats_contours, char_length=char_length)

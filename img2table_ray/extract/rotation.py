@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from img2table_ray.imgops.ccl import connected_components_with_stats
+from img2table_ray.imgops.ccl import connected_components_stats
 from img2table_ray.imgops.kernels import rgb2gray
 
 DIXON_Q_CONFIDENCE = {
@@ -43,7 +43,7 @@ def otsu_threshold_inv(gray: np.ndarray) -> np.ndarray:
 def get_connected_components(img_gray: np.ndarray):
     """(ref rotation.py:14-57)"""
     thresh = otsu_threshold_inv(img_gray)
-    _, _, stats = connected_components_with_stats(thresh)
+    stats = connected_components_stats(thresh)
 
     stats = stats[stats[:, 4] > 5]
     median_width = np.median(stats[:, 2])

@@ -8,7 +8,7 @@ from typing import Optional
 
 import numpy as np
 
-from img2table_ray.imgops.ccl import connected_components_with_stats
+from img2table_ray.imgops.ccl import connected_components_stats
 from img2table_ray.imgops.kernels import (
     gaussian_blur,
     in_range_mask,
@@ -37,7 +37,7 @@ def threshold_dark_areas(img: np.ndarray, char_length: Optional[float]) -> np.nd
     blur = gaussian_blur(gray, blur_size)
     mask = in_range_mask(blur, 0, 100)
 
-    _, _, stats = connected_components_with_stats(mask)
+    stats = connected_components_stats(mask)
 
     for idx, row in enumerate(stats):
         x, y, w, h, area = (int(v) for v in row)

@@ -11,7 +11,7 @@ import numpy as np
 from img2table_ray.core.common import merge_contours
 from img2table_ray.core.objects import Cell, Table
 from img2table_ray.extract.content import OCRWords
-from img2table_ray.imgops.ccl import connected_components_with_stats
+from img2table_ray.imgops.ccl import connected_components_stats
 from img2table_ray.imgops.kernels import (
     adaptive_threshold_gaussian_inv,
     dilate,
@@ -39,7 +39,7 @@ def get_contours_cell(img: np.ndarray, cell: Cell, margin: int = 5, blur_size: i
     for _ in range(4):
         d = dilate(d, kernel_size, kernel_size)
 
-    _, _, stats = connected_components_with_stats(d)
+    stats = connected_components_stats(d)
     contours = []
     for idx in range(1, len(stats)):
         x, y, w, h, _ = (int(v) for v in stats[idx])

@@ -103,7 +103,8 @@ def _to_rgba(img: np.ndarray, color_type: int, palette, trns) -> np.ndarray:
 def apng_frames(data: bytes, max_frames: int = 512
                 ) -> tuple[list[np.ndarray], list[float]]:
     """Decode an APNG -> (composited RGB frames, per-frame delays in s).
-    The frames together may hold at most ``MAX_PIXELS`` pixels."""
+    The frames and the working canvas together may hold at most
+    ``MAX_PIXELS`` pixels."""
     if data[:8] != _SIG:
         raise PngError("not a PNG file")
     width = height = None

@@ -270,9 +270,9 @@ def gif_frames(data: bytes, max_frames: int = 1024):
     absent).  Disposal methods per the spec: 0/1 leave the canvas, 2
     restores the frame's region to background, 3 restores the previous
     canvas; a transparent pixel keeps the canvas under it.  The frames
-    together may hold at most ``MAX_PIXELS`` pixels.  This walk exists
-    for ``VideoFrameSampleStage`` (animated GIF is the most common web
-    "video" that needs no external codec)."""
+    and the working canvas together may hold at most ``MAX_PIXELS``
+    pixels.  This walk exists for ``VideoFrameSampleStage`` (animated GIF
+    is the most common web "video" that needs no external codec)."""
     sw, sh, bg_idx, gct, images = _walk(data)
     background = gct[bg_idx] if gct is not None and bg_idx < len(gct) else 255
     canvas = np.empty((sh, sw, 3), np.uint8)

@@ -38,9 +38,10 @@ def check_dims(width: int, height: int, what: str = "image") -> None:
 
 def check_frames(n_frames: int, width: int, height: int,
                  what: str = "animation") -> None:
-    """Reject an animation whose composed frames (one full canvas each)
-    would together hold more than ``MAX_PIXELS`` pixels."""
-    if n_frames * width * height > MAX_PIXELS:
+    """Reject an animation whose composed frames (one full canvas each),
+    with the working canvas they are composed on, would together hold more
+    than ``MAX_PIXELS`` pixels."""
+    if (n_frames + 1) * width * height > MAX_PIXELS:
         raise DecodeLimitError(
             f"{what}: {n_frames} frames of {width}x{height} exceed "
             f"{MAX_PIXELS} pixel cap"

@@ -284,3 +284,36 @@ def test_gif_screen_holds_one_canvas():
     canvas = 4096 * 4096 * 3
     # the returned canvas; the tiled form peaked at two
     assert int(out.stdout.split()[-1]) < 1.5 * canvas
+
+
+# The frame budget counts the working canvas the frames are composed on:
+# with a budget of four canvases, three stored frames decode and a fourth
+# is refused, in both animation formats.
+def _tiny_gif_animation(n_frames: int, side: int = 8) -> bytes:
+    from img2table_ray.imgops.gif import encode_gif
+
+    block = encode_gif(np.zeros((1, 1, 3), np.uint8))[19:-1]
+    return (b"GIF89a" + struct.pack("<HHBBB", side, side, 0x80, 0, 0)
+            + b"\x00" * 6 + block * n_frames + b"\x3b")
+
+
+def _tiny_apng_animation(n_frames: int, side: int = 8) -> bytes:
+    from img2table_ray.imgops.apng import encode_apng
+
+    one = {"img": np.zeros((1, 1, 4), np.uint8), "delay": (1, 10)}
+    return encode_apng((side, side), [one] * n_frames)
+
+
+@pytest.mark.parametrize("fmt", ["gif", "apng"])
+def test_animation_budget_counts_the_working_canvas(fmt, monkeypatch):
+    from img2table_ray.imgops import limits
+    from img2table_ray.imgops.apng import apng_frames
+    from img2table_ray.imgops.gif import gif_frames
+
+    build, decode = {"gif": (_tiny_gif_animation, gif_frames),
+                     "apng": (_tiny_apng_animation, apng_frames)}[fmt]
+    monkeypatch.setattr(limits, "MAX_PIXELS", 4 * 8 * 8)
+    frames, _ = decode(build(3))
+    assert len(frames) == 3
+    with pytest.raises(DecodeLimitError):
+        decode(build(4))

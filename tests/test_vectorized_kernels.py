@@ -12,6 +12,11 @@ The image kernels of imgops/kernels.py (morphology, Sauvola, bilateral,
 Gaussian, grayscale) are pinned the same way against the plain forms they
 replaced: van Herk sliding extremes, float64 box means, interleaved
 bilateral reads and float64 separable Gaussians.
+
+Connected components (both entry points) and identify_cells are pinned
+against the forms they replaced: the row-diff run extraction with np.unique
+renumbering (``_ccl_run_diff``) and the h-line pair loop with its sorted
+dedup passes (``_identify_cells_loop``).
 """
 
 from __future__ import annotations
@@ -23,7 +28,11 @@ from img2table_ray.extract.borderless import rlsa
 from img2table_ray.extract.borderless.whitespaces import compute_whitespaces
 from img2table_ray.extract.metrics import create_character_thresh
 from img2table_ray.imgops import kernels
-from img2table_ray.imgops.ccl import connected_components_with_stats
+from img2table_ray.extract.cells import identify_cells
+from img2table_ray.imgops.ccl import (
+    connected_components_stats,
+    connected_components_with_stats,
+)
 
 
 def _ccl_bfs(binary: np.ndarray):
@@ -904,3 +913,375 @@ def test_gaussian_float32_error_below_tie_tol(name):
         v32 = _float32_pass(gray, ksize, "reflect")
         err = np.abs(v32.astype(np.float64) - _gaussian_float64(gray, ksize, "reflect"))
         assert err.max() < kernels._tie_tol(ksize)
+
+
+# ---- connected components and cell identification (imgops/ccl.py,
+# extract/cells.py) against the forms they replaced ----
+
+def _ccl_run_diff(binary: np.ndarray):
+    """The row-diff run extraction with full label image and np.unique
+    renumbering that ``imgops/ccl.py`` used before its flat scan."""
+    h, w = binary.shape
+    fg = binary > 0
+
+    # --- extract runs per row (vectorized over the whole image) ---
+    padded = np.zeros((h, w + 2), dtype=bool)
+    padded[:, 1:-1] = fg
+    diff = np.diff(padded.astype(np.int8), axis=1)
+    starts_r, starts_c = np.where(diff == 1)   # run starts (col index in image coords)
+    ends_r, ends_c = np.where(diff == -1)      # run ends (exclusive)
+    # diff guarantees starts and ends pair up row by row in order
+    n_runs = len(starts_r)
+    if n_runs == 0:
+        labels = np.zeros((h, w), dtype=np.int32)
+        stats = np.array([[0, 0, w, h, h * w]], dtype=np.int32)
+        return 1, labels, stats
+
+    run_row = starts_r
+    run_x1 = starts_c
+    run_x2 = ends_c  # exclusive
+
+    # --- union runs between consecutive rows (8-connectivity) ---
+    # Vectorized adjacency: runs are raster-sorted, so with a row-keyed
+    # coordinate (row*W2 + x, W2 > max x) ONE global searchsorted pair finds,
+    # for every run, the index range of previous-row runs whose x-interval
+    # touches it (diagonal contact included).  Only the union-find over the
+    # resulting pair list is a Python loop (~one iteration per contact).
+    parent = np.arange(n_runs, dtype=np.int64)
+
+    W2 = w + 2
+    prev_key_x2 = (run_row + 1) * W2 + run_x2  # prev-row runs shifted down
+    prev_key_x1 = (run_row + 1) * W2 + run_x1
+    lo = np.searchsorted(prev_key_x2, run_row * W2 + run_x1 - 1, side="right")
+    hi = np.searchsorted(prev_key_x1, run_row * W2 + run_x2 + 1, side="left")
+    counts = np.maximum(hi - lo, 0)
+    total_pairs = int(counts.sum())
+    if total_pairs:
+        a_idx = np.repeat(np.arange(n_runs), counts)
+        cum = np.concatenate(([0], np.cumsum(counts)[:-1]))
+        b_idx = (np.arange(total_pairs, dtype=np.int64)
+                 - np.repeat(cum, counts) + np.repeat(lo, counts))
+        # Vectorized min-label union (Shiloach–Vishkin shape): hook each
+        # edge's larger current label onto the smaller, then pointer-jump
+        # to compress; O(E) numpy work per round, rounds ~ O(log n).
+        # Which run ends up the root does not matter — final labels are
+        # renumbered by raster order of each component's first run below.
+        while True:
+            pa = parent[a_idx]
+            pb = parent[b_idx]
+            lo_lab = np.minimum(pa, pb)
+            hi_lab = np.maximum(pa, pb)
+            before = parent.copy()
+            np.minimum.at(parent, hi_lab, lo_lab)
+            while True:
+                pp = parent[parent]
+                if np.array_equal(pp, parent):
+                    break
+                parent = pp
+            if np.array_equal(parent, before):
+                break
+
+    roots = parent
+
+    # --- renumber components in raster order of first run ---
+    # first occurrence order of roots in run order (runs already raster-sorted)
+    _, first_idx, inv = np.unique(roots, return_index=True, return_inverse=True)
+    order = np.argsort(first_idx)  # component rank by first run position
+    rank_of_unique = np.empty_like(order)
+    rank_of_unique[order] = np.arange(len(order))
+    comp = rank_of_unique[inv] + 1  # 1-based labels, raster order
+    n_comp = len(order)
+
+    # --- stats per component ---
+    run_len = run_x2 - run_x1
+    x1s = np.full(n_comp + 1, w, dtype=np.int64)
+    x2s = np.zeros(n_comp + 1, dtype=np.int64)
+    y1s = np.full(n_comp + 1, h, dtype=np.int64)
+    y2s = np.zeros(n_comp + 1, dtype=np.int64)
+    areas = np.zeros(n_comp + 1, dtype=np.int64)
+    np.minimum.at(x1s, comp, run_x1)
+    np.maximum.at(x2s, comp, run_x2)
+    np.minimum.at(y1s, comp, run_row)
+    np.maximum.at(y2s, comp, run_row + 1)
+    np.add.at(areas, comp, run_len)
+
+    stats = np.zeros((n_comp + 1, 5), dtype=np.int32)
+    stats[0] = [0, 0, w, h, h * w - int(areas[1:].sum())]
+    stats[1:, 0] = x1s[1:]
+    stats[1:, 1] = y1s[1:]
+    stats[1:, 2] = x2s[1:] - x1s[1:]
+    stats[1:, 3] = y2s[1:] - y1s[1:]
+    stats[1:, 4] = areas[1:]
+
+    # --- label image (vectorized run expansion, no per-run Python) ---
+    labels = np.zeros(h * w, dtype=np.int32)
+    total = int(run_len.sum())
+    cum = np.concatenate(([0], np.cumsum(run_len)[:-1]))
+    offsets = np.arange(total, dtype=np.int64) - np.repeat(cum, run_len)
+    flat_idx = np.repeat(run_row.astype(np.int64) * w + run_x1, run_len) + offsets
+    labels[flat_idx] = np.repeat(comp.astype(np.int32), run_len)
+
+    return n_comp + 1, labels.reshape(h, w), stats
+
+
+def _identify_cells_loop(h_lines_arr: np.ndarray, v_lines_arr: np.ndarray) -> np.ndarray:
+    """The pair-loop form ``extract/cells.py`` used before it was
+    vectorized (ref cells/identification.py:9-90)."""
+    potential_cells = []
+    n = h_lines_arr.shape[0]
+    for i in range(n):
+        x1i, y1i, x2i, y2i = (int(v) for v in h_lines_arr[i])
+        for j in range(n):
+            x1j, y1j, x2j, y2j = (int(v) for v in h_lines_arr[j])
+            if y1i >= y1j:
+                continue
+            denom = (x2i - x1i) or 1
+            l_corresponds = -0.02 <= (x1i - x1j) / denom <= 0.02
+            r_corresponds = -0.02 <= (x2i - x2j) / denom <= 0.02
+            l_contained = (x1i <= x1j <= x2i) or (x1j <= x1i <= x2j)
+            r_contained = (x1i <= x2j <= x2i) or (x1j <= x2i <= x2j)
+            if (l_corresponds or l_contained) and (r_corresponds or r_contained):
+                potential_cells.append([max(x1i, x1j), min(x2i, x2j), y1i, y2j])
+
+    if not potential_cells:
+        return np.empty((0, 4), dtype=np.int64)
+
+    # Two-pass dedup: keep lowest lower bound per (x1, x2, y1), then highest
+    # upper bound per (x1, x2, y2) (ref identification.py:39-60)
+    potential_cells = sorted(potential_cells)
+    dedup_upper = []
+    prev = (0, 0, 0)
+    for x1, x2, y1, y2 in potential_cells:
+        if (x1, x2, y1) != prev:
+            dedup_upper.append([x1, x2, y2, -y1])
+        prev = (x1, x2, y1)
+
+    dedup_upper = sorted(dedup_upper)
+    dedup_lower = []
+    prev = (0, 0, 0)
+    for x1, x2, y2, neg_y1 in dedup_upper:
+        if (x1, x2, y2) != prev:
+            dedup_lower.append([x1, x2, -neg_y1, y2])
+        prev = (x1, x2, y2)
+
+    cells = []
+    for x1, x2, y1, y2 in dedup_lower:
+        margin = max(5, (x2 - x1) * 0.025)
+        delimiters = []
+        for j in range(v_lines_arr.shape[0]):
+            x1v, y1v, x2v, y2v = (int(v) for v in v_lines_arr[j])
+            if x1 - margin <= x1v <= x2 + margin:
+                overlap = min(y2, y2v) - max(y1, y1v)
+                tolerance = max(5, min(10, 0.1 * (y2 - y1)))
+                if y2 - y1 - overlap <= tolerance:
+                    delimiters.append(x1v)
+        if len(delimiters) >= 2:
+            delimiters = sorted(delimiters)
+            for d1, d2 in zip(delimiters, delimiters[1:]):
+                cells.append([d1, y1, d2, y2])
+
+    return np.array(cells, dtype=np.int64) if cells else np.empty((0, 4), dtype=np.int64)
+
+
+def _assert_ccl_same(binary):
+    n, labels, stats = connected_components_with_stats(binary)
+    n0, labels0, stats0 = _ccl_run_diff(binary)
+    assert n == n0 == len(stats0)
+    _assert_same(labels, labels0)
+    _assert_same(stats, stats0)
+    _assert_same(connected_components_stats(binary), stats0)
+
+
+@pytest.mark.parametrize("density", [0.01, 0.05, 0.2, 0.5, 0.7, 0.9])
+def test_ccl_matches_run_diff_form_on_random_masks(density):
+    rng = np.random.default_rng(int(density * 100))
+    for _ in range(40):
+        h, w = (int(v) for v in rng.integers(1, 70, 2))
+        _assert_ccl_same((rng.random((h, w)) < density).astype(np.uint8) * 255)
+
+
+def test_ccl_edge_masks():
+    rng = np.random.default_rng(3)
+    masks = [np.zeros((0, 0), np.uint8), np.zeros((0, 6), np.uint8),
+             np.zeros((6, 0), np.uint8)]
+    for h, w in [(1, 1), (1, 9), (9, 1), (13, 17), (1, 200), (200, 1)]:
+        masks += [np.zeros((h, w), np.uint8), np.full((h, w), 255, np.uint8),
+                  (rng.random((h, w)) < 0.5).astype(np.uint8) * 255]
+    for mask in masks:
+        _assert_ccl_same(mask)
+    # every pixel set is one component covering the page
+    n, _, stats = connected_components_with_stats(np.full((13, 17), 255, np.uint8))
+    assert n == 2 and stats[1].tolist() == [0, 0, 17, 13, 13 * 17]
+
+
+def test_ccl_checkerboard_joins_by_diagonals():
+    for h, w in [(2, 2), (7, 9), (31, 30)]:
+        board = (np.add.outer(np.arange(h), np.arange(w)) % 2 == 0)
+        mask = board.astype(np.uint8) * 255
+        _assert_ccl_same(mask)
+        assert len(connected_components_stats(mask)) == 2
+
+
+def _serpentine(h, w):
+    """Full-width bars on even rows, joined at alternating ends."""
+    mask = np.zeros((h, w), np.uint8)
+    mask[0::2, 1:-1] = 255
+    mask[1::4, -2] = 255
+    mask[3::4, 1] = 255
+    return mask
+
+
+def _comb(h, w):
+    """Teeth hanging from a bottom spine: the first run of the component
+    is a tooth tip, far from most runs in union order."""
+    mask = np.zeros((h, w), np.uint8)
+    mask[-1] = 255
+    for k, x in enumerate(range(0, w, 2)):
+        mask[h - 1 - (k * 7) % h :, x] = 255
+    return mask
+
+
+@pytest.mark.parametrize("build", [_serpentine, _comb])
+def test_ccl_long_chains(build):
+    for h, w in [(3, 5), (41, 12), (200, 37)]:
+        mask = build(h, w)
+        _assert_ccl_same(mask)
+        assert len(connected_components_stats(mask)) == 2
+        rot = np.ascontiguousarray(mask[::-1, ::-1])
+        _assert_ccl_same(rot)
+
+
+def test_ccl_rows_do_not_wrap():
+    """A run that ends at column w - 1 and one that starts at column 0 on
+    the next row are adjacent in a flat buffer, not on the page."""
+    rng = np.random.default_rng(41)
+    for w in [1, 2, 3, 4, 10, 33]:
+        mask = np.zeros((12, w), np.uint8)
+        mask[0::2, w - 1] = 255
+        mask[1::2, 0] = 255
+        _assert_ccl_same(mask)
+        n = len(connected_components_stats(mask))
+        assert n == (2 if w <= 2 else 13)
+        for _ in range(10):
+            mask = (rng.random((9, w)) < 0.3).astype(np.uint8) * 255
+            mask[:, [0, w - 1]] = 255 * (rng.random((9, 2)) < 0.7)
+            _assert_ccl_same(mask)
+
+
+CCL_CALLERS = ["threshold", "metrics", "lines", "rotation", "borderless",
+               "borderless.rlsa"]
+
+
+@pytest.mark.parametrize("name", ["test.png", "dark.png", "borderless.png",
+                                  "test.pdf"])
+def test_ccl_and_cells_match_old_forms_on_fixture_intermediates(name, monkeypatch):
+    """Every mask the page path labels (rotation, bordered and borderless
+    detection) and every identify_cells input, against the old forms."""
+    import importlib
+
+    from img2table_ray.extract import cells
+    from img2table_ray.extract.document import extract_tables_from_image
+
+    masks, lines = [], []
+
+    def recording(fn):
+        def wrapper(binary):
+            masks.append(binary.copy())
+            return fn(binary)
+        return wrapper
+
+    for caller in CCL_CALLERS:
+        module = importlib.import_module(f"img2table_ray.extract.{caller}")
+        for entry in ("connected_components_with_stats", "connected_components_stats"):
+            if hasattr(module, entry):
+                monkeypatch.setattr(module, entry, recording(getattr(module, entry)))
+    identify = cells.identify_cells
+
+    def record_cells(h_lines_arr, v_lines_arr):
+        lines.append((h_lines_arr.copy(), v_lines_arr.copy()))
+        return identify(h_lines_arr, v_lines_arr)
+
+    monkeypatch.setattr(cells, "identify_cells", record_cells)
+    extract_tables_from_image(_fixture_rgb(name), implicit_rows=True,
+                              borderless_tables=True, detect_rotation=True)
+    assert len(masks) >= 5 and lines
+    for mask in masks:
+        _assert_ccl_same(mask)
+    for h_arr, v_arr in lines:
+        _assert_same(identify(h_arr, v_arr), _identify_cells_loop(h_arr, v_arr))
+
+
+def _random_lines(rng, n, span):
+    x1 = rng.integers(0, span, n)
+    y = rng.integers(0, span, n)
+    return np.stack([x1, y, x1 + rng.integers(0, span, n),
+                     y + rng.integers(0, 3, n)], axis=1).astype(np.int64)
+
+
+def _assert_cells_same(h_arr, v_arr):
+    _assert_same(identify_cells(h_arr, v_arr), _identify_cells_loop(h_arr, v_arr))
+
+
+def test_identify_cells_matches_loop_form_on_random_lines():
+    """Few distinct coordinates, so equal y1 values, shared (x1, x2, y1)
+    groups and duplicate delimiter x positions are common."""
+    rng = np.random.default_rng(7)
+    for _ in range(400):
+        span = int(rng.choice([4, 12, 60, 400]))
+        h_arr = _random_lines(rng, int(rng.integers(0, 25)), span)
+        m = int(rng.integers(0, 15))
+        xv = rng.choice(rng.integers(0, 2 * span, 4), m)
+        yv = rng.integers(0, span, m)
+        v_arr = np.stack([xv, yv, xv, yv + rng.integers(0, 2 * span, m)],
+                         axis=1).astype(np.int64)
+        _assert_cells_same(h_arr, v_arr)
+
+
+def test_identify_cells_ratio_exactly_at_tolerance():
+    """Left and right offsets of k / (50 k), exactly +-0.02 of the line
+    width, and one unit either side of it."""
+    rng = np.random.default_rng(13)
+    for width in [50, 100, 150, 250, 350, 49, 51]:
+        offsets = [-width // 50 - 1, -width // 50, 0, width // 50, width // 50 + 1]
+        for _ in range(20):
+            n = int(rng.integers(2, 8))
+            x0 = 100 + rng.choice(offsets, n)
+            x1 = x0 + width + rng.choice(offsets, n)
+            y = np.sort(rng.choice(np.arange(0, 400, 40), n))
+            h_arr = np.stack([x0, y, x1, y], axis=1).astype(np.int64)
+            xv = np.array([100, 100 + width // 2, 100 + width, 100 + width])
+            v_arr = np.stack([xv, np.zeros(4, int), xv, np.full(4, 400)],
+                             axis=1).astype(np.int64)
+            _assert_cells_same(h_arr, v_arr)
+    # a 2 px offset on a 100 px line is exactly 0.02: the pair corresponds
+    h_arr = np.array([[100, 0, 200, 0], [98, 50, 300, 50]], dtype=np.int64)
+    v_arr = np.array([[100, 0, 100, 50], [200, 0, 200, 50]], dtype=np.int64)
+    assert identify_cells(h_arr, v_arr).tolist() == [[100, 0, 200, 50]]
+
+
+def test_identify_cells_keeps_seed_quirk():
+    """The reference seeds both dedup passes with the key (0, 0, 0), so a
+    first group with that key is dropped: the band x 0..0, y 0..10 would
+    otherwise find delimiters at x = 0 and x = 3."""
+    h_arr = np.array([[0, 0, 0, 0], [0, 10, 0, 10]], dtype=np.int64)
+    v_arr = np.array([[0, 0, 0, 10], [3, 0, 3, 10]], dtype=np.int64)
+    assert _identify_cells_loop(h_arr, v_arr).shape == (0, 4)
+    _assert_cells_same(h_arr, v_arr)
+    rng = np.random.default_rng(19)
+    for _ in range(200):
+        h_arr = np.concatenate([np.array([[0, 0, 0, 0]]),
+                                _random_lines(rng, int(rng.integers(1, 8)), 6)])
+        v_arr = np.stack([np.arange(4), np.zeros(4, int), np.arange(4),
+                          np.full(4, 8)], axis=1).astype(np.int64)
+        _assert_cells_same(h_arr, v_arr)
+
+
+@pytest.mark.parametrize("name", BORDERLESS_FIXTURES)
+def test_compute_img_metrics_leaves_thresh_unchanged(name):
+    from img2table_ray.extract.metrics import compute_img_metrics
+    from img2table_ray.extract.threshold import threshold_dark_areas
+
+    thresh = threshold_dark_areas(img=_table_image(name).img, char_length=11)
+    before = thresh.copy()
+    assert compute_img_metrics(thresh=thresh)[0] is not None
+    _assert_same(thresh, before)

@@ -7,13 +7,17 @@ Times ``extract_tables_from_image(img, implicit_rows=True)`` on
 one warm-up call per page.  Prints one line per page: min and median ms
 per page over N runs, then the median ms of the three classical-CV
 layers inside it: threshold (``threshold_dark_areas``), metrics
-(``compute_img_metrics``) and lines (``detect_lines``).  Run it on both
-sides of a change, one right after the other, and compare.
+(``compute_img_metrics``) and lines (``detect_lines``); then two kernels
+that run across those layers: ccl (every connected-component entry point,
+wrapped where each calling module imported it) and cells
+(``identify_cells``).  Run it on both sides of a change, one right after
+the other, and compare.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import statistics
 import sys
@@ -26,6 +30,10 @@ PAGES = ("test.png", "dark.png", "borderless.png")
 LAYERS = (("threshold", "threshold_dark_areas"),
           ("metrics", "compute_img_metrics"),
           ("lines", "detect_lines"))
+CCL_ENTRIES = ("connected_components_with_stats", "connected_components_stats")
+CCL_CALLERS = ("threshold", "metrics", "lines", "rotation", "titles",
+               "borderless", "borderless.rlsa")
+COLUMNS = tuple(layer for layer, _ in LAYERS) + ("ccl", "cells")
 
 
 def _timed(fn, spent, layer):
@@ -44,18 +52,26 @@ def main() -> int:
     args = ap.parse_args()
 
     sys.path.insert(0, REPO)
-    from img2table_ray.extract import document
+    from img2table_ray.extract import cells, document
     from img2table_ray.fixtures import fixture_bytes
     from img2table_ray.imgops.png import decode_image
 
-    spent = {layer: 0.0 for layer, _ in LAYERS}
+    spent = {column: 0.0 for column in COLUMNS}
     for layer, name in LAYERS:
         setattr(document, name, _timed(getattr(document, name), spent, layer))
+    # a kernel is timed in the namespace of each module that calls it;
+    # older checkouts lack the stats-only entry, so skip missing names
+    for caller in CCL_CALLERS:
+        module = importlib.import_module(f"img2table_ray.extract.{caller}")
+        for name in CCL_ENTRIES:
+            if hasattr(module, name):
+                setattr(module, name, _timed(getattr(module, name), spent, "ccl"))
+    cells.identify_cells = _timed(cells.identify_cells, spent, "cells")
 
     for page in PAGES:
         img = decode_image(fixture_bytes(page))
         document.extract_tables_from_image(img, implicit_rows=True)
-        totals, splits = [], {layer: [] for layer, _ in LAYERS}
+        totals, splits = [], {column: [] for column in COLUMNS}
         for _ in range(args.runs):
             for layer in spent:
                 spent[layer] = 0.0
