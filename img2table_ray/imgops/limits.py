@@ -11,6 +11,13 @@ therefore validates header dimensions against ``MAX_PIXELS`` BEFORE its
 first dimension-derived allocation and raises ``DecodeLimitError`` — a
 ``ValueError``, so every existing error-row path catches it.
 
+The lossy WebP (VP8) decoder relies on a truncation guard instead: its
+full 14-bit space (16383x16383) is legal and under the cap, so no
+dimension check can refuse a 56-byte stream that declares it.  It parses
+every macroblock before allocating its frame-sized surfaces, and raises
+``Vp8Error`` (``WebpError`` from ``decode_webp``) as soon as a partition
+reader runs past its data, checked per macroblock.
+
 The cap is 2^28 pixels (268 Mpx, ~800 MB as RGB): the full 14-bit VP8 /
 VP8L coordinate space stays legal, 200-DPI renders of any plausible page
 fit with two orders of magnitude to spare, and the uint16/uint32

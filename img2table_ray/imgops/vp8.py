@@ -30,7 +30,9 @@ YUV planes via WebPDecodeYUV and RGB via WebPDecodeRGB, many sizes and
 qualities, loop filter on).  That includes libwebp's border prediction
 conventions (virtual above row 127 / left column 129 and the corner
 rule), the MB-top-right above-right quirk for right-column subblocks,
-the per-MB raster loop-filter order, fancy chroma upsampling and the
+the per-MB raster loop-filter order (reproduced exactly by a
+wavefront schedule, see ``_Recon.loop_filter``), fancy chroma
+upsampling and the
 14-bit fixed-point YUV->RGB of yuv.h.  The encoder's streams decode
 bit-exactly in libwebp as well (both directions tested).
 Reference behavior matched: cv2.imdecode accepts lossy WebP
@@ -94,6 +96,14 @@ class BoolDecoder:
                 self.value |= nxt
                 self.pos += 1
         return ret
+
+    def overrun(self) -> bool:
+        """Whether the reader has shifted in more zeros past the end of
+        its data than its two-byte window holds.  libwebp refuses such a
+        stream (premature end of file); reading on would let a stream of
+        a few dozen bytes whose header declares 16383x16383 decode to a
+        full page of zero-fed macroblocks."""
+        return self.pos > len(self.d) + 2
 
     def literal(self, n: int) -> int:
         v = 0
@@ -790,193 +800,143 @@ def _s8(x: np.ndarray) -> np.ndarray:
     return np.maximum(np.minimum(x, 127), -128)
 
 
-def _filter_limits(level: int, sharpness: int) -> tuple[int, int, int, int]:
-    interior = level
+def _filter_limits(levels: np.ndarray, sharpness: int,
+                   inner: np.ndarray) -> np.ndarray:
+    """Per-MB limits as a (4, n_mb) int32 table, raster order: interior
+    limit, high-edge-variance threshold (keyframe rule), MB-edge limit
+    and inner-edge limit.  An unfiltered MB (level 0) gets edge limits
+    of -1 and an MB without inner edges an inner-edge limit of -1: the
+    edge test ``2|p0-q0| + |p1-q1|/2 <= limit`` then fails on every
+    pixel, so the batched kernels leave those edges as they are."""
+    level = levels.astype(np.int32).ravel()
+    interior = level.copy()
     if sharpness:
         interior >>= 2 if sharpness > 4 else 1
-        interior = min(interior, 9 - sharpness)
-    interior = max(1, interior)
-    hev = 2 if level >= 40 else (1 if level >= 15 else 0)  # keyframe rule
+        np.minimum(interior, 9 - sharpness, out=interior)
+    np.maximum(interior, 1, out=interior)
+    hev = (level >= 40).astype(np.int32) + (level >= 15)
     mb_edge = (level + 2) * 2 + interior
     sub_edge = level * 2 + interior
-    return interior, hev, mb_edge, sub_edge
+    on = level > 0
+    mb_edge[~on] = -1
+    sub_edge[~(on & inner.ravel())] = -1
+    return np.stack([interior, hev, mb_edge, sub_edge])
 
 
-def _clip_u8(x: np.ndarray) -> np.ndarray:
-    """In-place clip of an owned temp to [0, 255] via direct ufuncs
-    (np.clip's fromnumeric wrapper costs ~4x per call at 16-elem sizes)."""
+def _filter_deltas() -> tuple[np.ndarray, np.ndarray]:
+    """Per-tap updates of the normal filter as tables over
+    ``w + 128 + 256 * hev``, where w = s8(s8(p1 - q1) + 3 (q0 - p0))
+    (RFC 6386 §15.2-15.3; the signed-domain shift by 128 cancels
+    exactly in int32 arithmetic).  A high-edge-variance pixel moves p0
+    by f2(w) and q0 by -f1(w).  Otherwise an MB edge moves p2, p1, p0 by
+    a3, a2, a1 and q0, q1, q2 by -a1, -a2, -a3, and an inner edge moves
+    p1, p0 by h, f2(w') and q0, q1 by -f1(w'), -h, with w' the same
+    expression without its p1 - q1 term and h = (f1(w') + 1) >> 1.
+    Returns the (6, 512) MB-edge table, rows p2..q2, and the (4, 512)
+    inner-edge table, rows p1..q1, whose hev half serves the simple
+    filter too."""
+    w = np.arange(-128, 128, dtype=np.int32)
+    f1 = _s8(w + 4) >> 3
+    f2 = _s8(w + 3) >> 3
+    zero = np.zeros_like(w)
+    a1, a2, a3 = ((k * w + 63) >> 7 for k in (27, 18, 9))
+    half = (f1 + 1) >> 1
+    mb = np.concatenate([np.stack([a3, a2, a1, -a1, -a2, -a3]),
+                         np.stack([zero, zero, f2, -f1, zero, zero])], 1)
+    inner = np.concatenate([np.stack([half, f2, -f1, -half]),
+                            np.stack([zero, f2, -f1, zero])], 1)
+    return mb, inner
+
+
+_MB_DELTAS, _INNER_DELTAS = _filter_deltas()
+
+
+def _clip_u8(x: np.ndarray) -> None:
+    """In-place clip to [0, 255] via direct ufuncs."""
     np.maximum(x, 0, out=x)
     np.minimum(x, 255, out=x)
-    return x
 
 
-def _normal_filter_edge(px: list[np.ndarray], interior: int, hev_t: int,
-                        edge_limit: int, mb_edge: bool,
-                        ext_mask=None) -> None:
-    """Normal loop filter across one edge.  ``px`` is [p3..p0, q0..q3],
-    eight int32 arrays (mutated in place — views write through),
-    vectorized along the edge; ``ext_mask`` restricts application (used
-    by the batched whole-frame passes)."""
-    p3, p2, p1, p0, q0, q1, q2, q3 = px
-    d0 = p0 - q0
-    d1 = p1 - q1
-    # early-outs, load-bearing for throughput on document images: a
-    # uniform edge (d0 == d1 == 0 everywhere) filters to itself (every
-    # update term is a function of w = 3*d0' + d1'), and an edge whose
-    # outer threshold fails everywhere never writes
-    if not d0.any() and not d1.any():
-        return
-    np.abs(d0, out=d0)
-    np.abs(d1, out=d1)
-    d1 >>= 1
-    d0 *= 2
-    d0 += d1
-    thresh = d0 <= edge_limit
-    if ext_mask is not None:
-        thresh &= ext_mask
-    if not thresh.any():
-        return
-    ap1p0 = np.abs(p1 - p0)
-    aq1q0 = np.abs(q1 - q0)
-    mask = thresh
-    mask &= np.abs(p3 - p2) <= interior
-    mask &= np.abs(p2 - p1) <= interior
-    mask &= ap1p0 <= interior
-    mask &= aq1q0 <= interior
-    mask &= np.abs(q2 - q1) <= interior
-    mask &= np.abs(q3 - q2) <= interior
-    hev = ap1p0 > hev_t
-    hev |= aq1q0 > hev_t
-    # signed-8-bit domain
-    P1, P0, Q0, Q1 = p1 - 128, p0 - 128, q0 - 128, q1 - 128
-    qp = Q0 - P0
-    qp *= 3
-    w = _s8(P1 - Q1)
-    w += qp
-    w = _s8(w)  # == both branches' w (identical expression, RFC §15.3)
-    f1 = _s8(w + 4)
-    f1 >>= 3
-    f2 = _s8(w + 3)
-    f2 >>= 3
-    # the signed-domain round trip cancels exactly in the updates:
-    # clip(Q0 - f + 128) == clip(q0 - f) etc. in int32 arithmetic
-    use = mask & hev
-    if use.any():
-        q0[use] = _clip_u8(q0[use] - f1[use])
-        p0[use] = _clip_u8(p0[use] + f2[use])
-    use2 = mask
-    use2 &= ~hev
-    if not use2.any():
-        return
-    if mb_edge:
-        a1 = 27 * w
-        a1 += 63
-        a1 >>= 7
-        a2 = 18 * w
-        a2 += 63
-        a2 >>= 7
-        a3 = 9 * w
-        a3 += 63
-        a3 >>= 7
-        q0[use2] = _clip_u8(q0[use2] - a1[use2])
-        p0[use2] = _clip_u8(p0[use2] + a1[use2])
-        q1[use2] = _clip_u8(q1[use2] - a2[use2])
-        p1[use2] = _clip_u8(p1[use2] + a2[use2])
-        q2[use2] = _clip_u8(q2[use2] - a3[use2])
-        p2[use2] = _clip_u8(p2[use2] + a3[use2])
-    else:
-        ws = _s8(qp)  # qp == 3*(Q0-P0), unshared since _s8 copies
-        f1s = _s8(ws + 4)
-        f1s >>= 3
-        f2s = _s8(ws + 3)
-        f2s >>= 3
-        q0[use2] = _clip_u8(q0[use2] - f1s[use2])
-        p0[use2] = _clip_u8(p0[use2] + f2s[use2])
-        f1s += 1
-        f1s >>= 1
-        q1[use2] = _clip_u8(q1[use2] - f1s[use2])
-        p1[use2] = _clip_u8(p1[use2] + f1s[use2])
-
-
-def _simple_filter_edge(px: list[np.ndarray], edge_limit: int,
-                        ext_mask=None) -> None:
-    """Simple loop filter (Y only): adjusts p0/q0."""
-    p1, p0, q0, q1 = px
-    d0 = p0 - q0
-    d1 = p1 - q1
-    if not d0.any() and not d1.any():  # uniform edge: w == 0, no-op
-        return
-    np.abs(d0, out=d0)
-    np.abs(d1, out=d1)
-    d1 >>= 1
-    d0 *= 2
-    d0 += d1
-    mask = d0 <= edge_limit
-    if ext_mask is not None:
-        mask &= ext_mask
+def _normal_filter(g: np.ndarray, interior, hev_t, limit,
+                   mb_edge: bool) -> bool:
+    """Normal loop filter across a batch of edge segments, in place.
+    ``g`` is (8, ...) int32, the taps p3, p2, p1, p0, q0, q1, q2, q3
+    across the edge, each an array over the pixels along it; it may be
+    a view of the surfaces.  ``interior``, ``hev_t`` and ``limit``
+    broadcast against one tap, so each segment carries its own MB's
+    limits.  Branch-free per pixel: every update is read from
+    ``_filter_deltas``'s tables at the unfiltered taps' index, and
+    pixels that fail the edge test get a zero update.  Returns whether
+    any pixel may have changed."""
+    steps = g[1:] - g[:-1]
+    d1 = g[2] - g[5]
+    # a uniform batch (p0 == q0 and p1 == q1 everywhere) filters to
+    # itself: every update is a function of 3 (q0 - p0) and p1 - q1
+    if not steps[3].any() and not d1.any():
+        return False
+    u = steps[3] * 3
+    np.abs(steps, out=steps)
+    e = steps[3] * 2
+    e += np.abs(d1) >> 1
+    mask = e <= limit
+    steps[3] = 0  # the interior test skips |p0 - q0|
+    mask &= np.maximum.reduce(steps, axis=0) <= interior
     if not mask.any():
-        return
-    P1, P0, Q0, Q1 = p1 - 128, p0 - 128, q0 - 128, q1 - 128
-    qp = Q0 - P0
-    qp *= 3
-    w = _s8(P1 - Q1)
-    w += qp
+        return False
+    hev = np.maximum(steps[2], steps[4]) > hev_t
+    w = _s8(d1)
+    if not mb_edge:
+        w *= hev  # an inner edge drops p1 - q1 where hev is false
+    w += u
     w = _s8(w)
-    f1 = _s8(w + 4)
-    f1 >>= 3
-    f2 = _s8(w + 3)
-    f2 >>= 3
-    # ±128 signed-domain shift cancels exactly in int32 updates
-    q0[mask] = _clip_u8(q0[mask] - f1[mask])
-    p0[mask] = _clip_u8(p0[mask] + f2[mask])
+    w += 128
+    w += 256 * hev
+    d = (_MB_DELTAS if mb_edge else _INNER_DELTAS).take(w, axis=1)
+    d *= mask
+    taps = g[1:7] if mb_edge else g[2:6]
+    taps += d
+    _clip_u8(taps)
+    return True
 
 
-def _filter_mb_normal(p: np.ndarray, y0: int, x0: int, size: int,
-                      lims: tuple, fin: bool, left_edge: bool,
-                      top_edge: bool) -> None:
-    """Normal-profile filtering of one MB's edges in libwebp's DoFilter
-    order: left MB edge, interior vertical edges, top MB edge, interior
-    horizontal edges.  The per-MB raster schedule is load-bearing: a
-    top edge writes into the MB above, whose pixels the NEXT column's
-    left edge reads, so neither rows nor columns can be batched without
-    changing results (a column-batched variant was tried and produced
-    real chroma diffs vs libwebp).  Throughput comes from the edge
-    kernels' early-outs instead."""
-    interior, hev_t, mb_lim, sub_lim = lims
-    if left_edge:
-        px = [p[y0 : y0 + size, x0 + k] for k in range(-4, 4)]
-        _normal_filter_edge(px, interior, hev_t, mb_lim, True)
-    if fin:
-        for sx in range(4, size, 4):
-            px = [p[y0 : y0 + size, x0 + sx + k] for k in range(-4, 4)]
-            _normal_filter_edge(px, interior, hev_t, sub_lim, False)
-    if top_edge:
-        px = [p[y0 + k, x0 : x0 + size] for k in range(-4, 4)]
-        _normal_filter_edge(px, interior, hev_t, mb_lim, True)
-    if fin:
-        for sy in range(4, size, 4):
-            px = [p[y0 + sy + k, x0 : x0 + size] for k in range(-4, 4)]
-            _normal_filter_edge(px, interior, hev_t, sub_lim, False)
+def _simple_filter(g: np.ndarray, limit) -> bool:
+    """Simple loop filter (Y only) across a batch of edge segments, in
+    place: ``g`` is (4, ...) int32, the taps p1, p0, q0, q1, and p0 and
+    q0 move as a high-edge-variance pixel's would.  Same conventions as
+    ``_normal_filter``."""
+    d0 = g[2] - g[1]
+    d1 = g[0] - g[3]
+    if not d0.any() and not d1.any():  # uniform batch: no-op
+        return False
+    e = np.abs(d0)
+    e *= 2
+    e += np.abs(d1) >> 1
+    mask = e <= limit
+    if not mask.any():
+        return False
+    d0 *= 3
+    w = _s8(d1)
+    w += d0
+    w = _s8(w)
+    w += 128 + 256
+    d = _INNER_DELTAS[1:3].take(w, axis=1)
+    d *= mask
+    g[1:3] += d
+    _clip_u8(g[1:3])
+    return True
 
 
-def _filter_mb_simple(p: np.ndarray, y0: int, x0: int, lims: tuple,
-                      fin: bool, left_edge: bool, top_edge: bool) -> None:
-    """Simple-profile filtering (Y plane only), same per-MB edge order."""
-    _, _, mb_lim, sub_lim = lims
-    if left_edge:
-        px = [p[y0 : y0 + 16, x0 + k] for k in range(-2, 2)]
-        _simple_filter_edge(px, mb_lim)
-    if fin:
-        for sx in range(4, 16, 4):
-            px = [p[y0 : y0 + 16, x0 + sx + k] for k in range(-2, 2)]
-            _simple_filter_edge(px, sub_lim)
-    if top_edge:
-        px = [p[y0 + k, x0 : x0 + 16] for k in range(-2, 2)]
-        _simple_filter_edge(px, mb_lim)
-    if fin:
-        for sy in range(4, 16, 4):
-            px = [p[y0 + sy + k, x0 : x0 + 16] for k in range(-2, 2)]
-            _simple_filter_edge(px, sub_lim)
+# The eight edge steps of one macroblock in libwebp's DoFilter order:
+# (vertical edge, offset from the MB origin, MB edge, chroma too).  The
+# left/top MB edges exist only away from the frame's left/top border and
+# the inner edges only on MBs with inner edges; chroma MBs (8x8) have
+# one inner edge per direction, at 4.
+_FILTER_STEPS = (
+    (True, 0, True, True), (True, 4, False, True),
+    (True, 8, False, False), (True, 12, False, False),
+    (False, 0, True, True), (False, 4, False, True),
+    (False, 8, False, False), (False, 12, False, False),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -1007,43 +967,34 @@ def _fancy_upsample_plane(c: np.ndarray, h: int, w: int) -> np.ndarray:
     """libwebp's "fancy" 4:2:0 chroma upsampler (upsampling.c), exact
     integer arithmetic: half-phase bilinear built from the per-pair
     diagonal averages, borders mirrored.  ``c`` is the (ceil(h/2),
-    ceil(w/2)) chroma plane; returns the (h, w) upsampled plane."""
+    ceil(w/2)) chroma plane; returns the (h, w) upsampled plane.
+
+    Chroma row pair k = 0..ch is (c[k-1], c[k]) with the border rows
+    repeated; it gives output rows 2k-1 (its top row) and 2k (its
+    bottom row).  Pair 0 is (c[0], c[0]), whose top and bottom rows
+    agree, so row 0 may come from either.  All pairs at once."""
     c = c.astype(np.int32)
     ch, cw = c.shape
-    out = np.empty((h, w), np.int32)
-
-    def row_pair(tr: np.ndarray, cr: np.ndarray):
-        """One chroma row pair -> (top_row, bottom_row) of length w."""
-        tl, t = tr[:-1], tr[1:]
-        l_, cu = cr[:-1], cr[1:]
-        avg = tl + t + l_ + cu + 8
-        diag12 = (avg + 2 * (t + l_)) >> 3
-        diag03 = (avg + 2 * (tl + cu)) >> 3
-        top = np.empty(w, np.int32)
-        bot = np.empty(w, np.int32)
-        top[0] = (3 * tr[0] + cr[0] + 2) >> 2
-        bot[0] = (3 * cr[0] + tr[0] + 2) >> 2
-        n = len(tl)  # pairs
-        top[1 : 2 * n : 2] = (diag12 + tl) >> 1
-        top[2 : 2 * n + 1 : 2] = (diag03 + t) >> 1
-        bot[1 : 2 * n : 2] = (diag03 + l_) >> 1
-        bot[2 : 2 * n + 1 : 2] = (diag12 + cu) >> 1
-        if w % 2 == 0:
-            top[w - 1] = (3 * tr[-1] + cr[-1] + 2) >> 2
-            bot[w - 1] = (3 * cr[-1] + tr[-1] + 2) >> 2
-        return top, bot
-
-    # first output row mirrors chroma row 0 against itself
-    out[0], _ = row_pair(c[0], c[0])
-    for k in range(1, ch):
-        top, bot = row_pair(c[k - 1], c[k])
-        if 2 * k - 1 < h:
-            out[2 * k - 1] = top
-        if 2 * k < h:
-            out[2 * k] = bot
-    if h % 2 == 0 and h >= 2:
-        out[h - 1], _ = row_pair(c[ch - 1], c[ch - 1])
-    return out
+    ce = np.concatenate((c[:1], c, c[-1:]))
+    tr, cr = ce[:-1], ce[1:]
+    tl, t = tr[:, :-1], tr[:, 1:]
+    l_, cu = cr[:, :-1], cr[:, 1:]
+    avg = tl + t + l_ + cu + 8
+    diag12 = (avg + 2 * (t + l_)) >> 3
+    diag03 = (avg + 2 * (tl + cu)) >> 3
+    rows = np.empty((ch + 1, 2, w), np.int32)
+    top, bot = rows[:, 0], rows[:, 1]
+    top[:, 0] = (3 * tr[:, 0] + cr[:, 0] + 2) >> 2
+    bot[:, 0] = (3 * cr[:, 0] + tr[:, 0] + 2) >> 2
+    n = cw - 1  # column pairs
+    top[:, 1 : 2 * n : 2] = (diag12 + tl) >> 1
+    top[:, 2 : 2 * n + 1 : 2] = (diag03 + t) >> 1
+    bot[:, 1 : 2 * n : 2] = (diag03 + l_) >> 1
+    bot[:, 2 : 2 * n + 1 : 2] = (diag12 + cu) >> 1
+    if w % 2 == 0:
+        top[:, w - 1] = (3 * tr[:, -1] + cr[:, -1] + 2) >> 2
+        bot[:, w - 1] = (3 * cr[:, -1] + tr[:, -1] + 2) >> 2
+    return rows.reshape(2 * ch + 2, w)[1 : h + 1]
 
 
 def yuv420_to_rgb(y: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -1060,8 +1011,12 @@ def yuv420_to_rgb(y: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     r = ys + ((vv * 26149) >> 8) - 14234
     g = ys - ((uu * 6419) >> 8) - ((vv * 13320) >> 8) + 8708
     b = ys + ((uu * 33050) >> 8) - 17685
-    rgb = np.stack([r, g, b], -1)
-    return np.clip(rgb >> 6, 0, 255).astype(np.uint8)
+    out = np.empty((h, w, 3), np.uint8)
+    for k, x in enumerate((r, g, b)):
+        x >>= 6
+        _clip_u8(x)
+        out[..., k] = x
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1190,15 +1145,29 @@ def _mb_coefficients(levels_y, levels_y2, levels_u, levels_v, dqv,
     return ycoef, ucoef, vcoef
 
 
+def _raster_blocks(blocks: np.ndarray, n: int) -> np.ndarray:
+    """(..., n*n, 4, 4) 4x4 blocks in raster block order -> the
+    (..., 4n, 4n) pixels they tile."""
+    lead = blocks.shape[:-3]
+    return blocks.reshape(*lead, n, n, 4, 4).swapaxes(-3, -2).reshape(
+        *lead, 4 * n, 4 * n)
+
+
 class _Recon:
-    """Padded int32 reconstruction surfaces; pixel (r, c) at [r+1, c+1]."""
+    """Padded int32 reconstruction surfaces; pixel (r, c) at [r+1, c+1]
+    of ``y``, ``u`` and ``v``, which are views of the flat ``buf``."""
 
     def __init__(self, mb_w: int, mb_h: int) -> None:
         self.mb_w = mb_w
         self.mb_h = mb_h
-        self.y = np.zeros((mb_h * 16 + 1, mb_w * 16 + 1), np.int32)
-        self.u = np.zeros((mb_h * 8 + 1, mb_w * 8 + 1), np.int32)
-        self.v = np.zeros((mb_h * 8 + 1, mb_w * 8 + 1), np.int32)
+        ys, cs = mb_w * 16 + 1, mb_w * 8 + 1
+        ny, nc = (mb_h * 16 + 1) * ys, (mb_h * 8 + 1) * cs
+        # one flat Y|U|V buffer, so the loop filter reaches a segment of
+        # any plane through one strided view
+        self.buf = np.zeros(ny + 2 * nc, np.int32)
+        self.y = self.buf[:ny].reshape(-1, ys)
+        self.u = self.buf[ny : ny + nc].reshape(-1, cs)
+        self.v = self.buf[ny + nc :].reshape(-1, cs)
 
     def _mb_top_right(self, mby: int, mbx: int) -> np.ndarray:
         """The MB-level top-right 4 pixels (libwebp ``top_right``): row
@@ -1248,72 +1217,121 @@ class _Recon:
     def recon_mb(self, mby: int, mbx: int, ymode: int, bmodes, uvmode: int,
                  ycoef=None, ucoef=None, vcoef=None,
                  res_y=None, res_u=None, res_v=None) -> None:
-        """Rebuild one MB.  Residuals may be passed precomputed
-        (``res_y`` (16,4,4), ``res_u``/``res_v`` (4,4,4)) — the decoder
-        batches every block's IDCT into one vectorized call per frame;
-        the math is identical either way (idct4x4 is elementwise over
-        leading axes), so encoder recon and decoder output stay
+        """Rebuild one MB.  Residuals may be passed precomputed in pixel
+        layout (``res_y`` (16, 16), ``res_u``/``res_v`` (8, 8)) — the
+        decoder batches every block's IDCT into one vectorized call per
+        frame; the math is identical either way (idct4x4 is elementwise
+        over leading axes), so encoder recon and decoder output stay
         bit-exact."""
         py, px = 1 + mby * 16, 1 + mbx * 16
         Y = self.y
         if res_y is None:
-            res_y = idct4x4(ycoef.reshape(16, 4, 4))
+            res_y = _raster_blocks(idct4x4(ycoef.reshape(16, 4, 4)), 4)
         if ymode == B_PRED:
             for i in range(16):
                 r, c = divmod(i, 4)
                 above8, left, tl = self._bpred_ctx(mby, mbx, r, c)
                 pred = predict_b(bmodes[i], above8, left, tl)
+                pred = pred + res_y[4 * r : 4 * r + 4, 4 * c : 4 * c + 4]
+                _clip_u8(pred)
                 yy, xx = py + 4 * r, px + 4 * c
-                Y[yy : yy + 4, xx : xx + 4] = np.clip(pred + res_y[i],
-                                                      0, 255)
+                Y[yy : yy + 4, xx : xx + 4] = pred
         else:
             pred = predict_block(Y, py, px, 16, ymode, mby > 0, mbx > 0)
-            res16 = res_y.reshape(4, 4, 4, 4).transpose(0, 2, 1, 3).reshape(
-                16, 16)
-            Y[py : py + 16, px : px + 16] = np.clip(pred + res16, 0, 255)
+            pred = pred + res_y
+            _clip_u8(pred)
+            Y[py : py + 16, px : px + 16] = pred
         pcy, pcx = 1 + mby * 8, 1 + mbx * 8
         if res_u is None:
-            res_u = idct4x4(ucoef.reshape(4, 4, 4))
+            res_u = _raster_blocks(idct4x4(ucoef.reshape(4, 4, 4)), 2)
         if res_v is None:
-            res_v = idct4x4(vcoef.reshape(4, 4, 4))
+            res_v = _raster_blocks(idct4x4(vcoef.reshape(4, 4, 4)), 2)
         for plane, res in ((self.u, res_u), (self.v, res_v)):
             pred = predict_block(plane, pcy, pcx, 8, uvmode, mby > 0, mbx > 0)
-            res8 = res.reshape(2, 2, 4, 4).transpose(0, 2, 1, 3).reshape(8, 8)
-            plane[pcy : pcy + 8, pcx : pcx + 8] = np.clip(pred + res8, 0, 255)
+            pred = pred + res
+            _clip_u8(pred)
+            plane[pcy : pcy + 8, pcx : pcx + 8] = pred
 
     def loop_filter(self, mb_levels: np.ndarray, sharpness: int,
                     simple: bool, inner: np.ndarray) -> None:
-        """Apply the in-loop filter in the RFC/libwebp MB raster order:
-        for each MB — left edge, interior vertical edges, top edge,
-        interior horizontal edges.  The order is load-bearing for
-        bit-exactness (edges share pixels with their neighbours), so no
-        whole-frame batching here; each edge op is still vectorized
-        along its 16/8-pixel extent."""
+        """Apply the in-loop filter, bit-exact with libwebp's per-MB
+        raster order (for each MB: left edge, inner vertical edges, top
+        edge, inner horizontal edges), as a wavefront over the
+        anti-diagonals t = mbx + mby.
+
+        Each wave runs the eight edge steps of ``_FILTER_STEPS`` in
+        order, each step on every MB of the wave at once.  That is exact
+        because it keeps the order of every two edge steps that share a
+        pixel.  An edge step of an MB at (y0, x0) touches pixels only
+        inside rows [y0-4, y0+15] and columns [x0-4, x0+15] (x0-2 and
+        y0-2 in the simple profile), so only neighbouring MBs share
+        pixels, and only through these steps:
+          - the left neighbour's vertical and horizontal steps share
+            columns with the MB's left edge, the first step, so the
+            left neighbour's wave must come earlier: t is one smaller;
+          - the upper neighbour's steps share rows with the MB's top
+            edge, the fifth step, so it too needs the earlier wave;
+          - the upper-right neighbour shares pixels only between its
+            left edge (first step) and the MB's top edge (fifth step):
+            both are in one wave, and the step order keeps them in
+            raster order; at any one step the two touch disjoint pixels;
+          - the upper-left neighbour shares no pixel with any step.
+        Chroma MBs are the same at half scale.  (The coarser MB-
+        footprint argument needs t = mbx + 2 mby; rows or columns of MBs
+        cannot be batched at all.)
+
+        Each step is one kernel call over 8-pixel segments: two per Y
+        edge, plus one per U and V edge.  A wave's MBs are one flat
+        stride apart (16 rows down, 16 columns left), so the segments of
+        a step are one strided view of the flat Y|U|V buffer: nothing is
+        indexed per pixel, and the working set is one wave's segments.
+        MBs that skip a step keep it through a limit of -1."""
         mb_h, mb_w = mb_levels.shape
-        y = self.y[1:, 1:]
-        u = self.u[1:, 1:]
-        v = self.v[1:, 1:]
-        limit_cache: dict[int, tuple] = {}
-        for mby in range(mb_h):
-            for mbx in range(mb_w):
-                level = int(mb_levels[mby, mbx])
-                if level <= 0:
+        lims = _filter_limits(mb_levels, sharpness, inner)
+        taps = 4 if simple else 8
+        buf = self.buf
+        item = buf.itemsize
+        ys, cs = self.y.shape[1], self.u.shape[1]
+        ny, nc = self.y.size, self.u.size
+        # flat step from MB (r, c) to (r+1, c-1) in the Y and chroma planes
+        dy, dc = 16 * ys - 16, 8 * cs - 8
+        for t in range(mb_w + mb_h - 1):
+            r0, r1 = max(0, t - mb_w + 1), min(mb_h - 1, t)
+            wave = lims[:, np.arange(r0, r1 + 1) * (mb_w - 1) + t, None]
+            for vertical, e, mb_edge, chroma in _FILTER_STEPS:
+                ra, rb = r0, r1
+                if mb_edge and vertical:
+                    rb = min(r1, t - 1)  # MBs with mbx >= 1
+                elif mb_edge:
+                    ra = max(r0, 1)  # MBs with mby >= 1
+                if ra > rb:
                     continue
-                lims = limit_cache.get(level)
-                if lims is None:
-                    lims = limit_cache[level] = _filter_limits(level,
-                                                               sharpness)
-                fin = bool(inner[mby, mbx])
+                interior, hev_t, mb_lim, sub_lim = wave[:, ra - r0 :
+                                                         rb - r0 + 1]
+                limit = mb_lim if mb_edge else sub_lim
+                if limit.max() < 0:
+                    continue
+                n = rb - ra + 1
+                across, along = (1, ys) if vertical else (ys, 1)
+                o = ys + 1 + 16 * t + ra * dy + (e - taps // 2) * across
+                yv = np.ndarray((taps, 2, n, 8), buf.dtype, buf, o * item,
+                                (across * item, 8 * along * item,
+                                 dy * item, along * item))
                 if simple:
-                    _filter_mb_simple(y, mby * 16, mbx * 16, lims,
-                                      fin, mbx > 0, mby > 0)
-                else:
-                    _filter_mb_normal(y, mby * 16, mbx * 16, 16, lims,
-                                      fin, mbx > 0, mby > 0)
-                    _filter_mb_normal(u, mby * 8, mbx * 8, 8, lims,
-                                      fin, mbx > 0, mby > 0)
-                    _filter_mb_normal(v, mby * 8, mbx * 8, 8, lims,
-                                      fin, mbx > 0, mby > 0)
+                    _simple_filter(yv, limit)
+                    continue
+                if not chroma:
+                    _normal_filter(yv, interior, hev_t, limit, mb_edge)
+                    continue
+                across, along = (1, cs) if vertical else (cs, 1)
+                o = ny + cs + 1 + 8 * t + ra * dc + (e - 4) * across
+                cv = np.ndarray((8, 2, n, 8), buf.dtype, buf, o * item,
+                                (across * item, nc * item, dc * item,
+                                 along * item))
+                g = np.concatenate((yv, cv), axis=1)
+                if _normal_filter(g, interior, hev_t, limit, mb_edge):
+                    yv[...] = g[:, :2]
+                    cv[...] = g[:, 2:]
 
 
 # ---------------------------------------------------------------------------
@@ -1434,40 +1452,43 @@ def decode_vp8(data: bytes, yuv: bool = False) -> np.ndarray:
     mb_w = (width + 15) // 16
     mb_h = (height + 15) // 16
     n_mb = mb_w * mb_h
-    rec = _Recon(mb_w, mb_h)
     # nested Python lists: per-element indexing in the token hot loop is
     # ~5x cheaper than numpy scalar indexing (see _decode_coeffs)
     probs = hdr.coeff_probs.tolist()
     ctx = _NzCtx(mb_w)
-    inner = np.zeros((mb_h, mb_w), bool)
-    mb_levels = np.zeros((mb_h, mb_w), np.int32)
     dqvs = [_dq_vectors(dequant_factors(_seg_quant(hdr, s), hdr.qdeltas))
             for s in range(4)]
 
-    # pass 1: parse modes + levels for the whole frame
-    ly = np.zeros((n_mb, 16, 16), np.int32)
-    ly2 = np.zeros((n_mb, 16), np.int32)
-    lu = np.zeros((n_mb, 4, 16), np.int32)
-    lv = np.zeros((n_mb, 4, 16), np.int32)
-    seg_ids = np.zeros(n_mb, np.int32)
-    ymodes = np.zeros(n_mb, np.int32)
-    uvmodes = np.zeros(n_mb, np.int32)
-    all_bmodes: list = [None] * n_mb
+    # pass 1: parse modes + levels for the whole frame.  The level
+    # arrays grow one MB row at a time and the surfaces come after the
+    # parse, so a header that declares more MBs than its data holds
+    # fails the overrun check below before any frame-sized allocation.
+    ly_rows, ly2_rows, lu_rows, lv_rows = [], [], [], []
+    seg_ids: list[int] = []
+    ymodes: list[int] = []
+    uvmodes: list[int] = []
+    inner: list[bool] = []
+    mb_levels: list[int] = []
+    all_bmodes: list = []
     # b-mode coding context: bottom sub-mode row of the MB above (per MB
     # column) and right sub-mode column of the MB to the left; frame
     # borders act as B_DC (RFC 6386 §11.4)
     above_sub = [[B_DC] * 4 for _ in range(mb_w)]
-    i = 0
     for mby in range(mb_h):
         ctx.new_row()
         left_sub = [B_DC] * 4
         bd_t = parts[mby % len(parts)]
+        ly = np.zeros((mb_w, 16, 16), np.int32)
+        ly2 = np.zeros((mb_w, 16), np.int32)
+        lu = np.zeros((mb_w, 4, 16), np.int32)
+        lv = np.zeros((mb_w, 4, 16), np.int32)
         for mbx in range(mb_w):
             seg_id = 0
             if hdr.seg_enabled and hdr.seg_update_map:
                 seg_id = bd0.tree(SEG_TREE, hdr.seg_tree_probs)
             skip = bool(bd0.bool(hdr.prob_skip)) if hdr.skip_enabled else False
             ymode = bd0.tree(KF_YMODE_TREE, KF_YMODE_PROBS)
+            modes = None
             if ymode == B_PRED:
                 modes = []
                 asub = above_sub[mbx]
@@ -1476,7 +1497,6 @@ def decode_vp8(data: bytes, yuv: bool = False) -> np.ndarray:
                     a = modes[j - 4] if r_ else asub[c_]
                     lft = modes[j - 1] if c_ else left_sub[r_]
                     modes.append(bd0.tree(BMODE_TREE, KF_BMODE_PROBS[a][lft]))
-                all_bmodes[i] = modes
                 above_sub[mbx] = modes[12:16]
                 left_sub = [modes[3], modes[7], modes[11], modes[15]]
             else:
@@ -1490,13 +1510,27 @@ def decode_vp8(data: bytes, yuv: bool = False) -> np.ndarray:
                 any_nz = False
             else:
                 any_nz = _decode_mb_levels(bd_t, probs, ctx, mbx, has_y2,
-                                           ly[i], ly2[i], lu[i], lv[i])
-            seg_ids[i] = seg_id
-            ymodes[i] = ymode
-            uvmodes[i] = uvmode
-            inner[mby, mbx] = any_nz or ymode == B_PRED
-            mb_levels[mby, mbx] = _mb_filter_level(hdr, seg_id, ymode)
-            i += 1
+                                           ly[mbx], ly2[mbx], lu[mbx],
+                                           lv[mbx])
+            if bd0.overrun() or bd_t.overrun():
+                raise Vp8Error("premature end of VP8 partition data")
+            seg_ids.append(seg_id)
+            ymodes.append(ymode)
+            uvmodes.append(uvmode)
+            all_bmodes.append(modes)
+            inner.append(any_nz or ymode == B_PRED)
+            mb_levels.append(_mb_filter_level(hdr, seg_id, ymode))
+        ly_rows.append(ly)
+        ly2_rows.append(ly2)
+        lu_rows.append(lu)
+        lv_rows.append(lv)
+    ly = np.concatenate(ly_rows)
+    ly2 = np.concatenate(ly2_rows)
+    lu = np.concatenate(lu_rows)
+    lv = np.concatenate(lv_rows)
+    ymodes = np.array(ymodes, np.int32)
+    inner = np.array(inner, bool).reshape(mb_h, mb_w)
+    mb_levels = np.array(mb_levels, np.int32).reshape(mb_h, mb_w)
 
     # batched dequant + inverse transforms for the whole frame
     fac_y1 = np.stack([dqvs[s]["y1"] for s in seg_ids])  # (n, 16)
@@ -1509,13 +1543,15 @@ def decode_vp8(data: bytes, yuv: bool = False) -> np.ndarray:
         y2c = (ly2[idx] * fac_y2[idx]).reshape(-1, 4, 4)
         dcs = iwht4x4(y2c).reshape(len(idx), 16)
         ycoef[idx, :, 0] = dcs
-    res_y = idct4x4(ycoef.reshape(-1, 4, 4)).reshape(n_mb, 16, 4, 4)
-    res_u = idct4x4((lu * fac_uv[:, None, :]).reshape(-1, 4, 4)).reshape(
-        n_mb, 4, 4, 4)
-    res_v = idct4x4((lv * fac_uv[:, None, :]).reshape(-1, 4, 4)).reshape(
-        n_mb, 4, 4, 4)
+    res_y = _raster_blocks(idct4x4(ycoef.reshape(-1, 4, 4)).reshape(
+        n_mb, 16, 4, 4), 4)
+    res_u = _raster_blocks(idct4x4((lu * fac_uv[:, None, :]).reshape(
+        -1, 4, 4)).reshape(n_mb, 4, 4, 4), 2)
+    res_v = _raster_blocks(idct4x4((lv * fac_uv[:, None, :]).reshape(
+        -1, 4, 4)).reshape(n_mb, 4, 4, 4), 2)
 
     # pass 2: sequential intra reconstruction
+    rec = _Recon(mb_w, mb_h)
     i = 0
     for mby in range(mb_h):
         for mbx in range(mb_w):
@@ -1634,7 +1670,7 @@ def _encode_mb_choose(rec: _Recon, src_y, src_u, src_v, mby: int, mbx: int,
         for plane, coef in ((rec.u, ucoef), (rec.v, vcoef)):
             pred = predict_block(plane, pcy, pcx, 8, bestuv, mby > 0, mbx > 0)
             resid = idct4x4(coef.reshape(4, 4, 4))
-            res8 = resid.reshape(2, 2, 4, 4).transpose(0, 2, 1, 3).reshape(8, 8)
+            res8 = _raster_blocks(resid, 2)
             plane[pcy : pcy + 8, pcx : pcx + 8] = np.clip(pred + res8, 0, 255)
     else:
         rec.recon_mb(mby, mbx, info["ymode"], info["bmodes"], bestuv,

@@ -17,6 +17,10 @@ Connected components (both entry points) and identify_cells are pinned
 against the forms they replaced: the row-diff run extraction with np.unique
 renumbering (``_ccl_run_diff``) and the h-line pair loop with its sorted
 dedup passes (``_identify_cells_loop``).
+
+The VP8 loop filter's wavefront and the whole-plane chroma upsampler are
+pinned against the per-macroblock raster loop and the per-row upsampler
+they replaced (``_loop_filter_raster``, ``_fancy_upsample_loop``).
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import pytest
 from img2table_ray.extract.borderless import rlsa
 from img2table_ray.extract.borderless.whitespaces import compute_whitespaces
 from img2table_ray.extract.metrics import create_character_thresh
-from img2table_ray.imgops import kernels
+from img2table_ray.imgops import kernels, vp8
 from img2table_ray.extract.cells import identify_cells
 from img2table_ray.imgops.ccl import (
     connected_components_stats,
@@ -1285,3 +1289,427 @@ def test_compute_img_metrics_leaves_thresh_unchanged(name):
     before = thresh.copy()
     assert compute_img_metrics(thresh=thresh)[0] is not None
     _assert_same(thresh, before)
+
+
+# ---------------------------------------------------------------------------
+# VP8 loop filter and chroma upsampler: the per-macroblock raster loop and
+# the per-row upsampler that imgops/vp8.py replaced, verbatim.  Their
+# docstrings are the old ones: batching whole MB rows or columns does change
+# bits, while the anti-diagonal wavefront of ``_Recon.loop_filter`` keeps
+# every two edge steps that share a pixel in raster order.
+# ---------------------------------------------------------------------------
+
+
+def _s8(x: np.ndarray) -> np.ndarray:
+    # direct ufuncs (np.clip's wrapper dominates at filter-edge sizes)
+    return np.maximum(np.minimum(x, 127), -128)
+
+
+def _filter_limits(level: int, sharpness: int) -> tuple[int, int, int, int]:
+    interior = level
+    if sharpness:
+        interior >>= 2 if sharpness > 4 else 1
+        interior = min(interior, 9 - sharpness)
+    interior = max(1, interior)
+    hev = 2 if level >= 40 else (1 if level >= 15 else 0)  # keyframe rule
+    mb_edge = (level + 2) * 2 + interior
+    sub_edge = level * 2 + interior
+    return interior, hev, mb_edge, sub_edge
+
+
+def _clip_u8(x: np.ndarray) -> np.ndarray:
+    """In-place clip of an owned temp to [0, 255] via direct ufuncs
+    (np.clip's fromnumeric wrapper costs ~4x per call at 16-elem sizes)."""
+    np.maximum(x, 0, out=x)
+    np.minimum(x, 255, out=x)
+    return x
+
+
+def _normal_filter_edge(px: list[np.ndarray], interior: int, hev_t: int,
+                        edge_limit: int, mb_edge: bool,
+                        ext_mask=None) -> None:
+    """Normal loop filter across one edge.  ``px`` is [p3..p0, q0..q3],
+    eight int32 arrays (mutated in place — views write through),
+    vectorized along the edge; ``ext_mask`` restricts application (used
+    by the batched whole-frame passes)."""
+    p3, p2, p1, p0, q0, q1, q2, q3 = px
+    d0 = p0 - q0
+    d1 = p1 - q1
+    # early-outs, load-bearing for throughput on document images: a
+    # uniform edge (d0 == d1 == 0 everywhere) filters to itself (every
+    # update term is a function of w = 3*d0' + d1'), and an edge whose
+    # outer threshold fails everywhere never writes
+    if not d0.any() and not d1.any():
+        return
+    np.abs(d0, out=d0)
+    np.abs(d1, out=d1)
+    d1 >>= 1
+    d0 *= 2
+    d0 += d1
+    thresh = d0 <= edge_limit
+    if ext_mask is not None:
+        thresh &= ext_mask
+    if not thresh.any():
+        return
+    ap1p0 = np.abs(p1 - p0)
+    aq1q0 = np.abs(q1 - q0)
+    mask = thresh
+    mask &= np.abs(p3 - p2) <= interior
+    mask &= np.abs(p2 - p1) <= interior
+    mask &= ap1p0 <= interior
+    mask &= aq1q0 <= interior
+    mask &= np.abs(q2 - q1) <= interior
+    mask &= np.abs(q3 - q2) <= interior
+    hev = ap1p0 > hev_t
+    hev |= aq1q0 > hev_t
+    # signed-8-bit domain
+    P1, P0, Q0, Q1 = p1 - 128, p0 - 128, q0 - 128, q1 - 128
+    qp = Q0 - P0
+    qp *= 3
+    w = _s8(P1 - Q1)
+    w += qp
+    w = _s8(w)  # == both branches' w (identical expression, RFC §15.3)
+    f1 = _s8(w + 4)
+    f1 >>= 3
+    f2 = _s8(w + 3)
+    f2 >>= 3
+    # the signed-domain round trip cancels exactly in the updates:
+    # clip(Q0 - f + 128) == clip(q0 - f) etc. in int32 arithmetic
+    use = mask & hev
+    if use.any():
+        q0[use] = _clip_u8(q0[use] - f1[use])
+        p0[use] = _clip_u8(p0[use] + f2[use])
+    use2 = mask
+    use2 &= ~hev
+    if not use2.any():
+        return
+    if mb_edge:
+        a1 = 27 * w
+        a1 += 63
+        a1 >>= 7
+        a2 = 18 * w
+        a2 += 63
+        a2 >>= 7
+        a3 = 9 * w
+        a3 += 63
+        a3 >>= 7
+        q0[use2] = _clip_u8(q0[use2] - a1[use2])
+        p0[use2] = _clip_u8(p0[use2] + a1[use2])
+        q1[use2] = _clip_u8(q1[use2] - a2[use2])
+        p1[use2] = _clip_u8(p1[use2] + a2[use2])
+        q2[use2] = _clip_u8(q2[use2] - a3[use2])
+        p2[use2] = _clip_u8(p2[use2] + a3[use2])
+    else:
+        ws = _s8(qp)  # qp == 3*(Q0-P0), unshared since _s8 copies
+        f1s = _s8(ws + 4)
+        f1s >>= 3
+        f2s = _s8(ws + 3)
+        f2s >>= 3
+        q0[use2] = _clip_u8(q0[use2] - f1s[use2])
+        p0[use2] = _clip_u8(p0[use2] + f2s[use2])
+        f1s += 1
+        f1s >>= 1
+        q1[use2] = _clip_u8(q1[use2] - f1s[use2])
+        p1[use2] = _clip_u8(p1[use2] + f1s[use2])
+
+
+def _simple_filter_edge(px: list[np.ndarray], edge_limit: int,
+                        ext_mask=None) -> None:
+    """Simple loop filter (Y only): adjusts p0/q0."""
+    p1, p0, q0, q1 = px
+    d0 = p0 - q0
+    d1 = p1 - q1
+    if not d0.any() and not d1.any():  # uniform edge: w == 0, no-op
+        return
+    np.abs(d0, out=d0)
+    np.abs(d1, out=d1)
+    d1 >>= 1
+    d0 *= 2
+    d0 += d1
+    mask = d0 <= edge_limit
+    if ext_mask is not None:
+        mask &= ext_mask
+    if not mask.any():
+        return
+    P1, P0, Q0, Q1 = p1 - 128, p0 - 128, q0 - 128, q1 - 128
+    qp = Q0 - P0
+    qp *= 3
+    w = _s8(P1 - Q1)
+    w += qp
+    w = _s8(w)
+    f1 = _s8(w + 4)
+    f1 >>= 3
+    f2 = _s8(w + 3)
+    f2 >>= 3
+    # ±128 signed-domain shift cancels exactly in int32 updates
+    q0[mask] = _clip_u8(q0[mask] - f1[mask])
+    p0[mask] = _clip_u8(p0[mask] + f2[mask])
+
+
+def _filter_mb_normal(p: np.ndarray, y0: int, x0: int, size: int,
+                      lims: tuple, fin: bool, left_edge: bool,
+                      top_edge: bool) -> None:
+    """Normal-profile filtering of one MB's edges in libwebp's DoFilter
+    order: left MB edge, interior vertical edges, top MB edge, interior
+    horizontal edges.  The per-MB raster schedule is load-bearing: a
+    top edge writes into the MB above, whose pixels the NEXT column's
+    left edge reads, so neither rows nor columns can be batched without
+    changing results (a column-batched variant was tried and produced
+    real chroma diffs vs libwebp).  Throughput comes from the edge
+    kernels' early-outs instead."""
+    interior, hev_t, mb_lim, sub_lim = lims
+    if left_edge:
+        px = [p[y0 : y0 + size, x0 + k] for k in range(-4, 4)]
+        _normal_filter_edge(px, interior, hev_t, mb_lim, True)
+    if fin:
+        for sx in range(4, size, 4):
+            px = [p[y0 : y0 + size, x0 + sx + k] for k in range(-4, 4)]
+            _normal_filter_edge(px, interior, hev_t, sub_lim, False)
+    if top_edge:
+        px = [p[y0 + k, x0 : x0 + size] for k in range(-4, 4)]
+        _normal_filter_edge(px, interior, hev_t, mb_lim, True)
+    if fin:
+        for sy in range(4, size, 4):
+            px = [p[y0 + sy + k, x0 : x0 + size] for k in range(-4, 4)]
+            _normal_filter_edge(px, interior, hev_t, sub_lim, False)
+
+
+def _filter_mb_simple(p: np.ndarray, y0: int, x0: int, lims: tuple,
+                      fin: bool, left_edge: bool, top_edge: bool) -> None:
+    """Simple-profile filtering (Y plane only), same per-MB edge order."""
+    _, _, mb_lim, sub_lim = lims
+    if left_edge:
+        px = [p[y0 : y0 + 16, x0 + k] for k in range(-2, 2)]
+        _simple_filter_edge(px, mb_lim)
+    if fin:
+        for sx in range(4, 16, 4):
+            px = [p[y0 : y0 + 16, x0 + sx + k] for k in range(-2, 2)]
+            _simple_filter_edge(px, sub_lim)
+    if top_edge:
+        px = [p[y0 + k, x0 : x0 + 16] for k in range(-2, 2)]
+        _simple_filter_edge(px, mb_lim)
+    if fin:
+        for sy in range(4, 16, 4):
+            px = [p[y0 + sy + k, x0 : x0 + 16] for k in range(-2, 2)]
+            _simple_filter_edge(px, sub_lim)
+
+
+def _loop_filter_raster(self, mb_levels: np.ndarray, sharpness: int,
+                       simple: bool, inner: np.ndarray) -> None:
+    """Apply the in-loop filter in the RFC/libwebp MB raster order:
+    for each MB — left edge, interior vertical edges, top edge,
+    interior horizontal edges.  The order is load-bearing for
+    bit-exactness (edges share pixels with their neighbours), so no
+    whole-frame batching here; each edge op is still vectorized
+    along its 16/8-pixel extent."""
+    mb_h, mb_w = mb_levels.shape
+    y = self.y[1:, 1:]
+    u = self.u[1:, 1:]
+    v = self.v[1:, 1:]
+    limit_cache: dict[int, tuple] = {}
+    for mby in range(mb_h):
+        for mbx in range(mb_w):
+            level = int(mb_levels[mby, mbx])
+            if level <= 0:
+                continue
+            lims = limit_cache.get(level)
+            if lims is None:
+                lims = limit_cache[level] = _filter_limits(level,
+                                                           sharpness)
+            fin = bool(inner[mby, mbx])
+            if simple:
+                _filter_mb_simple(y, mby * 16, mbx * 16, lims,
+                                  fin, mbx > 0, mby > 0)
+            else:
+                _filter_mb_normal(y, mby * 16, mbx * 16, 16, lims,
+                                  fin, mbx > 0, mby > 0)
+                _filter_mb_normal(u, mby * 8, mbx * 8, 8, lims,
+                                  fin, mbx > 0, mby > 0)
+                _filter_mb_normal(v, mby * 8, mbx * 8, 8, lims,
+                                  fin, mbx > 0, mby > 0)
+
+
+def _fancy_upsample_loop(c: np.ndarray, h: int, w: int) -> np.ndarray:
+    """libwebp's "fancy" 4:2:0 chroma upsampler (upsampling.c), exact
+    integer arithmetic: half-phase bilinear built from the per-pair
+    diagonal averages, borders mirrored.  ``c`` is the (ceil(h/2),
+    ceil(w/2)) chroma plane; returns the (h, w) upsampled plane."""
+    c = c.astype(np.int32)
+    ch, cw = c.shape
+    out = np.empty((h, w), np.int32)
+
+    def row_pair(tr: np.ndarray, cr: np.ndarray):
+        """One chroma row pair -> (top_row, bottom_row) of length w."""
+        tl, t = tr[:-1], tr[1:]
+        l_, cu = cr[:-1], cr[1:]
+        avg = tl + t + l_ + cu + 8
+        diag12 = (avg + 2 * (t + l_)) >> 3
+        diag03 = (avg + 2 * (tl + cu)) >> 3
+        top = np.empty(w, np.int32)
+        bot = np.empty(w, np.int32)
+        top[0] = (3 * tr[0] + cr[0] + 2) >> 2
+        bot[0] = (3 * cr[0] + tr[0] + 2) >> 2
+        n = len(tl)  # pairs
+        top[1 : 2 * n : 2] = (diag12 + tl) >> 1
+        top[2 : 2 * n + 1 : 2] = (diag03 + t) >> 1
+        bot[1 : 2 * n : 2] = (diag03 + l_) >> 1
+        bot[2 : 2 * n + 1 : 2] = (diag12 + cu) >> 1
+        if w % 2 == 0:
+            top[w - 1] = (3 * tr[-1] + cr[-1] + 2) >> 2
+            bot[w - 1] = (3 * cr[-1] + tr[-1] + 2) >> 2
+        return top, bot
+
+    # first output row mirrors chroma row 0 against itself
+    out[0], _ = row_pair(c[0], c[0])
+    for k in range(1, ch):
+        top, bot = row_pair(c[k - 1], c[k])
+        if 2 * k - 1 < h:
+            out[2 * k - 1] = top
+        if 2 * k < h:
+            out[2 * k] = bot
+    if h % 2 == 0 and h >= 2:
+        out[h - 1], _ = row_pair(c[ch - 1], c[ch - 1])
+    return out
+
+
+def _vp8_content(rng, shape, kind):
+    """Int32 pixels in [0, 255] that make the loop filter fire: 4x4
+    blocks on a random walk with small steps (most edges pass the
+    limits), with per-pixel noise, with a few sharp steps, flat, or
+    uniformly random (most edges fail)."""
+    h, w = shape
+    if kind == "flat":
+        return np.full(shape, int(rng.integers(0, 256)), np.int32)
+    if kind == "random":
+        return rng.integers(0, 256, shape).astype(np.int32)
+    walk = np.cumsum(rng.integers(-6, 7, ((h + 3) // 4, (w + 3) // 4)), 1)
+    walk += np.cumsum(rng.integers(-6, 7, (walk.shape[0], 1)), 0)
+    img = 128 + np.kron(walk, np.ones((4, 4), np.int64))[:h, :w]
+    if kind == "noisy":
+        img += rng.integers(-3, 4, shape)
+    if kind == "steps":
+        img[rng.random(shape) < 0.02] += 90
+    return np.clip(img, 0, 255).astype(np.int32)
+
+
+def _vp8_frame(rng, mb_h, mb_w, kind):
+    rec = vp8._Recon(mb_w, mb_h)
+    for plane in (rec.y, rec.u, rec.v):
+        plane[...] = _vp8_content(rng, plane.shape, kind)
+    return rec
+
+
+def _assert_loop_filter_same(rec, levels, sharpness, simple, inner):
+    want = vp8._Recon(rec.mb_w, rec.mb_h)
+    want.buf[...] = rec.buf
+    _loop_filter_raster(want, levels, sharpness, simple, inner)
+    rec.loop_filter(levels, sharpness, simple, inner)
+    _assert_same(rec.buf, want.buf)
+    return want.buf
+
+
+VP8_GRIDS = [(1, 1), (1, 2), (2, 1), (1, 7), (7, 1), (2, 2), (3, 5), (5, 3),
+             (4, 9), (9, 4)]
+VP8_CONTENT = ["walk", "noisy", "steps", "flat", "random"]
+
+
+@pytest.mark.parametrize("simple", [False, True])
+def test_loop_filter_matches_raster_form(simple):
+    rng = np.random.default_rng(23 + simple)
+    changed = 0
+    for mb_h, mb_w in VP8_GRIDS:
+        for kind in VP8_CONTENT:
+            for _ in range(2):
+                rec = _vp8_frame(rng, mb_h, mb_w, kind)
+                before = rec.buf.copy()
+                levels = rng.integers(1, 64, (mb_h, mb_w)).astype(np.int32)
+                levels[rng.random((mb_h, mb_w)) < 0.2] = 0
+                inner = rng.random((mb_h, mb_w)) < 0.6
+                sharpness = int(rng.integers(0, 8))
+                after = _assert_loop_filter_same(rec, levels, sharpness,
+                                                 simple, inner)
+                changed += not np.array_equal(after, before)
+    assert changed > 40  # the filter did work, not only early-outs
+
+
+@pytest.mark.parametrize("sharpness", range(8))
+def test_loop_filter_matches_raster_form_per_sharpness(sharpness):
+    """Every level 0..63 once per frame, both profiles, all-inner and
+    no-inner MBs, on content whose edges mostly pass the limits."""
+    rng = np.random.default_rng(sharpness)
+    for simple in (False, True):
+        for inner_p in (0.0, 1.0, 0.5):
+            rec = _vp8_frame(rng, 8, 8, "walk")
+            levels = rng.permutation(64).reshape(8, 8).astype(np.int32)
+            inner = rng.random((8, 8)) < inner_p
+            _assert_loop_filter_same(rec, levels, sharpness, simple, inner)
+
+
+def test_filter_limits_match_scalar_form():
+    levels = np.arange(64, dtype=np.int32).reshape(8, 8)
+    inner = np.ones((8, 8), bool)
+    for sharpness in range(8):
+        got = vp8._filter_limits(levels, sharpness, inner)
+        for level in range(1, 64):
+            assert tuple(got[:, level]) == _filter_limits(level, sharpness)
+        assert got[2, 0] == got[3, 0] == -1  # level 0: no edge passes
+    got = vp8._filter_limits(levels, 0, ~inner)
+    assert (got[3] == -1).all() and (got[2, 1:] >= 0).all()
+
+
+def test_loop_filter_on_codec_frames_matches_raster_form():
+    """The surfaces and per-MB levels the encoder produces (intra
+    prediction plus quantization noise), filtered both ways."""
+    captured = []
+    real = vp8._Recon.loop_filter
+
+    def capture(self, levels, sharpness, simple, inner):
+        captured.append((self.buf.copy(), self.mb_w, self.mb_h, levels,
+                         inner))
+        real(self, levels, sharpness, simple, inner)
+
+    rng = np.random.default_rng(5)
+    img = np.kron(rng.integers(0, 256, (12, 14, 3)),
+                  np.ones((6, 6, 1), np.int64)).astype(np.uint8)
+    vp8._Recon.loop_filter = capture
+    try:
+        for qindex in (5, 40, 100):
+            vp8.encode_vp8(img, qindex=qindex)
+    finally:
+        vp8._Recon.loop_filter = real
+    for buf, mb_w, mb_h, levels, inner in captured:
+        for sharpness, simple in ((0, False), (3, False), (6, True)):
+            rec = vp8._Recon(mb_w, mb_h)
+            rec.buf[...] = buf
+            _assert_loop_filter_same(rec, levels, sharpness, simple, inner)
+
+
+def test_loop_filter_memory_is_per_wave():
+    """The working set is one wave's segments, not index state for the
+    whole frame: the traced peak while filtering a 2048x2048 frame stays
+    below the size of its Y surface."""
+    import tracemalloc
+
+    rng = np.random.default_rng(11)
+    rec = _vp8_frame(rng, 128, 128, "noisy")
+    levels = np.full((128, 128), 30, np.int32)
+    inner = np.ones((128, 128), bool)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        rec.loop_filter(levels, 0, False, inner)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < rec.y.nbytes, (peak, rec.y.nbytes)
+
+
+def test_fancy_upsample_matches_loop_form():
+    rng = np.random.default_rng(29)
+    shapes = [(h, w) for h in range(1, 10) for w in range(1, 10)]
+    shapes += [tuple(int(v) for v in rng.integers(1, 300, 2))
+               for _ in range(60)]
+    for h, w in shapes:
+        c = rng.integers(0, 256, ((h + 1) // 2, (w + 1) // 2)).astype(np.uint8)
+        _assert_same(vp8._fancy_upsample_plane(c, h, w),
+                     _fancy_upsample_loop(c, h, w))

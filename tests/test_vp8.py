@@ -167,3 +167,54 @@ def test_frame_errors():
     bad[3] ^= 0xFF  # start code
     with pytest.raises(Vp8Error):
         decode_vp8(bytes(bad))
+
+
+def _webp(payload: bytes) -> bytes:
+    import struct
+
+    chunk = b"VP8 " + struct.pack("<I", len(payload)) + payload
+    if len(payload) & 1:
+        chunk += b"\x00"
+    return b"RIFF" + struct.pack("<I", 4 + len(chunk)) + b"WEBP" + chunk
+
+
+def test_header_larger_than_its_data_raises_early():
+    """A valid 16x16 stream whose header is patched to the legal maximum
+    of 16383x16383 (1024x1024 MBs): the partitions run dry after a few
+    MBs, and the decoder stops there instead of decoding a full page of
+    zero-fed MBs, before any frame-sized allocation."""
+    import time
+    import tracemalloc
+
+    from img2table_ray.imgops.webp import WebpError
+
+    bits, _ = encode_vp8(_test_image(16, 16), qindex=40)
+    bad = bytearray(bits)
+    bad[6:10] = (16383).to_bytes(2, "little") * 2
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        with pytest.raises(Vp8Error, match="premature end"):
+            decode_vp8(bytes(bad))
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 5.0
+    assert peak < 32 << 20  # the Y surface alone would be 1 GiB
+    with pytest.raises(WebpError, match="premature end"):
+        decode_webp(_webp(bytes(bad)))
+
+
+@pytest.mark.parametrize("qindex", [5, 40, 100])
+@pytest.mark.parametrize("kind", ["random", "constant", "bpred"])
+def test_valid_streams_end_within_their_data(qindex, kind):
+    """The truncation check passes every complete stream: none reads
+    past the end of its partitions."""
+    rng = np.random.default_rng(qindex)
+    if kind == "constant":
+        img = np.full((40, 56, 3), 77, np.uint8)
+    else:
+        img = rng.integers(0, 256, (40, 56, 3), dtype=np.uint8)
+    bits, recon = encode_vp8(img, qindex=qindex, use_bpred=kind == "bpred")
+    assert np.array_equal(decode_vp8(bits), recon)

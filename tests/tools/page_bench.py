@@ -2,16 +2,20 @@
 
     python tests/tools/page_bench.py [--runs N]
 
-Times ``extract_tables_from_image(img, implicit_rows=True)`` on
-``test.png``, ``dark.png`` and ``borderless.png``, in this process, after
-one warm-up call per page.  Prints one line per page: min and median ms
-per page over N runs, then the median ms of the three classical-CV
-layers inside it: threshold (``threshold_dark_areas``), metrics
-(``compute_img_metrics``) and lines (``detect_lines``); then two kernels
-that run across those layers: ccl (every connected-component entry point,
-wrapped where each calling module imported it) and cells
-(``identify_cells``).  Run it on both sides of a change, one right after
-the other, and compare.
+Times ``decode_image(data)`` followed by
+``extract_tables_from_image(img, implicit_rows=True)`` on ``test.png``,
+``dark.png``, ``borderless.png`` and ``borderless.webp``, in this process,
+after one warm-up call per page.  ``borderless.webp`` is a lossy WebP built
+as the benchmark corpus builds its lossy pages: ``borderless.png``'s gray
+plane through ``encode_webp_vp8(qindex=40)``, encoded once at start-up.
+Prints one line per page: min and median ms per page (decode plus
+extraction) over N runs, then the median ms of the decode and of the three
+classical-CV layers inside the extraction: threshold
+(``threshold_dark_areas``), metrics (``compute_img_metrics``) and lines
+(``detect_lines``); then two kernels that run across those layers: ccl
+(every connected-component entry point, wrapped where each calling module
+imported it) and cells (``identify_cells``).  Run it on both sides of a
+change, one right after the other, and compare.
 """
 
 from __future__ import annotations
@@ -26,14 +30,14 @@ import time
 REPO = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))))
 
-PAGES = ("test.png", "dark.png", "borderless.png")
+PAGES = ("test.png", "dark.png", "borderless.png", "borderless.webp")
 LAYERS = (("threshold", "threshold_dark_areas"),
           ("metrics", "compute_img_metrics"),
           ("lines", "detect_lines"))
 CCL_ENTRIES = ("connected_components_with_stats", "connected_components_stats")
 CCL_CALLERS = ("threshold", "metrics", "lines", "rotation", "titles",
                "borderless", "borderless.rlsa")
-COLUMNS = tuple(layer for layer, _ in LAYERS) + ("ccl", "cells")
+COLUMNS = ("decode",) + tuple(layer for layer, _ in LAYERS) + ("ccl", "cells")
 
 
 def _timed(fn, spent, layer):
@@ -46,6 +50,22 @@ def _timed(fn, spent, layer):
     return wrapper
 
 
+def _page_bytes(page: str) -> bytes:
+    import numpy as np
+
+    from img2table_ray.fixtures import fixture_bytes
+    from img2table_ray.imgops.kernels import rgb2gray
+    from img2table_ray.imgops.png import decode_image
+    from img2table_ray.imgops.vp8 import encode_webp_vp8
+
+    if page != "borderless.webp":
+        return fixture_bytes(page)
+    gray = rgb2gray(decode_image(fixture_bytes("borderless.png")))
+    data, _ = encode_webp_vp8(np.repeat(gray[:, :, None], 3, axis=2),
+                              qindex=40)
+    return data
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--runs", type=int, default=20)
@@ -53,7 +73,6 @@ def main() -> int:
 
     sys.path.insert(0, REPO)
     from img2table_ray.extract import cells, document
-    from img2table_ray.fixtures import fixture_bytes
     from img2table_ray.imgops.png import decode_image
 
     spent = {column: 0.0 for column in COLUMNS}
@@ -69,13 +88,16 @@ def main() -> int:
     cells.identify_cells = _timed(cells.identify_cells, spent, "cells")
 
     for page in PAGES:
-        img = decode_image(fixture_bytes(page))
+        data = _page_bytes(page)
+        img = decode_image(data)
         document.extract_tables_from_image(img, implicit_rows=True)
         totals, splits = [], {column: [] for column in COLUMNS}
         for _ in range(args.runs):
             for layer in spent:
                 spent[layer] = 0.0
             t0 = time.perf_counter()
+            img = decode_image(data)
+            spent["decode"] = time.perf_counter() - t0
             document.extract_tables_from_image(img, implicit_rows=True)
             totals.append(time.perf_counter() - t0)
             for layer, v in spent.items():
