@@ -1,10 +1,11 @@
 """Ruling-line detection (ref: src/img2table/tables/processing/
 bordered_tables/lines.py), numpy-only.
+
+The edge image is filtered only on ink boxes; the exactness argument is in
+the ``imgops/kernels.py`` module docstring.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
@@ -12,6 +13,7 @@ from img2table_ray.core.objects import Cell, Line
 from img2table_ray.imgops.ccl import connected_components_stats
 from img2table_ray.imgops.kernels import (
     bilateral3_gray,
+    ink_boxes,
     laplacian3_abs,
     morph_close,
     morph_open,
@@ -73,15 +75,27 @@ def identify_straight_lines(thresh: np.ndarray, min_line_length: float,
     return lines
 
 
-def detect_lines(img: np.ndarray, contours: Optional[list[Cell]],
-                 char_length: Optional[float],
-                 min_line_length: Optional[float]) -> tuple[list[Line], list[Line]]:
+def edge_image(img: np.ndarray) -> np.ndarray:
+    """laplacian3_abs(bilateral3_gray(img, 40, 80)) of a page, filtered
+    only on the boxes of non-white pixels grown by 2.  The Laplacian of a
+    box reads the bilateral image one pixel out through the image's reflect
+    map; past an image border the box grown by 1 ends where the image does,
+    so its own reflect map reads the same pixels."""
+    h, w = img.shape[:2]
+    edges = np.zeros((h, w), np.uint8)
+    for y0, y1, x0, x1 in ink_boxes(img < 255, 2):
+        g0, g1, c0, c1 = max(0, y0 - 1), min(h, y1 + 1), max(0, x0 - 1), min(w, x1 + 1)
+        bilateral = bilateral3_gray(img, 40.0, 80.0, box=(g0, g1, c0, c1))
+        edges[y0:y1, x0:x1] = laplacian3_abs(bilateral, box=(y0 - g0, y1 - g0, x0 - c0, x1 - c0))
+    return edges
+
+
+def detect_lines(img: np.ndarray, contours: list[Cell], char_length: float,
+                 min_line_length: float) -> tuple[list[Line], list[Line]]:
     """(ref lines.py:87-120): bilateral blur -> Laplacian edges -> zero out
     text contours -> binarize at min(2.5*mean, max) -> directional line
     identification."""
-    gray = bilateral3_gray(img, 40.0, 80.0)
-
-    edge_img = laplacian3_abs(gray)
+    edge_img = edge_image(img)
 
     for c in contours:
         edge_img[c.y1 - 1 : c.y2 + 1, c.x1 - 1 : c.x2 + 1] = 0

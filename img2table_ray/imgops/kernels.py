@@ -30,11 +30,41 @@ is a gray page, the reference's (H, W, 3) page of three equal channels.
   float64 form; a pixel can round differently only if its float32 value
   lies that close to a half-integer, and those pixels alone are
   recomputed in float64 in the reference tap order.
+
+Most of a document page is white paper, so the page kernels of
+``extract/threshold.py`` and ``extract/lines.py`` run only on ``ink_boxes``
+of the pixels that can change their output; outside, the array holds the
+constant the full-page form provably gives there.  ``sauvola_threshold``,
+``gaussian_blur``, ``bilateral3_gray`` and ``laplacian3_abs`` take a
+``box`` and read the image through the full image's border index maps
+(``_window``), with the same elementwise arithmetic, so a box is exactly
+that part of the full-page result; the whole page is the one-box case.
+A reflect-101 or replicate map sends a tap at most r pixels from its
+pixel to a pixel at most r from it, so "every pixel within r" below
+includes the border's reflected reads.
+
+* Sauvola (boxes of gray < 255, no margin): a window of values in 0..255
+  has std <= 127.5 < r = 128, so with k = 0.2 the threshold is at most
+  mean * (1 + 0.2 * (127.5 / 128 - 1)) < 0.9993 * 255 < 255, float32
+  rounding included; a 255 pixel is never on.
+* Dark-area mask, blur <= 100 (boxes of gray <= 100 grown by the blur
+  radius): farther out, every tap reads a pixel >= 101, and the blur is
+  their weighted mean (weights >= 0 summing to 1 up to ~1e-15, float32
+  error below ``_tie_tol``), which rounds to >= 101.
+* Edge image, ``laplacian3_abs(bilateral3_gray(img))`` (boxes of
+  non-white pixels grown by 2): the Laplacian reads the bilateral image at
+  its pixel and four diagonal neighbours, each of which reads its
+  4-neighbourhood: all within 2 pixels.  When those are all white
+  (255 in every channel) the bilateral means are 255, their luma is 255,
+  and 2 * 4 * 255 - 8 * 255 = 0.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+# (y0, y1, x0, x1) of an image, ends exclusive
+Box = tuple[int, int, int, int]
 
 # float32 elements per cache block of the blocked filters: a block, its
 # shifted reads and its temporaries stay resident in L2 across all taps
@@ -148,18 +178,63 @@ def morph_close(binary: np.ndarray, kw: int, kh: int) -> np.ndarray:
     return erode(dilate(binary, kw, kh), kw, kh)
 
 
-def _window_sums(gray: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Integer k x k window sums of gray and gray**2 with BORDER_REPLICATE.
+def ink_boxes(mask: np.ndarray, halo: int) -> list[Box]:
+    """Boxes (y0, y1, x0, x1), ends exclusive, that cover every set pixel
+    of an (H, W) mask with a margin of ``halo`` pixels, clipped to the
+    mask; an (H, W, C) mask sets a pixel where any channel is set.
+
+    One box per run of rows holding a set pixel, runs whose gap is at most
+    2 * halo rows joined (their grown boxes would touch), each with the
+    column span of its set pixels; the boxes are row-disjoint."""
+    h, w = mask.shape[:2]
+    rows = np.flatnonzero(mask.any(axis=tuple(range(1, mask.ndim))))
+    if rows.size == 0:
+        return []
+    cut = np.flatnonzero(np.diff(rows) > 2 * halo + 1)
+    boxes = []
+    for y0, y1 in zip(rows[np.r_[0, cut + 1]], rows[np.r_[cut, rows.size - 1]] + 1):
+        # channels reduced after rows: a reduction over a 3-long inner
+        # axis of the whole page is ~40x slower
+        cols = np.flatnonzero(mask[y0:y1].any(axis=0).reshape(w, -1).any(axis=1))
+        boxes.append((max(0, int(y0) - halo), min(h, int(y1) + halo),
+                      max(0, int(cols[0]) - halo), min(w, int(cols[-1]) + 1 + halo)))
+    return boxes
+
+
+def _window(img: np.ndarray, box: Box | None, pad: int,
+            mode: str) -> np.ndarray:
+    """Rows y0 - pad .. y1 + pad and columns x0 - pad .. x1 + pad of a 2-D
+    image (the whole image when ``box`` is None), read through the full
+    image's np.pad index maps: ``np.pad(np.arange(h), pad, mode)`` ("reflect"
+    = reflect-101, "edge" = replicate).  A margin inside the image is a
+    view.  An overhang lies past an image border, where the clipped slice
+    ends as the image does, so np.pad of the slice by its overhangs reads
+    the same maps, except for a reflection longer than the slice: np.pad's
+    repeated reflection depends on both sides' widths, so that (tiny) case
+    gathers through the maps themselves."""
+    h, w = img.shape
+    y0, y1, x0, x1 = box or (0, h, 0, w)
+    win = img[max(0, y0 - pad) : min(h, y1 + pad), max(0, x0 - pad) : min(w, x1 + pad)]
+    over = ((max(0, pad - y0), max(0, y1 + pad - h)),
+            (max(0, pad - x0), max(0, x1 + pad - w)))
+    if mode == "reflect" and (max(over[0]) >= win.shape[0] or max(over[1]) >= win.shape[1]):
+        rmap = np.pad(np.arange(h), pad, mode=mode)[y0 : y1 + 2 * pad]
+        cmap = np.pad(np.arange(w), pad, mode=mode)[x0 : x1 + 2 * pad]
+        return img[rmap[:, None], cmap]
+    return np.pad(win, over, mode=mode) if any(map(any, over)) else win
+
+
+def _window_sums(p: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Integer k x k window sums of p and p**2 over the (hp - k + 1,
+    wp - k + 1) positions where the window fits in the (hp, wp) uint8 ``p``.
 
     Rows first (one cumsum along the fast axis over both planes side by
     side), then columns as one ``np.add`` per row: numpy's cumsum along
     axis 0 walks the array column by column (46.5 against 8.4 ms on the
     1200 x 2660 int32 sums of a 1.5 Mpx page)."""
-    pad = k // 2
-    h, w = gray.shape
-    dt = np.int32 if k * k * 65025 < 2 ** 31 else np.int64
-    p = np.pad(gray, pad, mode="edge")
     hp, wp = p.shape
+    h, w = hp - k + 1, wp - k + 1
+    dt = np.int32 if k * k * 65025 < 2 ** 31 else np.int64
     cs = np.empty((hp, 2, wp + 1), dt)
     cs[:, :, 0] = 0
     cs[:, 0, 1:] = p
@@ -175,7 +250,8 @@ def _window_sums(gray: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sauvola_threshold(gray: np.ndarray, window: int, k: float = 0.2,
-                      r: float = 128.0) -> np.ndarray:
+                      r: float = 128.0,
+                      box: Box | None = None) -> np.ndarray:
     """Sauvola local threshold surface (cv2.ximgproc.niBlackThreshold with
     BINARIZATION_SAUVOLA): t = mean * (1 + k * (std / r - 1)).
 
@@ -183,13 +259,16 @@ def sauvola_threshold(gray: np.ndarray, window: int, k: float = 0.2,
     integer sums / window**2), the rest in float32 like OpenCV's CV_32F
     path; evaluated in row blocks that stay in cache.  Returns the boolean
     'on' mask (gray <= t), matching the reference's THRESH_BINARY_INV use
-    (src/img2table/tables/__init__.py:24-27)."""
-    s1, s2 = _window_sums(gray, window)
-    n = window * window
+    (src/img2table/tables/__init__.py:24-27), of the whole page or of
+    ``box`` (y0, y1, x0, x1) of it."""
     h, w = gray.shape
-    on = np.empty((h, w), dtype=bool)
-    rows = max(1, BLOCK // max(1, w))
-    for r0 in range(0, h, rows):
+    y0, y1, x0, x1 = box or (0, h, 0, w)
+    s1, s2 = _window_sums(_window(gray, box, window // 2, "edge"), window)
+    n = window * window
+    g = gray[y0:y1, x0:x1]
+    on = np.empty(g.shape, dtype=bool)
+    rows = max(1, BLOCK // max(1, x1 - x0))
+    for r0 in range(0, y1 - y0, rows):
         blk = slice(r0, r0 + rows)
         mean = s1[blk] / n
         var = s2[blk] / n
@@ -197,7 +276,7 @@ def sauvola_threshold(gray: np.ndarray, window: int, k: float = 0.2,
         np.maximum(var, 0.0, out=var)
         std = np.sqrt(var.astype(np.float32))
         t = mean.astype(np.float32) * (1.0 + k * (std / r - 1.0))
-        np.less_equal(gray[blk], t, out=on[blk])
+        np.less_equal(g[blk], t, out=on[blk])
     return on
 
 
@@ -242,70 +321,59 @@ def _taps32(src: np.ndarray, k32: np.ndarray, stride: int,
             acc += t
 
 
-def _gaussian32(img: np.ndarray, k: np.ndarray, rmap: np.ndarray,
-                cmap: np.ndarray) -> np.ndarray:
-    """Separable blur of a 2-D uint8 image in float32 with kernel ``k``
-    (odd length) and border index maps ``rmap``/``cmap``: an (h, w + n - 1)
-    array whose first w columns are the result (the rest is finite junk
-    of the flat row-major passes)."""
-    n, pad = len(k), len(k) // 2
-    h, w = img.shape
-    w2 = w + n - 1
+def _gaussian32(p: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Separable blur in float32 with kernel ``k`` (odd length n) of the
+    positions where it fits in the 2-D uint8 ``p``, an image read with an
+    (n - 1) / 2 margin (``_window``): an (hp - n + 1, wp) array whose first
+    wp - n + 1 columns are the result (the rest is finite junk of the flat
+    row-major passes)."""
+    n = len(k)
+    hp, wp = p.shape
     k32 = k.astype(np.float32)
-    # row pass into rows pad..pad+h of a (h + 2pad, w2) buffer
-    rows = np.empty((h + 2 * pad, w2), np.float32)
+    rows = np.empty((hp, wp), np.float32)
     flat = rows.reshape(-1)
-    end = (pad + h) * w2
-    _taps32(img[:, cmap].astype(np.float32).reshape(-1), k32, 1,
-            flat[pad * w2 : end - (n - 1)])
-    flat[end - (n - 1) : end] = 0
-    rows[:pad] = rows[pad + rmap[:pad]]
-    rows[pad + h :] = rows[pad + rmap[pad + h :]]
-    v = np.empty((h, w2), np.float32)
-    _taps32(flat, k32, w2, v.reshape(-1))
+    _taps32(p.astype(np.float32).reshape(-1), k32, 1, flat[: flat.size - (n - 1)])
+    flat[flat.size - (n - 1) :] = 0
+    v = np.empty((hp - n + 1, wp), np.float32)
+    _taps32(flat, k32, wp, v.reshape(-1))
     return v
 
 
-def _gaussian_rint(img: np.ndarray, ksize: int, sigma: float,
-                   mode: str) -> np.ndarray:
-    """rint of the separable Gaussian of a 2-D uint8 image, border
-    ``mode`` as np.pad names it ("reflect" = reflect-101, "edge" =
-    replicate), exactly as the float64 form rounds it: row pass, then
-    column pass, each tap-ordered from 0 (``_convolve_axis``).  ksize odd,
-    as cv2 requires.
+def _gaussian_rint(p: np.ndarray, ksize: int, sigma: float) -> np.ndarray:
+    """rint of the separable Gaussian of the positions where the kernel
+    fits in the 2-D uint8 window ``p`` (``_window``: an image read through
+    its border's index maps with a ksize // 2 margin), exactly as the
+    float64 form rounds it: row pass, then column pass, each tap-ordered
+    from 0 (``_convolve_axis``).  ksize odd, as cv2 requires.
 
     Float32 passes (``_gaussian32``); pixels within ``_tie_tol`` of a
     half-integer are recomputed in float64.  When those are many
-    (band * ksize >= pixels), the whole image takes the float64 form
+    (band * ksize >= pixels), the whole window takes the float64 form
     instead, so no image costs much more than that form alone."""
     if ksize % 2 == 0:
         raise ValueError(f"Gaussian ksize must be odd, got {ksize}")
     k = gaussian_kernel_1d(ksize, sigma)
-    n, pad = ksize, ksize // 2
-    h, w = img.shape
-    # np.pad of the index ranges: a crop smaller than the kernel gets
-    # exactly np.pad's repeated reflection
-    rmap = np.pad(np.arange(h), pad, mode=mode)
-    cmap = np.pad(np.arange(w), pad, mode=mode)
-    v = _gaussian32(img, k, rmap, cmap)
-    w2 = v.shape[1]
+    n = ksize
+    h, w = p.shape[0] - n + 1, p.shape[1] - n + 1
+    v = _gaussian32(p, k)
+    wp = v.shape[1]
     out = np.rint(v)
     # |v - rint(v)| is exact; it exceeds 0.5 - tol iff v lies within tol
     # of a half-integer
     np.subtract(v, out, out=v)
     np.abs(v, out=v)
-    ys, xs = np.divmod(np.flatnonzero(v.reshape(-1) > 0.5 - _tie_tol(n)), w2)
+    ys, xs = np.divmod(np.flatnonzero(v.reshape(-1) > 0.5 - _tie_tol(n)), wp)
     ys, xs = ys[xs < w], xs[xs < w]
     if ys.size * n >= h * w:
-        f = _convolve_axis(img[:, cmap].astype(np.float64), k, axis=1)
-        return np.rint(_convolve_axis(f[rmap], k, axis=0))
+        f = _convolve_axis(p.astype(np.float64), k, axis=1)
+        return np.rint(_convolve_axis(f, k, axis=0))
     out = out[:, :w]
     step = max(1, (1 << 18) // (n * n))
     taps = np.arange(n)
     for s in range(0, ys.size, step):
         y, x = ys[s : s + step], xs[s : s + step]
-        g = img[rmap[y[:, None] + taps][:, :, None],
-                cmap[x[:, None] + taps][:, None, :]].astype(np.float64)
+        g = p[(y[:, None] + taps)[:, :, None],
+              (x[:, None] + taps)[:, None, :]].astype(np.float64)
         r = np.zeros(g.shape[:2])
         for j in range(n):
             r += k[j] * g[:, :, j]
@@ -316,10 +384,12 @@ def _gaussian_rint(img: np.ndarray, ksize: int, sigma: float,
     return out
 
 
-def gaussian_blur(img: np.ndarray, ksize: int, sigma: float = 0.0) -> np.ndarray:
+def gaussian_blur(img: np.ndarray, ksize: int, sigma: float = 0.0,
+                  box: Box | None = None) -> np.ndarray:
     """cv2.GaussianBlur((k,k), sigma) on uint8 with BORDER_DEFAULT
-    (reflect-101); rounded back to uint8."""
-    out = _gaussian_rint(img, ksize, sigma, "reflect")
+    (reflect-101); rounded back to uint8.  The whole image, or ``box``
+    (y0, y1, x0, x1) of it."""
+    out = _gaussian_rint(_window(img, box, ksize // 2, "reflect"), ksize, sigma)
     # a weighted mean of 0..255 with weights >= 0 is never below 0
     return np.minimum(out, 255, out=out).astype(np.uint8)
 
@@ -342,12 +412,14 @@ def _convolve_axis(f: np.ndarray, k: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def laplacian3_abs(gray: np.ndarray) -> np.ndarray:
+def laplacian3_abs(gray: np.ndarray,
+                   box: Box | None = None) -> np.ndarray:
     """cv2.Laplacian(gray, CV_64F, ksize=3) then cv2.convertScaleAbs:
     kernel [[2,0,2],[0,-8,0],[2,0,2]] (Sobel d2x + d2y), reflect-101
-    border, |.| saturated to uint8.  Integer kernel on uint8 input ->
-    exact in int16 (|values| <= 8*255)."""
-    f = np.pad(gray, 1, mode="reflect").astype(np.int16)
+    border, |.| saturated to uint8, of the whole image or ``box`` (y0, y1,
+    x0, x1) of it.  Integer kernel on uint8 input -> exact in int16
+    (|values| <= 8*255)."""
+    f = _window(gray, box, 1, "reflect").astype(np.int16)
     lap = (
         2 * (f[:-2, :-2] + f[:-2, 2:] + f[2:, :-2] + f[2:, 2:])
         - 8 * f[1:-1, 1:-1].astype(np.int16)
@@ -356,10 +428,11 @@ def laplacian3_abs(gray: np.ndarray) -> np.ndarray:
     return np.minimum(lap, 255).astype(np.uint8)
 
 
-def _bilateral3_planes(img: np.ndarray, sigma_color: float,
-                       sigma_space: float) -> list[np.ndarray]:
+def _bilateral3_planes(img: np.ndarray, sigma_color: float, sigma_space: float,
+                       box: Box | None = None) -> list[np.ndarray]:
     """cv2.bilateralFilter(img, d=3, sigma_color, sigma_space) on RGB
-    uint8, as uint8 planes: one for a gray plane, else R, G, B.
+    uint8, as uint8 planes: one for a gray plane, else R, G, B; of the
+    whole image or ``box`` (y0, y1, x0, x1) of it.
 
     d=3 -> radius 1; OpenCV keeps offsets with euclidean norm <= radius,
     i.e. the 4-neighborhood + centre.  Color weight uses the L1 distance
@@ -369,7 +442,8 @@ def _bilateral3_planes(img: np.ndarray, sigma_color: float,
     and float32 planes read through flat row-major offsets (+-1, +-row),
     in cache blocks with preallocated buffers.  A gray plane has the L1
     distance 3 * |d| of three equal channels."""
-    h, w = img.shape[:2]
+    y0, y1, x0, x1 = box or (0, img.shape[0], 0, img.shape[1])
+    h, w = y1 - y0, x1 - x0
     gauss_color = -0.5 / (sigma_color ** 2)
     gauss_space = -0.5 / (sigma_space ** 2)
     # OpenCV precomputes color weights on integer L1 distances 0..765
@@ -381,7 +455,7 @@ def _bilateral3_planes(img: np.ndarray, sigma_color: float,
     cw_table[cw_table < np.float32(1.2e-38)] = 0.0
     gray = img.ndim == 2
     w2 = w + 2
-    pi = [np.pad(c, 1, mode="reflect").astype(np.int16).reshape(-1)
+    pi = [_window(c, box, 1, "reflect").astype(np.int16).reshape(-1)
           for c in ([img] if gray else img.transpose(2, 0, 1))]
     pf = [p.astype(np.float32) for p in pi]
     res = [np.empty((h + 2) * w2, np.float32) for _ in pi]
@@ -426,17 +500,14 @@ def _bilateral3_planes(img: np.ndarray, sigma_color: float,
 
 
 def bilateral3_gray(img: np.ndarray, sigma_color: float = 40.0,
-                    sigma_space: float = 80.0) -> np.ndarray:
+                    sigma_space: float = 80.0,
+                    box: Box | None = None) -> np.ndarray:
     """cv2.bilateralFilter(img, d=3, 40, 80) then cv2.cvtColor(RGB2GRAY):
     the filtered plane of a gray plane is its gray image, else the luma
-    of the three filtered planes (``_bilateral3_planes``)."""
-    planes = _bilateral3_planes(img, sigma_color, sigma_space)
+    of the three filtered planes (``_bilateral3_planes``); of the whole
+    image or ``box`` of it."""
+    planes = _bilateral3_planes(img, sigma_color, sigma_space, box)
     return planes[0] if len(planes) == 1 else _luma(*planes)
-
-
-def in_range_mask(img: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """cv2.inRange(img, lo, hi) -> 0/255 uint8."""
-    return ((img >= lo) & (img <= hi)).view(np.uint8) * np.uint8(255)
 
 
 def adaptive_threshold_gaussian_inv(gray: np.ndarray, block: int, c: float) -> np.ndarray:
@@ -447,6 +518,7 @@ def adaptive_threshold_gaussian_inv(gray: np.ndarray, block: int, c: float) -> n
     dst = 255 iff src <= mean - C (integer thresholds))."""
     # adaptiveThreshold uses BORDER_REPLICATE for the local mean, and cv2
     # stores the blurred mean as uint8
-    mean = _gaussian_rint(gray, block, 0.0, "edge").astype(np.float64)
+    mean = _gaussian_rint(_window(gray, None, block // 2, "edge"), block,
+                          0.0).astype(np.float64)
     # cv2: dst = (src > mean - C) ? 0 : 255  for THRESH_BINARY_INV
     return np.where(gray.astype(np.float64) > mean - c, 0, 255).astype(np.uint8)

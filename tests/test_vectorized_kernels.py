@@ -13,6 +13,12 @@ Gaussian, grayscale) are pinned the same way against the plain forms they
 replaced: van Herk sliding extremes, float64 box means, interleaved
 bilateral reads and float64 separable Gaussians.
 
+The page kernels run on ink boxes (``kernels.ink_boxes``): the threshold of
+extract/threshold.py and the edge image of extract/lines.py are pinned
+against the full-page forms they replaced (``_threshold_dark_areas_full_page``,
+``_edge_image_full_page``) on edge-case pages and on a small generated
+corpus of every container format.
+
 Connected components (both entry points) and identify_cells are pinned
 against the forms they replaced: the row-diff run extraction with np.unique
 renumbering (``_ccl_run_diff``) and the h-line pair loop with its sorted
@@ -795,8 +801,6 @@ def test_threshold_kernels_match_on_fixture(name):
     for ksize in (5, 9, 23):
         blur = kernels.gaussian_blur(gray, ksize)
         _assert_same(blur, _gaussian_blur_float64(gray, ksize))
-        _assert_same(kernels.in_range_mask(blur, 0, 100),
-                     (((blur >= 0) & (blur <= 100)) * 255).astype(np.uint8))
     crop = gray[100:180, 200:520]
     _assert_same(kernels.adaptive_threshold_gaussian_inv(crop, 11, 30),
                  _adaptive_threshold_float64(crop, 11, 30))
@@ -872,11 +876,8 @@ def _tie_stress():
 
 
 def _float32_pass(img, ksize, mode):
-    h, w = img.shape
-    pad = ksize // 2
-    return kernels._gaussian32(img, kernels.gaussian_kernel_1d(ksize),
-                               np.pad(np.arange(h), pad, mode=mode),
-                               np.pad(np.arange(w), pad, mode=mode))[:, :w]
+    return kernels._gaussian32(np.pad(img, ksize // 2, mode=mode),
+                               kernels.gaussian_kernel_1d(ksize))[:, :img.shape[1]]
 
 
 @pytest.mark.parametrize("ksize", [3, 5, 9, 11, 23, 51])
@@ -1289,6 +1290,330 @@ def test_compute_img_metrics_leaves_thresh_unchanged(name):
     before = thresh.copy()
     assert compute_img_metrics(thresh=thresh)[0] is not None
     _assert_same(thresh, before)
+
+
+# ---------------------------------------------------------------------------
+# Page kernels on ink boxes (imgops/kernels.py ink_boxes, extract/threshold.py,
+# extract/lines.py) against the full-page forms they replaced: the old
+# ``threshold_dark_areas`` body and the old edge image of ``detect_lines``,
+# verbatim.
+# ---------------------------------------------------------------------------
+
+def in_range_mask(img: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """cv2.inRange(img, lo, hi) -> 0/255 uint8."""
+    return ((img >= lo) & (img <= hi)).view(np.uint8) * np.uint8(255)
+
+
+def _threshold_dark_areas_full_page(img, char_length):
+    """Sauvola threshold; dark-background regions get the inverted-image
+    threshold patched in (ref tables/__init__.py:8-55).  Returns 0/255."""
+    gray = kernels.rgb2gray(img)
+
+    # If image is mainly black, invert
+    if np.mean(gray) <= 127:
+        gray = 255 - gray
+
+    thresh_kernel = int(char_length) // 2 * 2 + 1
+
+    on = kernels.sauvola_threshold(gray, thresh_kernel, k=0.2)
+    thresh = on.view(np.uint8) * np.uint8(255)
+    binary_thresh = None
+
+    # Mask areas with dark background
+    blur_size = min(255, int(2 * char_length) // 2 * 2 + 1)
+    blur = kernels.gaussian_blur(gray, blur_size)
+    mask = in_range_mask(blur, 0, 100)
+
+    stats = connected_components_stats(mask)
+
+    for idx, row in enumerate(stats):
+        x, y, w, h, area = (int(v) for v in row)
+        if idx == 0:
+            continue
+        if area / (w * h) >= 0.5 and min(w, h) >= char_length and max(w, h) >= 5 * char_length:
+            if binary_thresh is None:
+                inv_on = kernels.sauvola_threshold(255 - gray, thresh_kernel, k=0.2)
+                binary_thresh = inv_on.view(np.uint8) * np.uint8(255)
+            thresh[y : y + h, x : x + w] = binary_thresh[y : y + h, x : x + w]
+
+    return thresh
+
+
+def _edge_image_full_page(img):
+    gray = kernels.bilateral3_gray(img, 40.0, 80.0)
+
+    edge_img = kernels.laplacian3_abs(gray)
+    return edge_img
+
+
+def _patches(img, char_length):
+    """How many dark components the full-page form patches."""
+    gray = kernels.rgb2gray(img)
+    if np.mean(gray) <= 127:
+        gray = 255 - gray
+    blur_size = min(255, int(2 * char_length) // 2 * 2 + 1)
+    stats = connected_components_stats(in_range_mask(kernels.gaussian_blur(gray, blur_size), 0, 100))
+    return sum(area / (w * h) >= 0.5 and min(w, h) >= char_length
+               and max(w, h) >= 5 * char_length for x, y, w, h, area in stats[1:])
+
+
+def _assert_page_same(img, char_lengths=(11,)):
+    """The threshold (and its dark-area mask) at each char_length and the
+    edge image of a page, exactly as the full-page forms give them."""
+    from img2table_ray.extract.lines import edge_image
+    from img2table_ray.extract.threshold import _dark_areas, threshold_dark_areas
+
+    gray = kernels.rgb2gray(img)
+    if np.mean(gray) <= 127:
+        gray = 255 - gray
+    for char_length in char_lengths:
+        _assert_same(threshold_dark_areas(img, char_length),
+                     _threshold_dark_areas_full_page(img, char_length))
+        blur_size = min(255, int(2 * char_length) // 2 * 2 + 1)
+        _assert_same(_dark_areas(gray, blur_size),
+                     in_range_mask(kernels.gaussian_blur(gray, blur_size), 0, 100) > 0)
+    _assert_same(edge_image(img), _edge_image_full_page(img))
+
+
+def _ink(rng, shape, p=0.5, hi=256):
+    """Random ink (values 0..hi-1) on a fraction p of a white page."""
+    page = np.full(shape, 255, np.uint8)
+    on = rng.random(shape[:2]) < p
+    page[on] = rng.integers(0, hi, (int(on.sum()),) + shape[2:], dtype=np.uint8)
+    return page
+
+
+def test_ink_boxes_cover_set_pixels_and_join_gaps():
+    rng = np.random.default_rng(61)
+    for trial in range(200):
+        h, w = (int(v) for v in rng.integers(1, 40, 2))
+        mask = rng.random((h, w)) < rng.choice([0.0, 0.01, 0.05, 0.3])
+        halo = int(rng.integers(0, 5))
+        boxes = kernels.ink_boxes(mask, halo)
+        covered = np.zeros_like(mask)
+        for y0, y1, x0, x1 in boxes:
+            assert 0 <= y0 < y1 <= h and 0 <= x0 < x1 <= w
+            covered[y0:y1, x0:x1] = True
+            # each box is its set pixels' bounding box grown by the halo
+            ys, xs = np.nonzero(mask[y0:y1, x0:x1])
+            assert (y0, y1) == (max(0, y0 + ys.min() - halo), min(h, y0 + ys.max() + 1 + halo))
+            assert (x0, x1) == (max(0, x0 + xs.min() - halo), min(w, x0 + xs.max() + 1 + halo))
+        assert not (mask & ~covered).any()
+        # a channel axis sets a pixel where any channel is set
+        channels = np.zeros((h, w, 3), bool)
+        channels[..., int(rng.integers(0, 3))] = mask
+        assert kernels.ink_boxes(channels, halo) == boxes
+        # row-disjoint, in order, and apart by more than the joining gap
+        for (_, a1, _, _), (b0, _, _, _) in zip(boxes, boxes[1:]):
+            assert a1 < b0
+    for halo in (0, 1, 2, 11):
+        for gap, n_boxes in ((2 * halo, 1), (2 * halo + 1, 2)):
+            mask = np.zeros((gap + 2, 3), bool)
+            mask[0, 0] = mask[-1, 2] = True
+            assert len(kernels.ink_boxes(mask, halo)) == n_boxes
+    assert kernels.ink_boxes(np.zeros((5, 7), bool), 3) == []
+    assert kernels.ink_boxes(np.zeros((0, 7), bool), 3) == []
+
+
+def _random_box(rng, h, w):
+    y0, x0 = int(rng.integers(0, h)), int(rng.integers(0, w))
+    return y0, int(rng.integers(y0 + 1, h + 1)), x0, int(rng.integers(x0 + 1, w + 1))
+
+
+def test_box_kernels_match_whole_page():
+    """A box of each kernel is exactly that part of its whole-page result,
+    through both borders and the repeated reflection of pages smaller than
+    the kernel; boxes touch every border."""
+    rng = np.random.default_rng(67)
+    for img in _random_rgb(rng, 24, max_side=40):
+        h, w = img.shape[:2]
+        gray = _rgb2gray_fixed_point(img)
+        boxes = [(0, h, 0, w), (0, 1, 0, 1), (h - 1, h, w - 1, w)]
+        boxes += [_random_box(rng, h, w) for _ in range(4)]
+        full = {(name, p): fn(img if name == "bilateral" else gray, p)
+                for name, fn, ps in [
+                    ("sauvola", kernels.sauvola_threshold, (1, 3, 11, 23)),
+                    ("gaussian", kernels.gaussian_blur, (1, 3, 23, 81)),
+                    ("bilateral", lambda im, p: kernels.bilateral3_gray(im), (0,)),
+                    ("laplacian", lambda g, p: kernels.laplacian3_abs(g), (0,))]
+                for p in ps}
+        for y0, y1, x0, x1 in boxes:
+            box = (y0, y1, x0, x1)
+            for (name, p), want in full.items():
+                if name == "sauvola":
+                    got = kernels.sauvola_threshold(gray, p, box=box)
+                elif name == "gaussian":
+                    got = kernels.gaussian_blur(gray, p, box=box)
+                elif name == "bilateral":
+                    got = kernels.bilateral3_gray(img, box=box)
+                else:
+                    got = kernels.laplacian3_abs(gray, box=box)
+                _assert_same(got, want[y0:y1, x0:x1])
+            # the read window is the full image's index maps
+            for pad in (0, 1, 5, 60):
+                for mode in ("reflect", "edge"):
+                    rmap = np.pad(np.arange(h), pad, mode=mode)[y0 : y1 + 2 * pad]
+                    cmap = np.pad(np.arange(w), pad, mode=mode)[x0 : x1 + 2 * pad]
+                    _assert_same(kernels._window(gray, box, pad, mode),
+                                 gray[rmap[:, None], cmap])
+
+
+def test_blank_page():
+    from img2table_ray.extract.lines import edge_image
+    from img2table_ray.extract.threshold import threshold_dark_areas
+
+    for img in (np.full((40, 70, 3), 255, np.uint8), np.full((40, 70), 255, np.uint8)):
+        _assert_page_same(img, (6, 11, 40))
+        assert not threshold_dark_areas(img, 11).any() and not edge_image(img).any()
+
+
+@pytest.mark.parametrize("where", ["top", "bottom", "left", "right", "top-left",
+                                   "top-right", "bottom-left", "bottom-right"])
+def test_ink_touching_borders_and_corners(where):
+    """A dark block and a lone pixel against each border and corner."""
+    rng = np.random.default_rng(71)
+    h, w = 90, 120
+    ys = slice(0, 30) if "top" in where else slice(h - 30, h) if "bottom" in where else slice(30, 60)
+    xs = slice(0, 70) if "left" in where else slice(w - 70, w) if "right" in where else slice(25, 95)
+    for colour in (False, True):
+        img = _ink(rng, (h, w, 3) if colour else (h, w), p=0.0)
+        img[ys, xs] = rng.integers(0, 60, img[ys, xs].shape, dtype=np.uint8)
+        img[ys, xs][::5, ::4] = 255
+        _assert_page_same(img, (6, 11, 23))
+        dot = np.full((h, w), 255, np.uint8)
+        dot[ys.start if "bottom" not in where else h - 1,
+            xs.start if "right" not in where else w - 1] = 0
+        _assert_page_same(dot, (6, 11))
+
+
+def test_thin_pages():
+    """1x1, 1xN and Nx1 pages: white, black and random ink."""
+    rng = np.random.default_rng(73)
+    for shape in [(1, 1), (1, 2), (1, 57), (57, 1), (2, 1), (3, 90), (90, 3)]:
+        for img in (np.full(shape, 255, np.uint8), np.zeros(shape, np.uint8),
+                    _ink(rng, shape), _ink(rng, shape + (3,), p=0.3)):
+            _assert_page_same(img, (1, 6, 11, 40))
+
+
+def test_blur_wider_than_page():
+    """char_length 40 blurs with a 81-pixel kernel: on a 30-pixel page the
+    border maps reflect more than once."""
+    rng = np.random.default_rng(79)
+    for shape in [(30, 30), (30, 200), (200, 30)]:
+        img = _ink(rng, shape, p=0.02)
+        img[5:12, 3:26] = rng.integers(0, 90, (7, 23), dtype=np.uint8)
+        _assert_page_same(img, (40, 90))
+
+
+@pytest.mark.parametrize("char_length", [6, 11, 40])
+def test_row_gaps_at_twice_the_halo(char_length):
+    """Two inked rows whose gap is exactly 2 * halo rows (one box) and
+    2 * halo + 1 rows (two boxes), for the dark-area blur's halo, the edge
+    image's (2) and Sauvola's (0)."""
+    radius = min(255, int(2 * char_length) // 2 * 2 + 1) // 2
+    for halo in (radius, 2, 0):
+        for gap in (2 * halo, 2 * halo + 1):
+            for value in (0, 100, 200, 254):
+                img = np.full((gap + 2 * halo + 30, 64), 255, np.uint8)
+                y = halo + 10
+                img[y, 5:50] = value
+                img[y + gap + 1, 20:60] = value
+                _assert_page_same(img, (char_length,))
+
+
+def test_dark_page_is_inverted():
+    rng = np.random.default_rng(83)
+    img = np.zeros((120, 160), np.uint8)
+    img[10:110:12, 10:150] = 255                       # light text lines
+    img[60:70, 40:120] = rng.integers(0, 256, (10, 80), dtype=np.uint8)
+    assert kernels.rgb2gray(img).mean() <= 127
+    _assert_page_same(img, (6, 11))
+    _assert_page_same(np.repeat(img[:, :, None], 3, axis=2), (11,))
+
+
+def test_inverted_sauvola_patch():
+    """A dark banner with light text, large enough for the dark-area test:
+    the full-page form patches it with the inverted threshold."""
+    rng = np.random.default_rng(89)
+    img = _ink(rng, (200, 300), p=0.01)
+    img[40:90, 20:280] = 30
+    img[55:75, 40:260][:, ::7] = 230
+    for char_length in (6, 11):
+        assert _patches(img, char_length) >= 1
+    _assert_page_same(img, (6, 11))
+    tinted = np.repeat(img[:, :, None], 3, axis=2)
+    tinted[150:160, 10:20, 0] = 0
+    _assert_page_same(tinted, (11,))
+
+
+def test_rgb_channel_at_254():
+    """Pixels with one channel at 254 are white to the gray image but not to
+    the edge image."""
+    rng = np.random.default_rng(97)
+    img = np.full((60, 80, 3), 255, np.uint8)
+    for c in range(3):
+        ys, xs = rng.integers(0, 60, 12), rng.integers(0, 80, 12)
+        img[ys, xs, c] = 254
+    img[0, 0, 2] = img[-1, -1, 0] = 254
+    img[30:34, 10:70, 1] = 0
+    assert kernels.rgb2gray(img).min() < 255
+    _assert_page_same(img, (6, 11))
+    faint = np.full((60, 80, 3), 255, np.uint8)
+    faint[20, 30, 1] = faint[0, 79, 2] = 254
+    _assert_page_same(faint, (11,))
+
+
+def test_254_beside_white():
+    rng = np.random.default_rng(101)
+    img = np.full((70, 90), 255, np.uint8)
+    img[rng.random((70, 90)) < 0.05] = 254
+    img[0, :] = 254
+    img[:, -1] = 254
+    img[35, 40:60] = 0
+    _assert_page_same(img, (6, 11))
+    _assert_page_same(np.repeat(img[:, :, None], 3, axis=2), (11,))
+
+
+def _corpus_pages(tmp_dir):
+    """Every page of a 32-row generated ``pages`` table (PNG, multi-page
+    PNG, PDF, baseline and arithmetic JPEG, LZW and fax TIFF, GIF, lossless
+    and lossy WebP, the replicated fixtures), decoded as the page stages
+    decode them."""
+    import glob
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from img2table_ray.sources.pages import generate_pages
+    from img2table_ray.stages.extractor import decode_page, explode_pages, probe_batch
+
+    generate_pages(str(tmp_dir), 32, rows_per_file=64)
+    table = pa.concat_tables([pq.read_table(f) for f in
+                              sorted(glob.glob(f"{tmp_dir}/pages/*.parquet"))])
+    rows = explode_pages(probe_batch(table))
+    pages = {}
+    for data, page, kind in zip(rows["html"].to_pylist(), rows["page"].to_pylist(),
+                                rows["doc_kind"].to_pylist()):
+        pages.setdefault((data, page), kind)
+    return [(kind, decode_page(data, page)) for (data, page), kind in pages.items()]
+
+
+def test_page_kernels_match_full_page_on_corpus(tmp_path):
+    """The threshold at char_length 11 and at the page's own char_length,
+    and the edge image, on every corpus page and vendored image fixture, as
+    the page path passes them (an R == G == B page as its channel 0)."""
+    from img2table_ray.extract.metrics import compute_img_metrics
+    from img2table_ray.extract.threshold import threshold_dark_areas
+
+    pages = _corpus_pages(tmp_path)
+    kinds = {kind for kind, _ in pages}
+    assert {"png", "jpeg", "tiff", "gif", "webp", "pdf"} <= kinds
+    pages += [(name, _fixture_rgb(name)) for name in IMAGE_FIXTURES]
+    for _, img in pages:
+        if img.ndim == 3 and kernels._is_gray(img):
+            img = np.ascontiguousarray(img[:, :, 0])
+        char_length = compute_img_metrics(thresh=threshold_dark_areas(img, 11))[0]
+        _assert_page_same(img, (11,) if char_length is None else (11, char_length))
 
 
 # ---------------------------------------------------------------------------

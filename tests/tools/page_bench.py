@@ -4,7 +4,8 @@
 
 Times ``decode_image(data)`` followed by
 ``extract_tables_from_image(img, implicit_rows=True)`` on ``test.png``,
-``dark.png``, ``borderless.png`` and ``borderless.webp``, in this process,
+``dark.png``, ``borderless.png``, ``borderless.webp`` and ``blank.png``
+(an all-white page; the benchmark corpus replicates it), in this process,
 after one warm-up call per page.  ``borderless.webp`` is a lossy WebP built
 as the benchmark corpus builds its lossy pages: ``borderless.png``'s gray
 plane through ``encode_webp_vp8(qindex=40)``, encoded once at start-up.
@@ -30,7 +31,8 @@ import time
 REPO = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))))
 
-PAGES = ("test.png", "dark.png", "borderless.png", "borderless.webp")
+PAGES = ("test.png", "dark.png", "borderless.png", "borderless.webp",
+         "blank.png")
 LAYERS = (("threshold", "threshold_dark_areas"),
           ("metrics", "compute_img_metrics"),
           ("lines", "detect_lines"))
