@@ -31,6 +31,8 @@ they replaced (``_loop_filter_raster``, ``_fancy_upsample_loop``).
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -1430,32 +1432,21 @@ def test_box_kernels_match_whole_page():
         gray = _rgb2gray_fixed_point(img)
         boxes = [(0, h, 0, w), (0, 1, 0, 1), (h - 1, h, w - 1, w)]
         boxes += [_random_box(rng, h, w) for _ in range(4)]
-        full = {(name, p): fn(img if name == "bilateral" else gray, p)
-                for name, fn, ps in [
-                    ("sauvola", kernels.sauvola_threshold, (1, 3, 11, 23)),
-                    ("gaussian", kernels.gaussian_blur, (1, 3, 23, 81)),
-                    ("bilateral", lambda im, p: kernels.bilateral3_gray(im), (0,)),
-                    ("laplacian", lambda g, p: kernels.laplacian3_abs(g), (0,))]
-                for p in ps}
-        for y0, y1, x0, x1 in boxes:
-            box = (y0, y1, x0, x1)
-            for (name, p), want in full.items():
-                if name == "sauvola":
-                    got = kernels.sauvola_threshold(gray, p, box=box)
-                elif name == "gaussian":
-                    got = kernels.gaussian_blur(gray, p, box=box)
-                elif name == "bilateral":
-                    got = kernels.bilateral3_gray(img, box=box)
-                else:
-                    got = kernels.laplacian3_abs(gray, box=box)
-                _assert_same(got, want[y0:y1, x0:x1])
-            # the read window is the full image's index maps
-            for pad in (0, 1, 5, 60):
-                for mode in ("reflect", "edge"):
-                    rmap = np.pad(np.arange(h), pad, mode=mode)[y0 : y1 + 2 * pad]
-                    cmap = np.pad(np.arange(w), pad, mode=mode)[x0 : x1 + 2 * pad]
-                    _assert_same(kernels._window(gray, box, pad, mode),
-                                 gray[rmap[:, None], cmap])
+        cases = [(kernels.sauvola_threshold, gray, (p,)) for p in (1, 3, 11, 23)]
+        cases += [(kernels.gaussian_blur, gray, (p,)) for p in (1, 3, 23, 81)]
+        cases += [(kernels.bilateral3_gray, img, ()), (kernels.bilateral3_gray, gray, ()),
+                  (kernels.laplacian3_abs, gray, ())]
+        for fn, src, args in cases:
+            want = fn(src, *args)
+            for y0, y1, x0, x1 in boxes:
+                _assert_same(fn(src, *args, box=(y0, y1, x0, x1)), want[y0:y1, x0:x1])
+        # the read window is the full image's index maps
+        for (y0, y1, x0, x1), pad, mode in itertools.product(
+                boxes, (0, 1, 5, 60), ("reflect", "edge")):
+            rmap = np.pad(np.arange(h), pad, mode=mode)[y0 : y1 + 2 * pad]
+            cmap = np.pad(np.arange(w), pad, mode=mode)[x0 : x1 + 2 * pad]
+            _assert_same(kernels._window(gray, (y0, y1, x0, x1), pad, mode),
+                         gray[rmap[:, None], cmap])
 
 
 def test_blank_page():
