@@ -30,6 +30,14 @@ class OCRInstance:
         raise NotImplementedError
 
 
+def _hocr_words(hocr_pages: list[str]):
+    """One document's OCRWords from its hOCR strings, one per page."""
+    from img2table_ray.extract.content import OCRWords, parse_hocr
+
+    return OCRWords.from_records([record for page, hocr in enumerate(hocr_pages)
+                                  for record in parse_hocr(hocr, page=page)])
+
+
 class HocrOCR(OCRInstance):
     """Word provider from pre-computed hOCR strings, one per page — the
     drop-in stand-in for TesseractOCR when the OCR ran externally."""
@@ -38,12 +46,7 @@ class HocrOCR(OCRInstance):
         self.hocr_pages = hocr_pages
 
     def of(self, document: "Document"):
-        from img2table_ray.extract.content import OCRWords, parse_hocr
-
-        records = []
-        for page, hocr in enumerate(self.hocr_pages):
-            records.extend(parse_hocr(hocr, page=page))
-        return OCRWords.from_records(records)
+        return _hocr_words(self.hocr_pages)
 
 
 class TesseractOCR(OCRInstance):
@@ -114,14 +117,9 @@ class TesseractOCR(OCRInstance):
     def of(self, document: "Document"):
         from concurrent.futures import ThreadPoolExecutor
 
-        from img2table_ray.extract.content import OCRWords, parse_hocr
-
         with ThreadPoolExecutor(max_workers=self.n_threads) as pool:
             pages = list(pool.map(self.hocr, document._pages))
-        records = []
-        for page, hocr in enumerate(pages):
-            records.extend(parse_hocr(hocr, page=page))
-        return OCRWords.from_records(records)
+        return _hocr_words(pages)
 
 
 class PdfOCR(OCRInstance):

@@ -17,13 +17,15 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 
-@dataclass
-class Cell:
-    x1: int
-    y1: int
-    x2: int
-    y2: int
-    content: Optional[str] = None
+class TableObject:
+    """Box geometry shared by cells, lines, rows and tables: subclasses
+    provide x1, y1, x2, y2 (ref objects/__init__.py:4-37)."""
+
+    def bbox(self, margin: int = 0, height_margin: int = 0, width_margin: int = 0) -> tuple:
+        if margin != 0:
+            return (self.x1 - margin, self.y1 - margin, self.x2 + margin, self.y2 + margin)
+        return (self.x1 - width_margin, self.y1 - height_margin,
+                self.x2 + width_margin, self.y2 + height_margin)
 
     @property
     def height(self) -> int:
@@ -37,18 +39,21 @@ class Cell:
     def area(self) -> int:
         return self.height * self.width
 
-    def bbox(self, margin: int = 0, height_margin: int = 0, width_margin: int = 0) -> tuple:
-        if margin != 0:
-            return (self.x1 - margin, self.y1 - margin, self.x2 + margin, self.y2 + margin)
-        return (self.x1 - width_margin, self.y1 - height_margin,
-                self.x2 + width_margin, self.y2 + height_margin)
+
+@dataclass
+class Cell(TableObject):
+    x1: int
+    y1: int
+    x2: int
+    y2: int
+    content: Optional[str] = None
 
     def __hash__(self) -> int:
         return hash((self.x1, self.y1, self.x2, self.y2, self.content))
 
 
 @dataclass
-class Line:
+class Line(TableObject):
     x1: int
     y1: int
     x2: int
@@ -58,14 +63,6 @@ class Line:
     @property
     def angle(self) -> float:
         return math.atan2(self.y2 - self.y1, self.x2 - self.x1) * 180 / math.pi
-
-    @property
-    def height(self) -> int:
-        return self.y2 - self.y1
-
-    @property
-    def width(self) -> int:
-        return self.x2 - self.x1
 
     @property
     def length(self) -> float:
@@ -105,7 +102,7 @@ class Line:
         return hash((self.x1, self.y1, self.x2, self.y2, self.thickness))
 
 
-class Row:
+class Row(TableObject):
     def __init__(self, cells) -> None:
         if cells is None:
             raise ValueError("cells parameter is null")
@@ -139,12 +136,6 @@ class Row:
     def v_consistent(self) -> bool:
         return all((c.y1 == self.y1) and (c.y2 == self.y2) for c in self._items)
 
-    def bbox(self, margin: int = 0, height_margin: int = 0, width_margin: int = 0) -> tuple:
-        if margin != 0:
-            return (self.x1 - margin, self.y1 - margin, self.x2 + margin, self.y2 + margin)
-        return (self.x1 - width_margin, self.y1 - height_margin,
-                self.x2 + width_margin, self.y2 + height_margin)
-
     def add_cells(self, cells) -> "Row":
         self._items += [cells] if isinstance(cells, Cell) else cells
         return self
@@ -168,7 +159,7 @@ class Row:
         return hash(tuple(hash(c) for c in self._items))
 
 
-class Table:
+class Table(TableObject):
     def __init__(self, rows=None, borderless: bool = False) -> None:
         if rows is None:
             self._items = []
@@ -219,26 +210,8 @@ class Table:
         return max(r.y2 for r in self._items)
 
     @property
-    def width(self) -> int:
-        return self.x2 - self.x1
-
-    @property
-    def height(self) -> int:
-        return self.y2 - self.y1
-
-    @property
-    def area(self) -> int:
-        return self.height * self.width
-
-    @property
     def cell(self) -> Cell:
         return Cell(x1=self.x1, y1=self.y1, x2=self.x2, y2=self.y2)
-
-    def bbox(self, margin: int = 0, height_margin: int = 0, width_margin: int = 0) -> tuple:
-        if margin != 0:
-            return (self.x1 - margin, self.y1 - margin, self.x2 + margin, self.y2 + margin)
-        return (self.x1 - width_margin, self.y1 - height_margin,
-                self.x2 + width_margin, self.y2 + height_margin)
 
     @property
     def lines(self) -> list[Line]:

@@ -3,117 +3,100 @@
 src/img2table/ocr/tesseract.py:99-141).
 
 Words use the reference's hOCR-style schema: (page, class, id, parent,
-value, confidence, x1, y1, x2, y2); hierarchy via id/parent strings.  The
-polars cross-join + group semantics of get_text_table are reproduced with
-pandas/numpy: a word lands in a cell iff the intersection covers > 50% of
-the word bbox; words group into lines by `parent` (joined with " " in
-document order), lines sort by (y1, x1) and join with "\n".
+value, confidence, x1, y1, x2, y2), one numpy array per column (a missing
+confidence is NaN); hierarchy via id/parent strings.  The polars cross-join
++ group semantics of get_text_table are reproduced by one routine,
+`OCRWords.lines_in`: a word lands in a box iff the intersection covers
+> 50% of the word bbox; words group into lines by `parent` (joined with " "
+in document order; parentless words form one line), lines sort by (y1, x1).
+Cells join the lines with "\n"; titles also strip each line and the text.
 """
 
 from __future__ import annotations
 
+import csv
 import re
-from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import pandas as pd
 
 
 WORD_COLUMNS = ["page", "class", "id", "parent", "value", "confidence",
                 "x1", "y1", "x2", "y2"]
+_TEXT_COLUMNS = ("class", "id", "parent", "value")
 
 
-@dataclass
+def _column(name: str, values: list) -> np.ndarray:
+    if name in _TEXT_COLUMNS:
+        return np.array(values, dtype=object)
+    return np.array([np.nan if v is None else v for v in values])
+
+
 class OCRWords:
-    """Columnar word table (hOCR schema) for one document."""
+    """Columnar word table (hOCR schema) for one document: one numpy array
+    per WORD_COLUMNS name."""
 
-    df: pd.DataFrame  # columns WORD_COLUMNS
+    def __init__(self, columns: dict[str, np.ndarray]) -> None:
+        self.columns = columns
+        self._kept: dict = {}  # min_confidence -> arrays of the text words
 
     @classmethod
     def from_records(cls, records: list[dict]) -> "OCRWords":
-        df = pd.DataFrame(records, columns=WORD_COLUMNS)
-        return cls(df=df)
+        return cls({k: _column(k, [r.get(k) for r in records])
+                    for k in WORD_COLUMNS})
 
     def page(self, page_number: int = 0) -> "OCRWords":
-        return OCRWords(df=self.df[self.df["page"] == page_number])
+        keep = self.columns["page"] == page_number
+        return OCRWords({k: v[keep] for k, v in self.columns.items()})
 
-    def _relevant_words(self, min_confidence: int) -> pd.DataFrame:
-        d = self.df
-        d = d[(d["class"] == "ocrx_word") & d["value"].notna()
-              & (d["confidence"] >= min_confidence)]
-        return d
-
-    def get_text_cell(self, cell, margin: int = 0, page_number: Optional[int] = None,
-                      min_confidence: int = 50) -> Optional[str]:
-        """(ref ocr/data.py:19-84)"""
-        bbox = cell.bbox(margin=margin)
-        d = self._relevant_words(min_confidence)
-        if page_number:
-            d = d[d["page"] == page_number]
-        if len(d) == 0:
-            return None
-        x1 = d["x1"].to_numpy()
-        y1 = d["y1"].to_numpy()
-        x2 = d["x2"].to_numpy()
-        y2 = d["y2"].to_numpy()
+    def lines_in(self, bbox, min_confidence: int = 50) -> list[str]:
+        """Text lines of the words more than 50% inside bbox = (x1, y1, x2,
+        y2), in reading order (ref ocr/data.py:19-151)."""
+        kept = self._kept.get(min_confidence)
+        if kept is None:
+            c = self.columns
+            keep = ((c["class"] == "ocrx_word") & (c["value"] != None)  # noqa: E711
+                    & (c["confidence"] >= min_confidence))
+            x1, y1, x2, y2 = (c[k][keep] for k in ("x1", "y1", "x2", "y2"))
+            kept = self._kept[min_confidence] = (
+                x1, y1, x2, y2, (x2 - x1) * (y2 - y1),
+                c["parent"][keep], c["value"][keep])
+        x1, y1, x2, y2, area, parents, values = kept
         xl = np.maximum(x1, bbox[0])
         yt = np.maximum(y1, bbox[1])
         xr = np.minimum(x2, bbox[2])
         yb = np.minimum(y2, bbox[3])
         has_int = (xr > xl) & (yb > yt)
-        w_area = (x2 - x1) * (y2 - y1)
         int_area = np.where(has_int, (xr - xl) * (yb - yt), 0)
-        contained = has_int & (int_area / np.maximum(w_area, 1) > 0.5)
-        dc = d[contained]
-        if len(dc) == 0:
-            return None
-        grouped = dc.groupby("parent", sort=False).agg(
-            y1=("y1", "min"), x1=("x1", "min"),
-            value=("value", lambda v: list(v)),
-        ).sort_values(["y1", "x1"], kind="stable")
-        text = "\n".join(" ".join(line).strip() for line in grouped["value"]).strip()
-        return text or None
+        sel = has_int & (int_area / np.maximum(area, 1) > 0.5)
+        # group words by parent in document order -> line text + line corner
+        lines: dict = {}
+        for p, v, y, x in zip(parents[sel], values[sel], y1[sel].tolist(),
+                              x1[sel].tolist()):
+            line = lines.setdefault(p, [[], y, x])
+            line[0].append(v)
+            line[1:] = min(line[1], y), min(line[2], x)
+        ordered = sorted(lines.values(), key=lambda e: (e[1], e[2]))
+        return [" ".join(e[0]) for e in ordered]
+
+    def get_text_cell(self, cell, margin: int = 0, page_number: Optional[int] = None,
+                      min_confidence: int = 50) -> Optional[str]:
+        """(ref ocr/data.py:19-84)"""
+        words = self.page(page_number) if page_number else self
+        lines = words.lines_in(cell.bbox(margin=margin), min_confidence)
+        return "\n".join(line.strip() for line in lines).strip() or None
 
 
 def assign_text_to_table(table, words: Optional[OCRWords], min_confidence: int = 50):
     """Set Cell.content for every table slot (ref ocr/data.py:86-151)."""
     if words is None:
         return table
-    d = words._relevant_words(min_confidence)
-    if len(d) == 0:
-        return table
-    wx1 = d["x1"].to_numpy()
-    wy1 = d["y1"].to_numpy()
-    wx2 = d["x2"].to_numpy()
-    wy2 = d["y2"].to_numpy()
-    w_area = (wx2 - wx1) * (wy2 - wy1)
-    parents = d["parent"].to_numpy()
-    values = d["value"].to_numpy()
-
-    for id_row, row in enumerate(table.items):
-        for id_col, cell in enumerate(row.items):
-            xl = np.maximum(wx1, cell.x1)
-            yt = np.maximum(wy1, cell.y1)
-            xr = np.minimum(wx2, cell.x2)
-            yb = np.minimum(wy2, cell.y2)
-            has_int = (xr > xl) & (yb > yt)
-            int_area = np.where(has_int, (xr - xl) * (yb - yt), 0)
-            sel = has_int & (int_area / np.maximum(w_area, 1) > 0.5)
-            if not sel.any():
-                continue
-            # group words by parent in document order -> line text + line bbox
-            lines: dict = {}
-            for p, v, y, x in zip(parents[sel], values[sel], wy1[sel], wx1[sel]):
-                if p not in lines:
-                    lines[p] = [[], int(y), int(x)]
-                entry = lines[p]
-                entry[0].append(v)
-                entry[1] = min(entry[1], int(y))
-                entry[2] = min(entry[2], int(x))
-            ordered = sorted(lines.values(), key=lambda e: (e[1], e[2]))
-            text = "\n".join(" ".join(e[0]) for e in ordered)
-            cell.content = text or None
+    for row in table.items:
+        for cell in row.items:
+            lines = words.lines_in((cell.x1, cell.y1, cell.x2, cell.y2),
+                                   min_confidence)
+            if lines:
+                cell.content = "\n".join(lines) or None
     return table
 
 
@@ -163,7 +146,6 @@ def parse_hocr(hocr: str, page: int = 0) -> list[dict]:
 
     def element_string(node) -> Optional[str]:
         """bs4 .string semantics: the single string descendant, if unique."""
-        texts = [t for t in node["text"] if t.strip() or t]
         el_children = node["children"]
         if not el_children:
             joined = "".join(node["text"])
@@ -197,8 +179,18 @@ def parse_hocr(hocr: str, page: int = 0) -> list[dict]:
     return records
 
 
+def _field(name: str, v: str):
+    """One CSV field: empty is missing, and the numeric columns hold
+    numbers."""
+    if not v or name in _TEXT_COLUMNS:
+        return v or None
+    return int(v) if v.lstrip("-").isdigit() else float(v)
+
+
 def load_words_csv(path: str, sep: str = ";") -> OCRWords:
     """Load the reference's OCR fixture CSV (schema ocr/base.py:10-23)."""
-    df = pd.read_csv(path, sep=sep)
-    df.columns = [c.strip() for c in df.columns]
-    return OCRWords(df=df[WORD_COLUMNS])
+    with open(path, newline="") as f:
+        rows = csv.reader(f, delimiter=sep)
+        header = [c.strip() for c in next(rows)]
+        return OCRWords.from_records(
+            [{k: _field(k, v) for k, v in zip(header, row)} for row in rows])

@@ -236,7 +236,7 @@ def test_converters_feed_ocr_words():
     content = json.load(open(os.path.join(
         REF_OCR, "easyocr", "test_data", "ocr.json")))
     words = EasyOCR.to_ocr_words(content)
-    assert list(words.df.columns) == WORD_COLUMNS
-    assert (words.df["class"] == "ocrx_word").all()
-    assert len(words.df) == len(golden_df("easyocr"))
-    assert words.df["value"].iloc[0] == "Title"
+    assert list(words.columns) == WORD_COLUMNS
+    assert (words.columns["class"] == "ocrx_word").all()
+    assert len(words.columns["value"]) == len(golden_df("easyocr"))
+    assert words.columns["value"][0] == "Title"

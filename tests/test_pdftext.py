@@ -98,7 +98,7 @@ def test_pdf_ocr_df_golden(pdf_bytes):
 
     doc = PDF(src=pdf_bytes, pages=[0, 1])
     words = PdfOCR().of(doc)
-    got = words.df.reset_index(drop=True)
+    got = pd.DataFrame(words.columns)
     exp = pd.read_csv(fixture_path("pdf_ocr_df.csv"), sep=";")
     assert list(got.columns) == list(exp.columns)
     assert len(got) == len(exp)
@@ -128,9 +128,8 @@ def test_pdf_api_words(pdf_bytes):
     doc = PDF(src=pdf_bytes)
     assert doc.n_pages == 2
     words = doc.words()
-    d = words.df
-    assert (d["class"] == "ocrx_word").all()
-    assert words.page(0).df["value"].iloc[0] == "Example"
+    assert (words.columns["class"] == "ocrx_word").all()
+    assert words.page(0).columns["value"][0] == "Example"
     # rendering is backed by the vector rasterizer (ref shape golden,
     # test_pdf.py:40); full e2e parity lives in tests/test_pdfraster.py
     imgs = doc.images

@@ -3,19 +3,24 @@
     python tests/tools/page_bench.py [--runs N]
 
 Times ``decode_image(data)`` followed by
-``extract_tables_from_image(img, implicit_rows=True)`` on ``test.png``,
-``dark.png``, ``borderless.png``, ``borderless.webp`` and ``blank.png``
-(an all-white page; the benchmark corpus replicates it), in this process,
-after one warm-up call per page.  ``borderless.webp`` is a lossy WebP built
-as the benchmark corpus builds its lossy pages: ``borderless.png``'s gray
-plane through ``encode_webp_vp8(qindex=40)``, encoded once at start-up.
+``extract_tables_from_image(img, words=words, implicit_rows=True)`` on
+``test.png``, ``dark.png``, ``borderless.png``, ``borderless.webp`` and
+``blank.png`` (an all-white page; the benchmark corpus replicates it), in
+this process, after one warm-up call per page.  ``test.png`` runs with the
+words of its hOCR fixture (``tesseract_hocr.html``, parsed in the timed
+loop); the other pages run without words.  ``borderless.webp`` is a lossy
+WebP built as the benchmark corpus builds its lossy pages:
+``borderless.png``'s gray plane through ``encode_webp_vp8(qindex=40)``,
+encoded once at start-up.
 Prints one line per page: min and median ms per page (decode plus
 extraction) over N runs, then the median ms of the decode and of the three
 classical-CV layers inside the extraction: threshold
 (``threshold_dark_areas``), metrics (``compute_img_metrics``) and lines
 (``detect_lines``); then two kernels that run across those layers: ccl
 (every connected-component entry point, wrapped where each calling module
-imported it) and cells (``identify_cells``).  Run it on both sides of a
+imported it) and cells (``identify_cells``); then the Python tail that
+words feed: content (``parse_hocr``, ``OCRWords.from_records`` and
+``Table.get_content``) and titles (``get_title_tables``).  Run it on both sides of a
 change, one right after the other, and compare.
 """
 
@@ -39,7 +44,9 @@ LAYERS = (("threshold", "threshold_dark_areas"),
 CCL_ENTRIES = ("connected_components_with_stats", "connected_components_stats")
 CCL_CALLERS = ("threshold", "metrics", "lines", "rotation", "titles",
                "borderless", "borderless.rlsa")
-COLUMNS = ("decode",) + tuple(layer for layer, _ in LAYERS) + ("ccl", "cells")
+WORDS = {"test.png": "tesseract_hocr.html"}
+COLUMNS = (("decode",) + tuple(layer for layer, _ in LAYERS)
+           + ("ccl", "cells", "content", "titles"))
 
 
 def _timed(fn, spent, layer):
@@ -74,7 +81,9 @@ def main() -> int:
     args = ap.parse_args()
 
     sys.path.insert(0, REPO)
-    from img2table_ray.extract import cells, document
+    from img2table_ray.core.objects import Table
+    from img2table_ray.extract import cells, content, document
+    from img2table_ray.fixtures import fixture_bytes
     from img2table_ray.imgops.png import decode_image
 
     spent = {column: 0.0 for column in COLUMNS}
@@ -88,11 +97,24 @@ def main() -> int:
             if hasattr(module, name):
                 setattr(module, name, _timed(getattr(module, name), spent, "ccl"))
     cells.identify_cells = _timed(cells.identify_cells, spent, "cells")
+    Table.get_content = _timed(Table.get_content, spent, "content")
+    document.get_title_tables = _timed(document.get_title_tables, spent,
+                                       "titles")
+
+    def words_of(hocr):
+        if hocr is None:
+            return None
+        t0 = time.perf_counter()
+        words = content.OCRWords.from_records(content.parse_hocr(hocr))
+        spent["content"] += time.perf_counter() - t0
+        return words
 
     for page in PAGES:
         data = _page_bytes(page)
+        hocr = fixture_bytes(WORDS[page]).decode() if page in WORDS else None
         img = decode_image(data)
-        document.extract_tables_from_image(img, implicit_rows=True)
+        document.extract_tables_from_image(img, words=words_of(hocr),
+                                           implicit_rows=True)
         totals, splits = [], {column: [] for column in COLUMNS}
         for _ in range(args.runs):
             for layer in spent:
@@ -100,7 +122,8 @@ def main() -> int:
             t0 = time.perf_counter()
             img = decode_image(data)
             spent["decode"] = time.perf_counter() - t0
-            document.extract_tables_from_image(img, implicit_rows=True)
+            document.extract_tables_from_image(img, words=words_of(hocr),
+                                               implicit_rows=True)
             totals.append(time.perf_counter() - t0)
             for layer, v in spent.items():
                 splits[layer].append(v)
