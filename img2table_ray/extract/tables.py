@@ -344,11 +344,10 @@ def implicit_content(table: Table, contours: list[Cell], char_length: float,
     from img2table_ray.extract.cells import get_cells
     from img2table_ray.extract.implicit import implicit_columns_lines, implicit_rows_lines
 
+    x1, y1, x2, y2 = table.bbox()  # each one a min/max over every cell
     tb_contours = [c for c in contours
-                   if c.x1 >= table.x1 and c.x2 <= table.x2
-                   and c.y1 >= table.y1 and c.y2 <= table.y2]
-    segment = ImageSegment(x1=table.x1, y1=table.y1, x2=table.x2, y2=table.y2,
-                           elements=tb_contours)
+                   if c.x1 >= x1 and c.x2 <= x2 and c.y1 >= y1 and c.y2 <= y2]
+    segment = ImageSegment(x1=x1, y1=y1, x2=x2, y2=y2, elements=tb_contours)
     lines = table.lines
     if implicit_rows:
         lines += implicit_rows_lines(table=table, segment=segment)

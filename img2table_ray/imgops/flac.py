@@ -10,7 +10,7 @@ this feeds ``pipelines/multimodal.py:audio_features`` (the LLM-pipeline
 multimodal brief) so FLAC payloads decode for real instead of counting
 as ``unsupported``.
 
-Scale shape: the decoder runs inside the actor-pool audio stage, one
+Scale shape: the decoder runs inside the audio stage, one
 file per call.  Fixed-predictor reconstruction is vectorized (order-k
 prediction is the k-th difference, so reconstruction is k cumulative
 sums); Rice decoding walks codes with a byte-fed bit reader (a code,

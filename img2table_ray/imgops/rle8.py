@@ -15,7 +15,7 @@ bytes padded to a word boundary.
 Scale shape: decode is O(runs) Python with numpy slice assignment per
 run (a run, not a pixel, is the unit of work — typical RLE frames are
 a few hundred runs).  It executes only for the handful of SAMPLED
-frames per clip inside the actor-pool stage, never per frame of a
+frames per clip inside the stage, never per frame of a
 whole video.  The encoder is a fixture builder.
 """
 

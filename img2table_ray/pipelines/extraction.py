@@ -7,7 +7,7 @@ extraction over a Common-Crawl-style pages table.
       -> map_batches(probe)                             # size + container sniff
       -> map_batches(explode_pages)                     # 1 doc -> N page rows
       -> map_batches(segregate_by_weight)               # size-aware repartition
-      -> map_batches(PageExtractor.task)                # fused per-page algorithm
+      -> PageExtractor.map_batches                      # fused per-page algorithm
       -> write_parquet(out/data, partition_cols=[part]) # resumable layout
       -> manifests per partition (counts from the       # checkpoint + lineage
          distributed StatsCollector, no output re-read)
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import glob
 import os
-import uuid
 import shutil
 import time
 
@@ -193,35 +192,17 @@ def extract_pages(pages_dir: str, words_dir: str | None = None,
 
         words_service = build_words_service(
             words_dir, num_shards=max(2, actor_concurrency() // 4))
+        if stats_handle is not None:  # a job's wave: the job frees them
+            stats_handle.owned.extend(words_service.shards)
     elif words_dir is not None:
         lookup = load_words_lookup(words_dir)
         if lookup:
             words_ref = ray.put(lookup)
 
-    # Task pool, not an actor pool: per-process state (malloc tuning,
-    # word provider, extraction memo) lives in one PageExtractor per worker,
-    # keyed by a per-pipeline token (PageExtractor.task).  Ray reuses task
-    # workers across datasets, so the lazy-paging warm-up is paid once per
-    # session instead of once per fresh actor pool, and the pool is elastic
-    # (no sizing vs session CPUs).  On a real cluster the behavior is
-    # identical to an actor pool sized to the cluster, minus the ramp-up.
-    token = uuid.uuid4().hex
-    return ds.map_batches(
-        PageExtractor.task,
-        fn_kwargs={
-            "token": token,
-            "ctor": {
-                "words_ref": words_ref,
-                "words_service": words_service,
-                "implicit_rows": implicit_rows,
-                "borderless": borderless,
-                "stats_handle": stats_handle,
-            },
-        },
-        batch_format="pyarrow",
-        batch_size=16,
-        num_cpus=1,
-    )
+    return PageExtractor.map_batches(
+        ds, batch_size=16, words_ref=words_ref, words_service=words_service,
+        implicit_rows=implicit_rows, borderless=borderless,
+        stats_handle=stats_handle)
 
 
 def run_extraction_job(pages_dir: str, out_dir: str, words_dir: str | None = None,
@@ -253,32 +234,41 @@ def run_extraction_job(pages_dir: str, out_dir: str, words_dir: str | None = Non
     # an immediately-following ray.shutdown in short scripts)
     stats_actor = StatsShards() if todo else None
     stats = {}
-    for w in range(0, len(todo), wave_size):
-        wave_parts = set(todo[w : w + wave_size])
-        ds = extract_pages(pages_dir, words_dir=words_dir,
-                           keep_parts=wave_parts, implicit_rows=implicit_rows,
-                           borderless=borderless, stats_handle=stats_actor,
-                           join_words=join_words)
-        ds.write_parquet(ddir, partition_cols=["part"])
+    try:
+        for w in range(0, len(todo), wave_size):
+            wave_parts = set(todo[w : w + wave_size])
+            ds = extract_pages(pages_dir, words_dir=words_dir,
+                               keep_parts=wave_parts,
+                               implicit_rows=implicit_rows,
+                               borderless=borderless,
+                               stats_handle=stats_actor,
+                               join_words=join_words)
+            ds.write_parquet(ddir, partition_cols=["part"])
 
-        # publish manifests for this wave (data is durable at this point);
-        # counts come from the distributed collectors, not an output re-read.
-        # flush() is the drain barrier for the workers' fire-and-forget
-        # stats sends (state/stats.py:add_rows) — after it, every add
-        # submitted by this wave's tasks has been processed.
-        stats_actor.flush()
-        totals = stats_actor.totals()
-        err_fmt = stats_actor.errors_by_format()
-        for part in sorted(wave_parts):
-            n_docs, n_tables, n_errors = totals.get(part, [0, 0, 0])
-            by_fmt = err_fmt.get(part, {})
-            mf.write_manifest(out_dir, part, n_docs=n_docs, n_tables=n_tables,
-                              n_errors=n_errors, wall_s=time.time() - t0,
-                              errors_by_format=by_fmt)
-            stats[part] = {"n_docs": n_docs, "n_tables": n_tables,
-                           "n_errors": n_errors, "errors_by_format": by_fmt}
-            # manifest is durable -> free the partition's dedup state
-            stats_actor.drop_part(part)
+            # publish manifests for this wave (data is durable at this
+            # point); counts come from the distributed collectors, not an
+            # output re-read.  flush() is the drain barrier for the
+            # workers' fire-and-forget stats sends (state/stats.py:add_rows)
+            # — after it, every add submitted by this wave's tasks has
+            # been processed.
+            stats_actor.flush()
+            totals = stats_actor.totals()
+            err_fmt = stats_actor.errors_by_format()
+            for part in sorted(wave_parts):
+                n_docs, n_tables, n_errors = totals.get(part, [0, 0, 0])
+                by_fmt = err_fmt.get(part, {})
+                mf.write_manifest(out_dir, part, n_docs=n_docs,
+                                  n_tables=n_tables, n_errors=n_errors,
+                                  wall_s=time.time() - t0,
+                                  errors_by_format=by_fmt)
+                stats[part] = {"n_docs": n_docs, "n_tables": n_tables,
+                               "n_errors": n_errors,
+                               "errors_by_format": by_fmt}
+                # manifest is durable -> free the partition's dedup state
+                stats_actor.drop_part(part)
+    finally:
+        if stats_actor is not None:
+            stats_actor.close()
 
     return {
         "out_dir": out_dir,

@@ -65,7 +65,7 @@ _SUMMARIES = {
 
 
 class _PageSummaryStage(PayloadStage):
-    """Actor-pool stage over exploded page rows: one summary row per
+    """Stage over exploded page rows: one summary row per
     (url, page).  Each page is decoded by the engine's ``decode_page`` and
     read through ``TableImage``; a page that fails gives the summary's
     sentinel row.  PDF page rows share their document bytes, so the page
@@ -165,7 +165,7 @@ def extract_tables_borderless(sf_dir: str) -> ray.data.Dataset:
 
 
 class _PdfWordsStage(PayloadStage):
-    """Actor-pool stage: native PDF text-layer words per document
+    """Stage: native PDF text-layer words per document
     (ref ocr/pdf.py:157-235 via extract/pdftext.py).
 
     The PDF bytes ride the batch (``pdf`` binary column).  Output: one row

@@ -1,8 +1,8 @@
 """Multimodal binary-column stages: image, audio and video payloads are
-opaque ``binary`` columns with typed metadata, mapped by actor-pool
+opaque ``binary`` columns with typed metadata, mapped by task-pool
 ``PayloadStage`` subclasses (stages/util.py).  Each stage declares its
 output columns and a per-row function; the base owns the row loop, the
-per-actor memo, the error rows and the ``map_batches`` call.
+per-process memo, the error rows and the ``map_batches`` call.
 
 Images decode for real (PNG, BMP, JPEG, TIFF, GIF, WebP).  Audio decodes
 for real from RIFF/WAVE (PCM, IEEE float, IMA/MS ADPCM, G.711), FLAC
@@ -35,7 +35,7 @@ from img2table_ray.stages.util import PayloadStage
 
 
 class ImageFeatureStage(PayloadStage):
-    """Actor-pool stage: decode image bytes -> typed metadata + cheap
+    """Stage: decode image bytes -> typed metadata + cheap
     features (REAL path).  binary -> (width, height, mean_luma, edge_density)."""
 
     schema = {"url": pa.string(), "kind": pa.string(), "width": pa.int32(),
@@ -87,7 +87,7 @@ def _flac_features(native: bytes) -> tuple[float, int, float]:
 
 
 class AudioFeatureStage(PayloadStage):
-    """Actor-pool stage for audio binary columns.
+    """Stage for audio binary columns.
 
     REAL decode for RIFF/WAVE payloads (PCM 8/16/24/32-bit int, 32/64-bit
     IEEE float, IMA/MS ADPCM, G.711 mu-law/A-law, incl.
@@ -263,7 +263,7 @@ def resize_bilinear(img: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
 
 
 class ImageResizeStage(PayloadStage):
-    """Actor-pool stage (REAL path): decode image bytes -> fixed-size
+    """Stage (REAL path): decode image bytes -> fixed-size
     thumbnail re-encoded as PNG (the resize/normalize step of a multimodal
     training pipeline).  Output rows carry the thumbnail binary + original
     dims; undecodable payloads become error rows, never task failures."""
@@ -289,7 +289,7 @@ class ImageResizeStage(PayloadStage):
 
 
 class VideoFrameSampleStage(PayloadStage):
-    """Actor-pool stage for video binary columns: frame sampling.
+    """Stage for video binary columns: frame sampling.
 
     REAL demux + decode for RIFF/AVI containers carrying MJPEG
     (``MJPG``/``dmb1`` — each frame is a JPEG, decoded by the in-repo
@@ -577,8 +577,7 @@ def video_frames(sf_dir: str) -> ray.data.Dataset:
     """AVI/MJPEG frame sampling (REAL demux + JPEG decode) over a
     deterministic synthetic video table sized by the sf directory (the
     driver testdata carries no video binaries); rows-only driver check.
-    The stage is the documented actor-pool shape for opaque binary
-    columns — small batch_size because clips are the large payload."""
+    Small batch_size because clips are the large payload."""
     from img2table_ray.pipelines.corpus import DEFAULT_ROWS, SF_ROWS
     import os
 
@@ -743,8 +742,7 @@ def synth_wav(seed: int) -> bytes:
 def audio_features(sf_dir: str) -> ray.data.Dataset:
     """WAV/PCM feature extraction (REAL decode) over a deterministic
     synthetic audio table sized by the sf directory (the driver testdata
-    carries no audio binaries); rows-only driver check.  The stage is
-    the documented actor-pool shape for opaque binary columns."""
+    carries no audio binaries); rows-only driver check."""
     from img2table_ray.pipelines.corpus import DEFAULT_ROWS, SF_ROWS
 
     n = SF_ROWS.get(__import__("os").path.basename(

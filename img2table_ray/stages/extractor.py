@@ -1,11 +1,14 @@
 """Ray Data stages for the extraction pipeline.
 
-``PageExtractor`` is the fused task-pool stage (SURVEY.md §3): decode ->
+``PageExtractor`` is the fused per-page stage (SURVEY.md §3): decode ->
 threshold -> metrics -> lines -> cells -> tables -> content -> titles per
-document, emitting one output row per extracted table (plus a no-table /
-error marker row per document so lineage is complete).  Per-process state:
-the extraction memo (corpora replicate documents heavily), warm malloc
-arenas, and the word provider (broadcast lookup or words service).
+page, emitting one output row per extracted table (plus a no-table /
+error marker row per page so lineage is complete).  It is a
+``PayloadStage`` (stages/util.py) and runs on the one stage runner, a
+task pool with one instance per stage class per worker process.  That
+instance's state: the base's memo (corpora replicate documents heavily),
+warm malloc arenas, and the word provider (broadcast lookup or words
+service).
 ``page_rows`` turns documents into page rows (``probe_batch`` then
 ``explode_pages``) and ``decode_page`` is the one per-page decode; the
 extraction pipeline and the page summaries of ``extract_metrics`` and
@@ -22,6 +25,8 @@ from typing import Optional
 import numpy as np
 import pyarrow as pa
 import ray
+
+from img2table_ray.stages.util import PayloadStage
 
 OUTPUT_SCHEMA = pa.schema(
     [
@@ -160,46 +165,25 @@ def decode_page(data: bytes, page: int = 0) -> np.ndarray:
     return decode_image(data)
 
 
-def _marker_row(status: str, error: Optional[str] = None) -> dict:
-    """The one row a page without tables (``no_tables``) or a failed
-    page (``error``) contributes, so lineage stays complete.  Like the
-    table rows of ``_extract`` it leaves out url, part and page, which
-    ``PageExtractor.__call__`` fills in from the page row."""
-    return {"table_idx": -1, "x1": -1, "y1": -1, "x2": -1, "y2": -1,
-            "title": None, "nb_rows": 0, "nb_columns": 0, "cells": None,
-            "extracted_text": None, "status": status, "error": error}
+def _marker_row(status: str, error: Optional[str] = None) -> tuple:
+    """The one value row a page without tables (``no_tables``) or a failed
+    page (``error``) contributes, so lineage stays complete."""
+    return (-1, -1, -1, -1, -1, None, 0, 0, None, None, status, error)
 
 
-class PageExtractor:
-    """Task-pool UDF with per-process state: pyarrow batch of pages rows ->
-    pyarrow batch of extracted-table rows (OUTPUT_SCHEMA).
+class PageExtractor(PayloadStage):
+    """The fused per-page stage: page rows (``url``, ``part``, ``page``,
+    ``html``) -> extracted-table rows (OUTPUT_SCHEMA).
 
-    The pipeline maps :meth:`task`, not the class: the extractor's state
-    does not need an ACTOR.  One instance per ordinary task worker gives
-    the same once-per-process setup with two advantages on short jobs:
-
-    * worker processes are REUSED across datasets in a session, so a
-      host's lazy-paging warm-up (first touch of a fresh heap page,
-      measured at ~7.5 MB/s on a hypervisor that pages lazily) is paid
-      once per session instead of once per fresh actor pool — on a 40 s
-      run with 24 actors that warm-up was ~35% of total wall time
-      (measured: actor cpu/wall = 0.63);
-    * task pools are elastic — no fixed pool to size against the session
-      CPU count, no eager-creation deadlock risk on small sessions.
+    A ``PayloadStage``: it runs on the task pool, one instance per worker
+    process (``stages/util.py:run_stage``), and the base owns the memo,
+    the row loop and the output table; ``__call__`` attaches each page's
+    words as the ``hocr`` column and sends the job's stats.
     """
 
-    # (pipeline token, instance): one live configuration per worker.  A
-    # new pipeline invocation (new token) replaces the instance, so the
-    # memo never leaks across datasets and the timed pass of a warm/timed
-    # benchmark pair still does its own decodes.
-    _task_slot: tuple = (None, None)
-
-    @staticmethod
-    def task(batch: pa.Table, *, token: str, ctor: dict) -> pa.Table:
-        if PageExtractor._task_slot[0] != token:
-            PageExtractor._task_slot = (None, None)  # free the old memo first
-            PageExtractor._task_slot = (token, PageExtractor(**ctor))
-        return PageExtractor._task_slot[1](batch)
+    keys = ("url", "part", "page")
+    reads = ("hocr", "page")
+    schema = dict(zip(OUTPUT_SCHEMA.names, OUTPUT_SCHEMA.types))
 
     def __init__(self, words_ref=None, words_service=None,
                  implicit_rows: bool = True, borderless: bool = False,
@@ -218,9 +202,9 @@ class PageExtractor:
             libc.mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
         except Exception:
             pass
+        super().__init__()
         self._words: dict = ray.get(words_ref) if words_ref is not None else {}
         self._words_service = words_service
-        self._extract_cache: dict = {}
         self._stats = stats_handle
         self._implicit_rows = implicit_rows
         self._borderless = borderless
@@ -228,18 +212,17 @@ class PageExtractor:
     def _decode(self, data: bytes, page: int = 0):
         return decode_page(data, page)
 
+    def rows(self, data: bytes, hocr: Optional[str], page: int) -> list:
+        # a forwarder, not an alias: perfbench's page-latency probe
+        # (perfbench/spans.py:install_probe) replaces ``_extract`` and
+        # ``_decode`` on the class and times each miss through them
+        return self._extract(data, hocr, page)
+
     def _extract(self, data: bytes, hocr: Optional[str], page: int = 0):
-        """Extraction result for (document bytes, hocr, page) — memoized,
-        since synthetic corpora replicate documents heavily.  Returns the
-        list of per-table dict rows (without url/part/page)."""
+        """The value rows (without url/part/page) of one page: one per
+        extracted table, or one ``no_tables`` marker row."""
         from img2table_ray.extract.content import OCRWords, parse_hocr
         from img2table_ray.extract.document import extract_tables_from_image
-
-        ckey = (hashlib.md5(data).digest(),
-                hashlib.md5((hocr or "").encode()).digest(), page)
-        cached = self._extract_cache.get(ckey)
-        if cached is not None:
-            return cached
 
         img = self._decode(data, page)
         if hocr is not None:
@@ -275,31 +258,19 @@ class PageExtractor:
                 ],
                 ensure_ascii=False,
             )
-            rows.append(
-                {
-                    "table_idx": t_idx,
-                    "x1": tb.bbox.x1, "y1": tb.bbox.y1,
-                    "x2": tb.bbox.x2, "y2": tb.bbox.y2,
-                    "title": tb.title,
-                    "nb_rows": tb.nb_rows, "nb_columns": tb.nb_columns,
-                    "cells": cells_json,
-                    "extracted_text": tb.canonical_text(),
-                    "status": "ok", "error": None,
-                }
-            )
-        if not rows:
-            rows.append(_marker_row("no_tables"))
-        if len(self._extract_cache) < 256:
-            self._extract_cache[ckey] = rows
-        return rows
+            rows.append((t_idx, tb.bbox.x1, tb.bbox.y1, tb.bbox.x2,
+                         tb.bbox.y2, tb.title, tb.nb_rows, tb.nb_columns,
+                         cells_json, tb.canonical_text(), "ok", None))
+        return rows or [_marker_row("no_tables")]
+
+    def failed(self, data: bytes, status: str, exc: Exception) -> tuple:
+        # every failure is an error row, NotImplementedError included
+        return _marker_row("error", f"{type(exc).__name__}: {exc}\n"
+                                    + traceback.format_exc(limit=3))
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         urls = batch["url"].to_pylist()
-        htmls = batch["html"].to_pylist()
-        pages = (batch["page"].to_pylist() if "page" in batch.schema.names
-                 else [0] * len(batch))
-        parts = (batch["part"].to_pylist() if "part" in batch.schema.names
-                 else [0] * len(batch))
+        pages = batch["page"].to_pylist()
         # words arrive one of two ways: a bulk fetch from the partitioned
         # lookup service (the 100 TB path — one get_many RPC per touched
         # shard per batch), or the broadcast lookup (small-side path)
@@ -314,22 +285,8 @@ class PageExtractor:
                 hocr_list = [None] * len(urls)
         else:
             hocr_list = [self._words.get((u, p)) for u, p in zip(urls, pages)]
-        out: dict[str, list] = {name: [] for name in OUTPUT_SCHEMA.names}
-
-        for url, page, part, data, hocr in zip(urls, pages, parts, htmls,
-                                               hocr_list):
-            try:
-                rows = self._extract(data, hocr, page)
-            except Exception as exc:  # error records, never fail the block
-                rows = [_marker_row(
-                    "error", f"{type(exc).__name__}: {exc}\n"
-                             + traceback.format_exc(limit=3))]
-            for r in rows:
-                out["url"].append(url)
-                out["part"].append(part)
-                out["page"].append(page)
-                for col, v in r.items():
-                    out[col].append(v)
+        out = super().__call__(
+            batch.append_column("hocr", pa.array(hocr_list, pa.string())))
 
         # distributed manifest accounting: per-batch (part -> counts) partials
         # go to the part-hashed stats shards (state/stats.py:StatsShards) —
@@ -346,9 +303,9 @@ class PageExtractor:
                      else ["unknown"] * len(batch))
             kind_of = {(u, p): k for u, p, k in zip(urls, pages, kinds)}
             stat_rows = []
-            for url, part, page, ti, st in zip(out["url"], out["part"],
-                                               out["page"], out["table_idx"],
-                                               out["status"]):
+            for url, part, page, ti, st in zip(
+                    *(out[c].to_pylist()
+                      for c in ("url", "part", "page", "table_idx", "status"))):
                 rk = hashlib.md5(f"{url}\x1f{page}\x1f{ti}".encode()).digest()
                 stat_rows.append((
                     rk, int(part),
@@ -359,4 +316,4 @@ class PageExtractor:
                 ))
             self._stats.add_rows(stat_rows)
 
-        return pa.Table.from_pydict(out, schema=OUTPUT_SCHEMA)
+        return out

@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -46,6 +48,45 @@ def test_table_covers_every_query():
 @pytest.mark.parametrize("name", sorted(_table()))
 def test_output_hash_pinned(name, ray_session):
     assert _pin(name) == _table()[name]
+
+
+# the extraction pipeline and the seven queries of the per-row stages
+# (stages/util.py:PayloadStage)
+ONE_CPU_QUERIES = ("extract_tables", "extract_metrics", "extract_lines",
+                   "pdf_words", "image_features", "image_thumbnails",
+                   "audio_features", "video_frames")
+
+
+def test_payload_queries_run_on_one_cpu():
+    """The per-row stages run on a task pool, so a one-CPU session runs
+    them to the pinned outputs.  Runs in its own process and Ray session
+    under one timeout, because a stage pool that holds the only CPU makes
+    the queries hang rather than fail."""
+    script = textwrap.dedent("""
+        import json, sys
+        sys.path[:0] = sys.argv[1:3]
+        import ray
+        ray.init(address="local", num_cpus=1, include_dashboard=False,
+                 logging_level="ERROR")
+        ray.data.DataContext.get_current().enable_progress_bars = False
+        import output_hash
+        import __ray_entry__ as entry_mod
+
+        got = {}
+        for name in sys.argv[4:]:
+            rows, status, sha = output_hash.digest(
+                entry_mod.queries()[name](sys.argv[3]))
+            got[name] = {"rows": rows, "status": status, "sha256": sha}
+        print(json.dumps(got))
+        ray.shutdown()
+    """)
+    root = os.path.dirname(HERE)
+    out = subprocess.run(
+        [sys.executable, "-c", script, root, os.path.join(HERE, "tools"),
+         SF_DIR, *ONE_CPU_QUERIES],
+        capture_output=True, text=True, timeout=300, check=True, cwd=root)
+    got = json.loads(out.stdout.strip().splitlines()[-1])
+    assert got == {name: _table()[name] for name in ONE_CPU_QUERIES}
 
 
 if __name__ == "__main__":

@@ -202,25 +202,41 @@ def test_words_paths_all_match_broadcast(ray_session, corpus):
 
 
 def test_task_keeps_one_extractor_per_token():
-    """``PageExtractor.task`` reuses the worker's instance (and its memo)
-    for batches of one pipeline, and a new pipeline token replaces it.
-    Runs in its own process: the instance stays in a class-level slot and
+    """``run_stage`` reuses the worker's instance of a stage class (and
+    its memo) for batches of one pipeline, a new pipeline token replaces
+    it, and each stage class keeps its own slot.  Runs in its own process:
+    the instances stay in a module-level slot table and
     ``PageExtractor.__init__`` sets process-wide malloc thresholds."""
     script = textwrap.dedent("""
         import pyarrow as pa
+        from img2table_ray.pipelines.multimodal import ImageFeatureStage
+        from img2table_ray.stages import util
         from img2table_ray.stages.extractor import PageExtractor
 
         batch = pa.table({"url": ["https://x/bad"],
+                          "part": pa.array([0], pa.int32()),
+                          "page": pa.array([0], pa.int32()),
                           "html": pa.array([b"not-an-image"], pa.binary())})
-        out = PageExtractor.task(batch, token="a", ctor={})
+
+        def run(stage, token, **ctor):
+            return util.run_stage(batch, stage=stage, token=token, ctor=ctor)
+
+        out = run(PageExtractor, "a")
         assert out["status"].to_pylist() == ["error"]
-        first = PageExtractor._task_slot[1]
-        PageExtractor.task(batch, token="a", ctor={})
-        assert PageExtractor._task_slot == ("a", first)
-        PageExtractor.task(batch, token="b", ctor={"implicit_rows": False})
-        token, second = PageExtractor._task_slot
+        first = util._SLOTS[PageExtractor][1]
+        assert len(first._memo) == 1
+        run(PageExtractor, "a")
+        assert util._SLOTS[PageExtractor] == ("a", first)
+        # a second stage class gets its own slot and leaves this one alone
+        assert run(ImageFeatureStage, "b")["width"].to_pylist() == [-1]
+        features = util._SLOTS[ImageFeatureStage][1]
+        assert features is not first
+        assert util._SLOTS[PageExtractor] == ("a", first)
+        run(PageExtractor, "b", implicit_rows=False)
+        token, second = util._SLOTS[PageExtractor]
         assert token == "b" and second is not first
         assert second._implicit_rows is False
+        assert util._SLOTS[ImageFeatureStage] == ("b", features)
     """)
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     out = subprocess.run([sys.executable, "-c", script], capture_output=True,
@@ -249,7 +265,9 @@ def test_truncated_mpng_is_one_error_row(cut):
     mpng = encode_mpng([png, png])
 
     def run(urls, docs):
-        batch = pa.table({"url": urls, "html": pa.array(docs, pa.binary())})
+        batch = pa.table({"url": urls,
+                          "part": pa.array([0] * len(urls), pa.int32()),
+                          "html": pa.array(docs, pa.binary())})
         return PageExtractor()(explode_pages(probe_batch(batch))).to_pandas()
 
     good = run(["https://x/png", "https://x/mpng"], [png, mpng])
@@ -1084,27 +1102,25 @@ def test_video_frames_query(ray_session):
 def test_multimodal_stages(ray_session, corpus):
     """Image feature stage is real (decode + stats); the audio and video
     stages turn payloads they cannot decode (here: page images) into
-    ``unsupported`` rows through the full actor plumbing."""
+    ``unsupported`` rows through the stage runner (``map_batches``)."""
     import ray.data
 
     from img2table_ray.pipelines.multimodal import AudioFeatureStage, ImageFeatureStage
 
-    df = (ray.data.read_parquet(f"{CORPUS}/pages", columns=["url", "html"])
-          .map_batches(ImageFeatureStage, batch_format="pyarrow", batch_size=16,
-                       concurrency=2, num_cpus=1).to_pandas())
+    df = ImageFeatureStage.map_batches(
+        ray.data.read_parquet(f"{CORPUS}/pages", columns=["url", "html"]),
+        batch_size=16).to_pandas()
     pngs = df[df["kind"] == "png"]
     assert len(pngs) > 0
     assert (pngs["width"] > 0).all() and (pngs["mean_luma"].notna()).all()
 
     ds = ray.data.read_parquet(f"{CORPUS}/pages", columns=["url", "html"]).limit(8)
-    stub = ds.map_batches(AudioFeatureStage, batch_format="pyarrow",
-                          concurrency=1).to_pandas()
+    stub = AudioFeatureStage.map_batches(ds, batch_size=16).to_pandas()
     assert (stub["status"] == "unsupported").all()
 
     from img2table_ray.pipelines.multimodal import VideoFrameSampleStage
 
-    vstub = ds.map_batches(VideoFrameSampleStage, batch_format="pyarrow",
-                           batch_size=2, concurrency=1).to_pandas()
+    vstub = VideoFrameSampleStage.map_batches(ds, batch_size=2).to_pandas()
     assert (vstub["status"] == "unsupported").all()
 
 
@@ -1117,12 +1133,10 @@ def test_image_resize_stage(ray_session, corpus):
     from img2table_ray.pipelines.multimodal import ImageResizeStage, resize_bilinear
     import numpy as np
 
-    df = (ray.data.read_parquet(f"{CORPUS}/pages", columns=["url", "html"])
-          .limit(12)
-          .map_batches(ImageResizeStage, batch_format="pyarrow", batch_size=4,
-                       concurrency=1, num_cpus=1,
-                       fn_constructor_kwargs={"out_w": 48, "out_h": 32})
-          .to_pandas())
+    df = ImageResizeStage.map_batches(
+        ray.data.read_parquet(f"{CORPUS}/pages",
+                              columns=["url", "html"]).limit(12),
+        batch_size=4, out_w=48, out_h=32).to_pandas()
     ok = df[df["status"] == "ok"]
     assert len(ok) > 0
     for t in ok["thumbnail_png"]:

@@ -124,3 +124,51 @@ def test_service_mode_runs_on_one_cpu(tmp_path):
     )
     res = json.loads(out.stdout.strip().splitlines()[-1])
     assert res == {"urls": 8, "errors": 0}
+
+
+def test_jobs_free_their_actors(tmp_path):
+    """Each ``run_extraction_job`` frees its stats collectors and words
+    shards when it is done: three service-mode jobs in one session leave
+    no more of those actor processes alive than one job does.  Runs in
+    its own process and a one-CPU Ray session; processes are counted
+    with ``ps`` once their number has settled."""
+    script = textwrap.dedent("""
+        import json, subprocess, sys, time
+        import ray
+        ray.init(address="local", num_cpus=1, include_dashboard=False,
+                 logging_level="ERROR")
+        ray.data.DataContext.get_current().enable_progress_bars = False
+        from img2table_ray.pipelines.extraction import run_extraction_job
+        from img2table_ray.sources.pages import generate_pages
+
+        def alive():
+            args = subprocess.run(["ps", "-eo", "args"], capture_output=True,
+                                  text=True, check=True).stdout.splitlines()
+            return sum(a.startswith(("ray::WordsShard", "ray::StatsCollector"))
+                       for a in args)
+
+        def settled():
+            prev, deadline = None, time.monotonic() + 20
+            while True:
+                cur = alive()
+                if cur == prev or time.monotonic() > deadline:
+                    return cur
+                prev = cur
+                time.sleep(1.0)
+
+        corpus = generate_pages(sys.argv[1] + "/corpus", 8, rows_per_file=4)
+        counts = []
+        for job in range(3):
+            run_extraction_job(corpus, f"{sys.argv[1]}/out{job}",
+                               words_dir=corpus + "/words", waves=2,
+                               join_words="service")
+            counts.append(settled())
+        print(json.dumps(counts))
+        ray.shutdown()
+    """)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    out = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                         capture_output=True, text=True, timeout=300,
+                         check=True, cwd=root)
+    counts = json.loads(out.stdout.strip().splitlines()[-1])
+    assert counts[2] <= counts[0], counts

@@ -18,8 +18,10 @@ classical-CV layers inside the extraction: threshold
 (``threshold_dark_areas``), metrics (``compute_img_metrics``) and lines
 (``detect_lines``); then two kernels that run across those layers: ccl
 (every connected-component entry point, wrapped where each calling module
-imported it) and cells (``identify_cells``); then the Python tail that
-words feed: content (``parse_hocr``, ``OCRWords.from_records`` and
+imported it) and cells (``identify_cells``); then the Python tail:
+tables (``get_tables``, ``implicit_content`` and
+``merge_consecutive_tables``), and the two layers that words feed,
+content (``parse_hocr``, ``OCRWords.from_records`` and
 ``Table.get_content``) and titles (``get_title_tables``).  Run it on both sides of a
 change, one right after the other, and compare.
 """
@@ -40,13 +42,16 @@ PAGES = ("test.png", "dark.png", "borderless.png", "borderless.webp",
          "blank.png")
 LAYERS = (("threshold", "threshold_dark_areas"),
           ("metrics", "compute_img_metrics"),
-          ("lines", "detect_lines"))
+          ("lines", "detect_lines"),
+          ("tables", "get_tables"),
+          ("tables", "implicit_content"),
+          ("tables", "merge_consecutive_tables"))
 CCL_ENTRIES = ("connected_components_with_stats", "connected_components_stats")
 CCL_CALLERS = ("threshold", "metrics", "lines", "rotation", "titles",
                "borderless", "borderless.rlsa")
 WORDS = {"test.png": "tesseract_hocr.html"}
-COLUMNS = (("decode",) + tuple(layer for layer, _ in LAYERS)
-           + ("ccl", "cells", "content", "titles"))
+COLUMNS = ("decode", "threshold", "metrics", "lines", "ccl", "cells",
+           "tables", "content", "titles")
 
 
 def _timed(fn, spent, layer):
