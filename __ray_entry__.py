@@ -41,7 +41,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
     return {
         # --- extraction engine (rows-only: not SQL-expressible) ---
         "extract_tables": extraction_queries.extract_tables,
-        "extract_tables_joined": extraction_queries.extract_tables_joined,
+        # a contract name kept from a second words path: the same query
+        "extract_tables_joined": extraction_queries.extract_tables,
         "extract_tables_en": extraction_queries.extract_tables_en,
         "extract_metrics": extraction_queries.extract_metrics,
         "extract_lines": extraction_queries.extract_lines,

@@ -47,7 +47,6 @@ BENCH_QUERIES = [
     "asof_join",
     "range_join",
     "sliding_window",
-    "extract_tables_joined",
     "extract_tables",
 ]
 
@@ -181,14 +180,6 @@ def run_suite() -> dict:
         runs = _timed_headline_runs(qs, repeats=2)
         per_query["extract_tables"] = min(runs)
         headline_runs = runs
-        # joined-words variant measured in the SAME clean session (it is
-        # the same pipeline + the words service; measuring it after the
-        # dedup suite's shuffles was charging it ~2x of session churn)
-        if "extract_tables_joined" in qs:
-            t = time.perf_counter()
-            _consume(qs["extract_tables_joined"](SF_DIR))
-            per_query["extract_tables_joined"] = round(
-                time.perf_counter() - t, 3)
         ray.shutdown()
         import pyarrow.parquet as pq
 

@@ -37,11 +37,9 @@ def main(argv: list[str] | None = None) -> int:
                    help="output directory (data/ + manifests/; reuse to "
                         "resume)")
     p.add_argument("--words-dir", default=None,
-                   help="optional OCR words sidecar (parquet)")
-    p.add_argument("--join-words", default="auto",
-                   choices=["auto", "broadcast", "service"],
-                   help="words attachment mode (auto = pick by sidecar "
-                        "size at plan time)")
+                   help="optional OCR words sidecar, co-partitioned with "
+                        "the input: words/<pages shard name> holds the "
+                        "words (url, page, hocr) of that pages shard")
     p.add_argument("--borderless", action="store_true",
                    help="also run borderless-table detection")
     p.add_argument("--no-implicit-rows", action="store_true",
@@ -64,7 +62,6 @@ def main(argv: list[str] | None = None) -> int:
         args.input, args.out, words_dir=args.words_dir,
         implicit_rows=not args.no_implicit_rows,
         borderless=args.borderless, waves=args.waves,
-        join_words=args.join_words,
     )
     print(json.dumps(summary))
     return 0

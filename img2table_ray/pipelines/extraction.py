@@ -20,10 +20,12 @@ explode bounds per-row work at one page, and ``segregate_by_weight`` emits
 heavy rows (big pages) as their own small sub-batches so one giant page
 cannot head-of-line-block a batch of light rows.
 
-Words sidecar (stand-in for the external OCR service) is broadcast via
-``ray.put`` when small; past ``WORDS_BROADCAST_MAX_BYTES`` it is served by
-the partitioned lookup service (``state/words_service.py``), so the
-document-carrying pages side never shuffles.
+Words sidecar (stand-in for the external OCR service) is co-partitioned
+with the pages: ``words/<name>.parquet`` holds the words of
+``pages/<name>.parquet``, so each page task reads its own part's words
+file where it runs (a map-side co-partitioned join, *MapReduce
+Algorithms for Big Data Analysis*, VLDB 2012) and neither side is
+broadcast or shuffled.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ import time
 
 import pyarrow as pa
 import pyarrow.compute as pc
-import ray
 import ray.data
 
 from img2table_ray.stages.extractor import (
@@ -43,50 +44,10 @@ from img2table_ray.stages.extractor import (
     PageExtractor,
     page_rows,
 )
-from img2table_ray.stages.util import actor_concurrency
 from img2table_ray.state import manifest as mf
 
 HEAVY_BYTES = 512 * 1024  # page rows above this are yielded as tiny sub-batches
 HEAVY_CHUNK = 2
-
-# Broadcast-vs-service cutover for the words sidecar (VERDICT r4 §next-6):
-# the broadcast path ray.puts one {(url, page): hocr} dict that every task
-# worker deserializes into its heap, so it is only safe while that dict
-# fits comfortably beside the extraction working set.  Parquet is ~2-4x
-# smaller than the in-heap dict (string object overhead), so 256 MB
-# on disk ~= 0.5-1 GB per worker heap — past that, route to the
-# partitioned words service, which shards the table over K lookup actors
-# and never materializes it in task workers.
-WORDS_BROADCAST_MAX_BYTES = 256 * 1024 * 1024
-WORDS_MODES = ("auto", "broadcast", "service")
-
-
-def _words_dir_bytes(words_dir: str) -> int:
-    total = 0
-    for root, _, files in os.walk(words_dir):
-        for f in files:
-            try:
-                total += os.path.getsize(os.path.join(root, f))
-            except OSError:
-                pass
-    return total
-
-
-def resolve_words_mode(words_dir: str | None, join_words: str = "auto") -> str:
-    """Pick the words-attachment mode at PLAN time from the sidecar's
-    on-disk size; an explicit ``"broadcast"`` or ``"service"`` overrides.
-    Returns ``"broadcast"`` or ``"service"``; any other value raises."""
-    if join_words not in WORDS_MODES:
-        raise ValueError(f"join_words={join_words!r}: expected one of "
-                         f"{', '.join(WORDS_MODES)}")
-    if join_words != "auto":
-        return join_words
-    if words_dir is None or not os.path.isdir(words_dir):
-        return "broadcast"
-    if _words_dir_bytes(words_dir) > WORDS_BROADCAST_MAX_BYTES:
-        return "service"
-    return "broadcast"
-
 
 def input_shards(pages_dir: str) -> list[str]:
     """Sorted parquet shards of the pages table; index = partition id."""
@@ -117,56 +78,54 @@ def tag_part_batch(batch: pa.Table, lut: dict[str, int]) -> pa.Table:
 
     A miss (path normalized beyond the basename, e.g. a copied/renamed
     shard) routes the row to sentinel part -1 instead of failing the read
-    task; such rows still extract and land in the ``part=-1`` output
-    directory, where they are visible rather than silently lost."""
+    task; such rows still extract (without words: part -1 has no words
+    file) and land in the ``part=-1`` output directory, where they are
+    visible rather than silently lost."""
     paths = batch["path"].to_pylist()
     part = pa.array([lut.get(os.path.basename(p), -1) for p in paths],
                     pa.int32())
     return batch.drop_columns(["path"]).append_column("part", part)
 
 
-def load_words_lookup(words_dir: str) -> dict:
-    """Driver-side load of the words sidecar -> {(url, page): hocr}.  Small
-    side of the broadcast join; at 100 TB the partitioned words service
-    replaces it."""
-    import pyarrow.parquet as pq
+def words_files(words_dir: str | None, shards: list[str],
+                parts) -> dict[int, str]:
+    """{part: words file} of ``parts``: ``words_dir/<name of the part's
+    pages shard>`` where that file exists.
 
-    if not os.path.isdir(words_dir):
+    The sidecar must be co-partitioned with the pages: every ``*.parquet``
+    under ``words_dir`` sits directly in it and is named after a pages
+    shard, else ``ValueError`` names the file (a misaligned sidecar would
+    otherwise give word-less rows).  No ``words_dir``, or a missing one,
+    means no words."""
+    if words_dir is None or not os.path.isdir(words_dir):
         return {}
-    tbl = pq.read_table(words_dir)
-    if "page" in tbl.schema.names:
-        return {(u, p): h for u, p, h in zip(tbl["url"].to_pylist(),
-                                             tbl["page"].to_pylist(),
-                                             tbl["hocr"].to_pylist())}
-    return {(u, 0): h for u, h in zip(tbl["url"].to_pylist(), tbl["hocr"].to_pylist())}
+    names = {os.path.basename(s) for s in shards}
+    for path in glob.glob(os.path.join(words_dir, "**", "*.parquet"),
+                          recursive=True):
+        if os.path.relpath(path, words_dir) not in names:
+            raise ValueError(f"words file {path} is not named after a pages "
+                             f"shard directly under {words_dir}")
+    files = {p: os.path.join(words_dir, os.path.basename(shards[p]))
+             for p in parts}
+    return {p: f for p, f in files.items() if os.path.isfile(f)}
 
 
 def extract_pages(pages_dir: str, words_dir: str | None = None,
                   keep_parts: set[int] | None = None, implicit_rows: bool = True,
                   borderless: bool = False, lang_filter: str | None = None,
-                  join_words: str = "auto",
                   stats_handle=None) -> ray.data.Dataset:
     """Build the lazy extraction Dataset (no sink).
 
     ``keep_parts`` selects input shards at the READ — the excluded shards
-    are never opened.  Word-provider attachment defaults to ``"auto"``:
-    :func:`resolve_words_mode` picks broadcast vs the partitioned service
-    from the sidecar's on-disk size at plan time
-    (``WORDS_BROADCAST_MAX_BYTES``); passing an explicit mode overrides.
-    The two modes:
-
-    * ``"broadcast"`` — broadcast the sidecar via ``ray.put``
-      (small-side fast path; fine while the words table fits one worker).
-    * ``"service"`` — the 100 TB path: a PARTITIONED LOOKUP SERVICE
-      (``state/words_service.py``).  Only the words shuffle (into K shard
-      actors); pages — whose rows carry the full document bytes — never
-      move, and each extraction batch bulk-fetches exactly its keys'
-      hOCR strings."""
-    join_words = resolve_words_mode(words_dir, join_words)
+    are never opened.  Words come from ``words_dir``, co-partitioned with
+    the pages (:func:`words_files`): each page task reads the words file
+    of the part it is extracting, so the sidecar is never broadcast or
+    shuffled."""
     shards = input_shards(pages_dir)
     parts = set(range(len(shards)))
     if keep_parts is not None:
         parts &= set(keep_parts)
+    words = words_files(words_dir, shards, parts)
     selected = [shards[p] for p in sorted(parts)]
     if not selected:
         return ray.data.from_arrow(OUTPUT_SCHEMA.empty_table())
@@ -185,29 +144,14 @@ def extract_pages(pages_dir: str, words_dir: str | None = None,
     ds = page_rows(ds)
     ds = ds.map_batches(segregate_by_weight, batch_format="pyarrow")
 
-    words_ref = None
-    words_service = None
-    if words_dir is not None and join_words == "service":
-        from img2table_ray.state.words_service import build_words_service
-
-        words_service = build_words_service(
-            words_dir, num_shards=max(2, actor_concurrency() // 4))
-        if stats_handle is not None:  # a job's wave: the job frees them
-            stats_handle.owned.extend(words_service.shards)
-    elif words_dir is not None:
-        lookup = load_words_lookup(words_dir)
-        if lookup:
-            words_ref = ray.put(lookup)
-
     return PageExtractor.map_batches(
-        ds, batch_size=16, words_ref=words_ref, words_service=words_service,
-        implicit_rows=implicit_rows, borderless=borderless,
-        stats_handle=stats_handle)
+        ds, batch_size=16, words_files=words, implicit_rows=implicit_rows,
+        borderless=borderless, stats_handle=stats_handle)
 
 
 def run_extraction_job(pages_dir: str, out_dir: str, words_dir: str | None = None,
                        implicit_rows: bool = True, borderless: bool = False,
-                       waves: int = 4, join_words: str = "auto") -> dict:
+                       waves: int = 4) -> dict:
     """Resumable job: partitions (= input shards) with complete manifests are
     skipped; the remaining shards run in ``waves`` checkpoint rounds, each
     wave writing its data directories and then publishing manifests — so a
@@ -241,8 +185,7 @@ def run_extraction_job(pages_dir: str, out_dir: str, words_dir: str | None = Non
                                keep_parts=wave_parts,
                                implicit_rows=implicit_rows,
                                borderless=borderless,
-                               stats_handle=stats_actor,
-                               join_words=join_words)
+                               stats_handle=stats_actor)
             ds.write_parquet(ddir, partition_cols=["part"])
 
             # publish manifests for this wave (data is durable at this

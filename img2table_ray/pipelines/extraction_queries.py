@@ -22,20 +22,6 @@ def extract_tables(sf_dir: str) -> ray.data.Dataset:
     return extract_pages(corpus, words_dir=f"{corpus}/words")
 
 
-def extract_tables_joined(sf_dir: str) -> ray.data.Dataset:
-    """Extraction with the PARTITIONED WORDS SERVICE (``join_words=
-    "service"``) — the 100 TB design for a words side too big to
-    broadcast: only the words shuffle (into K shard actors); pages, whose
-    rows carry the full document bytes, never move
-    (state/words_service.py).  Same rows as extract_tables (pinned in
-    tests/test_pipeline.py::test_words_paths_all_match_broadcast); timed
-    separately in bench.py.  Measured sf0.1 @32: service 21.8 s vs
-    broadcast 17.9-24.5 s (window noise)."""
-    corpus = corpus_for(sf_dir)
-    return extract_pages(corpus, words_dir=f"{corpus}/words",
-                         join_words="service")
-
-
 def extract_tables_en(sf_dir: str) -> ray.data.Dataset:
     """Same with a lang pushdown filter (projection + predicate demo)."""
     corpus = corpus_for(sf_dir)

@@ -7,8 +7,9 @@ error marker row per page so lineage is complete).  It is a
 ``PayloadStage`` (stages/util.py) and runs on the one stage runner, a
 task pool with one instance per stage class per worker process.  That
 instance's state: the base's memo (corpora replicate documents heavily),
-warm malloc arenas, and the word provider (broadcast lookup or words
-service).
+warm malloc arenas, and the words of the part it last read
+(``load_words``: the sidecar is co-partitioned with the pages, so a task
+reads only its own part's words file).
 ``page_rows`` turns documents into page rows (``probe_batch`` then
 ``explode_pages``) and ``decode_page`` is the one per-page decode; the
 extraction pipeline and the page summaries of ``extract_metrics`` and
@@ -165,6 +166,18 @@ def decode_page(data: bytes, page: int = 0) -> np.ndarray:
     return decode_image(data)
 
 
+def load_words(path: str) -> dict:
+    """{(url, page): hocr} of one words file; a file without a ``page``
+    column holds the words of page 0."""
+    import pyarrow.parquet as pq
+
+    tbl = pq.read_table(path)
+    pages = (tbl["page"].to_pylist() if "page" in tbl.schema.names
+             else [0] * tbl.num_rows)
+    return dict(zip(zip(tbl["url"].to_pylist(), pages),
+                    tbl["hocr"].to_pylist()))
+
+
 def _marker_row(status: str, error: Optional[str] = None) -> tuple:
     """The one value row a page without tables (``no_tables``) or a failed
     page (``error``) contributes, so lineage stays complete."""
@@ -179,16 +192,19 @@ class PageExtractor(PayloadStage):
     process (``stages/util.py:run_stage``), and the base owns the memo,
     the row loop and the output table; ``__call__`` attaches each page's
     words as the ``hocr`` column and sends the job's stats.
+    ``words_files`` maps a part to its words file; the instance holds the
+    words of one part at a time and loads a part's file when a batch row
+    of that part first arrives (a part without a file has no words).
     """
 
     keys = ("url", "part", "page")
     reads = ("hocr", "page")
     schema = dict(zip(OUTPUT_SCHEMA.names, OUTPUT_SCHEMA.types))
 
-    def __init__(self, words_ref=None, words_service=None,
+    def __init__(self, words_files: Optional[dict] = None,
                  implicit_rows: bool = True, borderless: bool = False,
                  stats_handle=None) -> None:
-        # Once-per-process setup: word provider + extraction memo.
+        # Once-per-process setup: words of one part + extraction memo.
         #
         # malloc tuning: keep freed arenas (no trim, no mmap for big arrays)
         # so numpy temporaries reuse warm pages.  This sandbox faults fresh
@@ -203,11 +219,17 @@ class PageExtractor(PayloadStage):
         except Exception:
             pass
         super().__init__()
-        self._words: dict = ray.get(words_ref) if words_ref is not None else {}
-        self._words_service = words_service
+        self._words_files = words_files or {}
+        self._words: tuple = (None, {})  # (part, its words)
         self._stats = stats_handle
         self._implicit_rows = implicit_rows
         self._borderless = borderless
+
+    def _words_of(self, part: int) -> dict:
+        if self._words[0] != part:
+            path = self._words_files.get(part)
+            self._words = (part, load_words(path) if path else {})
+        return self._words[1]
 
     def _decode(self, data: bytes, page: int = 0):
         return decode_page(data, page)
@@ -271,20 +293,11 @@ class PageExtractor(PayloadStage):
     def __call__(self, batch: pa.Table) -> pa.Table:
         urls = batch["url"].to_pylist()
         pages = batch["page"].to_pylist()
-        # words arrive one of two ways: a bulk fetch from the partitioned
-        # lookup service (the 100 TB path — one get_many RPC per touched
-        # shard per batch), or the broadcast lookup (small-side path)
-        if self._words_service is not None:
-            try:
-                hocr_list = self._words_service.fetch(
-                    [(u, int(p)) for u, p in zip(urls, pages)])
-            except Exception:
-                # fetch() already degrades per-shard; this guard keeps
-                # ANY lookup failure from failing the block — rows come
-                # out word-less rather than the task dying (ADVICE r3)
-                hocr_list = [None] * len(urls)
-        else:
-            hocr_list = [self._words.get((u, p)) for u, p in zip(urls, pages)]
+        parts = batch["part"].to_pylist()
+        # part by part, so a batch that mixes parts loads each one once
+        hocr_list = [None] * len(urls)
+        for i in sorted(range(len(urls)), key=parts.__getitem__):
+            hocr_list[i] = self._words_of(parts[i]).get((urls[i], pages[i]))
         out = super().__call__(
             batch.append_column("hocr", pa.array(hocr_list, pa.string())))
 

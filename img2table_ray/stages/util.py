@@ -20,8 +20,8 @@ def actor_concurrency(reserve: int = 2, cap: int = 24) -> int:
     """Session CPUs less ``reserve``, clamped to [1, ``cap``].
 
     No actor pool uses it any more (the per-row stages run on a task
-    pool, ``run_stage``).  What remains sizes the dedup widths
-    (``pipelines/dedup.py``) and the number of words-service shards."""
+    pool, ``run_stage``); it sizes the dedup widths
+    (``pipelines/dedup.py``)."""
     try:
         total = int(ray.cluster_resources().get("CPU", 4))
     except Exception:

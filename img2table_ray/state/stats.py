@@ -96,9 +96,6 @@ class StatsShards:
             cpus = int(ray.cluster_resources().get("CPU", 8))
             num_shards = max(2, cpus // 8)
         self.shards = [StatsCollector.remote() for _ in range(num_shards)]
-        # the job's other actors (each wave's words shards): close() frees
-        # them with the collectors
-        self.owned: list = []
 
     def _shard(self, part: int):
         return self.shards[int(part) % len(self.shards)]
@@ -116,7 +113,6 @@ class StatsShards:
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         state.pop("_pending_refs", None)
-        state.pop("owned", None)
         return state
 
     def add_rows(self, stat_rows: list) -> None:
@@ -187,13 +183,12 @@ class StatsShards:
             time.sleep(settle_s)
 
     def close(self) -> None:
-        """Kill the collectors and the ``owned`` actors once the job is
-        done with them.  Dropping the driver's handles is not enough:
-        Ray Data's finished executors keep each wave's UDF, and with it
-        these handles, in reference cycles until the cyclic GC runs, and
-        every worker's stage slot keeps the last one until its next
-        pipeline."""
-        for actor in self.shards + self.owned:
+        """Kill the collectors once the job is done with them.  Dropping
+        the driver's handles is not enough: Ray Data's finished executors
+        keep each wave's UDF, and with it these handles, in reference
+        cycles until the cyclic GC runs, and every worker's stage slot
+        keeps the last one until its next pipeline."""
+        for actor in self.shards:
             ray.kill(actor)
 
     def seen_sizes(self) -> dict[int, int]:

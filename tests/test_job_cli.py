@@ -1,6 +1,7 @@
 """The `ray job submit` entrypoint (python -m img2table_ray.job): fresh
-run writes data + manifests and prints a JSON summary; re-submission with
-the same --out resumes (skips every completed partition)."""
+run writes data + manifests and prints a JSON summary, with the words
+sidecar attached; re-submission with the same --out resumes (skips every
+completed partition)."""
 
 from __future__ import annotations
 
@@ -8,6 +9,8 @@ import json
 import os
 import subprocess
 import sys
+
+import pyarrow.parquet as pq
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -31,11 +34,18 @@ def test_job_cli_runs_and_resumes(tmp_path):
         check=True, timeout=120, cwd=REPO,
     )
 
-    s1 = _run_job(["--input", str(pages), "--out", str(out)])
+    s1 = _run_job(["--input", str(pages), "--out", str(out),
+                   "--words-dir", str(pages / "words")])
     assert s1["new_parts"], s1
     assert not s1["resumed_parts"]
     data_dir = out / "data"
     assert any(n.startswith("part=") for n in os.listdir(data_dir))
+    # test.png's hOCR words fill its table cells
+    df = pq.read_table(data_dir).to_pandas()
+    test_png = df[df["url"].str.contains("/test/")]
+    assert len(test_png) and (test_png["status"] == "ok").all()
+    for cells in test_png["cells"]:
+        assert any(c["value"] for row in json.loads(cells) for c in row)
 
     s2 = _run_job(["--input", str(pages), "--out", str(out)])
     assert not s2["new_parts"], s2

@@ -1,6 +1,7 @@
 """Ray Data extraction-pipeline tests: e2e job, byte-identity vs the
 single-machine engine, partition-granular resume, and per-row error capture."""
 
+import json
 import os
 import shutil
 import subprocess
@@ -184,21 +185,137 @@ def test_multipage_explode_and_pdf_rows(ray_session):
     assert bad["status"].tolist() == ["error"]
 
 
-def test_words_paths_all_match_broadcast(ray_session, corpus):
-    """Both word-provider attachments agree: the partitioned lookup
-    service (the 100 TB path — only the words shuffle, pages never move)
-    reproduces the broadcast small-side output byte-for-byte."""
+def test_words_file_must_name_a_pages_shard(tmp_path):
+    """A words file that names no pages shard, or sits below the words
+    directory, fails the plan with its path instead of giving word-less
+    rows."""
     from img2table_ray.pipelines.extraction import extract_pages
 
+    os.makedirs(tmp_path / "pages")
+    os.makedirs(tmp_path / "words" / "sub")
+    (tmp_path / "pages" / "part-00000.parquet").write_bytes(b"")
+    for bad in ("other.parquet", os.path.join("sub", "part-00000.parquet")):
+        path = tmp_path / "words" / bad
+        path.write_bytes(b"")
+        with pytest.raises(ValueError, match=str(path)):
+            extract_pages(str(tmp_path), words_dir=str(tmp_path / "words"))
+        path.unlink()
+
+
+def test_words_are_read_per_part(ray_session, tmp_path):
+    """Each part takes its words from its own pages shard's words file: with
+    the second file deleted, part 0 comes out as with every file and part 1
+    as with no words at all."""
+    from img2table_ray.pipelines.extraction import extract_pages
+    from img2table_ray.sources.pages import generate_pages
+
+    d = generate_pages(str(tmp_path / "corpus"), 8, rows_per_file=4)
     key = ["url", "page", "table_idx"]
-    cols = key + ["extracted_text", "status"]
-    a = (extract_pages(CORPUS, words_dir=f"{CORPUS}/words",
-                       join_words="broadcast")
-         .to_pandas().sort_values(key).reset_index(drop=True))
-    svc = (extract_pages(CORPUS, words_dir=f"{CORPUS}/words",
-                         join_words="service")
-           .to_pandas().sort_values(key).reset_index(drop=True))
-    pd.testing.assert_frame_equal(a[cols], svc[cols])
+
+    def run(words_dir):
+        df = extract_pages(d, words_dir=words_dir).to_pandas()
+        return {part: g.sort_values(key).reset_index(drop=True)
+                for part, g in df.groupby("part")}
+
+    full, bare = run(f"{d}/words"), run(None)
+    os.remove(f"{d}/words/part-00001.parquet")
+    half = run(f"{d}/words")
+    assert sorted(half) == [0, 1]
+    pd.testing.assert_frame_equal(half[0], full[0])
+    pd.testing.assert_frame_equal(half[1], bare[1])
+    # part 1's words do change its rows, so the check above has teeth
+    assert not full[1]["cells"].equals(bare[1]["cells"])
+
+
+def test_extractor_loads_each_part_words_once(tmp_path, monkeypatch):
+    """``PageExtractor`` opens only the words files of the parts in a
+    batch, each once per batch, attaches each row its own part's words,
+    and reads a words table without ``page`` as page 0's words."""
+    from img2table_ray.stages import extractor
+    from img2table_ray.stages.extractor import PageExtractor
+
+    files = {}
+    for part in (0, 1, 2):
+        cols = {"url": [f"https://x/{part}"], "hocr": [f"<hocr {part}>"]}
+        if part < 2:
+            cols["page"] = pa.array([1], pa.int32())
+        files[part] = str(tmp_path / f"part-{part}.parquet")
+        pq.write_table(pa.table(cols), files[part])
+
+    opened, seen = [], []
+    load = extractor.load_words
+    monkeypatch.setattr(extractor, "load_words",
+                        lambda path: opened.append(path) or load(path))
+    monkeypatch.setattr(
+        PageExtractor, "_extract",
+        lambda self, data, hocr, page=0: seen.append(hocr)
+        or [extractor._marker_row("no_tables")])
+    stage = PageExtractor(words_files=files)
+
+    def run(parts, pages):
+        opened.clear()
+        seen.clear()
+        stage(pa.table({
+            "url": [f"https://x/{p}" for p in parts],
+            "part": pa.array(parts, pa.int32()),
+            "page": pa.array(pages, pa.int32()),
+            # distinct payloads: no memo hit skips ``_extract``
+            "html": pa.array([os.urandom(8) for _ in parts], pa.binary())}))
+        return list(opened), list(seen)
+
+    assert run([1, 1], [1, 1]) == ([files[1]], ["<hocr 1>"] * 2)
+    assert run([0, 1, 0, 1], [1, 1, 1, 1]) == (
+        [files[0], files[1]], ["<hocr 0>", "<hocr 1>"] * 2)
+    assert run([2, 2], [0, 1]) == ([files[2]], ["<hocr 2>", None])
+    # a part without a words file (the -1 sentinel of an unmatched shard
+    # name) opens nothing and gets no words
+    assert run([-1], [1]) == ([], [None])
+
+
+def test_jobs_free_their_actors(tmp_path):
+    """Each ``run_extraction_job`` frees its stats collectors when it is
+    done: three jobs in one session leave no more collector processes
+    alive than one job does.  Runs in its own process and a one-CPU Ray
+    session; processes are counted with ``ps`` once their number has
+    settled."""
+    script = textwrap.dedent("""
+        import json, subprocess, sys, time
+        import ray
+        ray.init(address="local", num_cpus=1, include_dashboard=False,
+                 logging_level="ERROR")
+        ray.data.DataContext.get_current().enable_progress_bars = False
+        from img2table_ray.pipelines.extraction import run_extraction_job
+        from img2table_ray.sources.pages import generate_pages
+
+        def alive():
+            args = subprocess.run(["ps", "-eo", "args"], capture_output=True,
+                                  text=True, check=True).stdout.splitlines()
+            return sum(a.startswith("ray::StatsCollector") for a in args)
+
+        def settled():
+            prev, deadline = None, time.monotonic() + 20
+            while True:
+                cur = alive()
+                if cur == prev or time.monotonic() > deadline:
+                    return cur
+                prev = cur
+                time.sleep(1.0)
+
+        corpus = generate_pages(sys.argv[1] + "/corpus", 8, rows_per_file=4)
+        counts = []
+        for job in range(3):
+            run_extraction_job(corpus, f"{sys.argv[1]}/out{job}",
+                               words_dir=corpus + "/words", waves=2)
+            counts.append(settled())
+        print(json.dumps(counts))
+        ray.shutdown()
+    """)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    out = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                         capture_output=True, text=True, timeout=300,
+                         check=True, cwd=root)
+    counts = json.loads(out.stdout.strip().splitlines()[-1])
+    assert counts[2] <= counts[0], counts
 
 
 def test_task_keeps_one_extractor_per_token():

@@ -12,7 +12,6 @@
 from __future__ import annotations
 
 import pyarrow as pa
-import pytest
 
 SF_DIR = "/root/testdata/sf0.001"
 
@@ -183,29 +182,3 @@ def test_sessionize_hot_user_bounded_groups(ray_session, tmp_path,
     assert list(u2["n_events"]) == [2, 1, 1, 1]
     assert list(u2["session_id"]) == [0, 1, 2, 3]
     assert u2.iloc[0]["session_end"] == pd.Timestamp("2025-01-02 00:10")
-
-
-def test_words_mode_auto_selects_by_sidecar_size(tmp_path, monkeypatch):
-    """VERDICT r4 §next-6: broadcast vs partitioned-service words
-    attachment is chosen at plan time from the sidecar's on-disk size;
-    explicit flags still override."""
-    from img2table_ray.pipelines import extraction
-
-    d = tmp_path / "words"
-    d.mkdir()
-    (d / "w.parquet").write_bytes(b"x" * 1000)
-    assert extraction.resolve_words_mode(str(d)) == "broadcast"  # small
-    monkeypatch.setattr(extraction, "WORDS_BROADCAST_MAX_BYTES", 100)
-    assert extraction.resolve_words_mode(str(d)) == "service"  # big -> service
-    assert extraction.resolve_words_mode(
-        str(d), join_words="broadcast") == "broadcast"
-    assert extraction.resolve_words_mode(
-        str(d), join_words="service") == "service"
-    assert extraction.resolve_words_mode(None) == "broadcast"
-    assert extraction.resolve_words_mode(
-        str(tmp_path / "missing")) == "broadcast"
-    # one string set: removed modes, the old boolean aliases and typos
-    # raise instead of falling through to broadcast
-    for bad in ("shuffle", True, False, "servce"):
-        with pytest.raises(ValueError):
-            extraction.resolve_words_mode(str(d), join_words=bad)
