@@ -1258,7 +1258,14 @@ _DCT_M = np.array([[np.cos((2 * x + 1) * u * np.pi / 16) *
 
 
 def _fdct(blocks: np.ndarray) -> np.ndarray:
-    return _DCT_M @ blocks @ _DCT_M.T
+    """``_DCT_M @ blocks @ _DCT_M.T`` as two explicit 8-term sums in index
+    order.  Elementwise numpy products and sums round the same on every
+    CPU; a BLAS matmul picks its kernel (and so its summation order) by the
+    CPU it runs on, which moved encoded bytes between hosts."""
+    rows = sum(_DCT_M[None, :, x, None] * blocks[:, None, x, :]
+               for x in range(8))
+    return sum(rows[:, :, None, y] * _DCT_M[None, None, :, y]
+               for y in range(8))
 
 
 def _scale_q(q: np.ndarray, quality: int) -> np.ndarray:

@@ -35,8 +35,10 @@ def corpus_for(sf_dir: str) -> str:
     out = os.path.join(CORPUS_ROOT, dir_name)
     # v13: VP8 rows re-encoded against the real RFC 6386 tables
     # (vp8_tables.py) — pre-v13 lossy-WebP rows used placeholder default
-    # probabilities and do not parse under the table-correct decoder
-    marker = os.path.join(out, f".complete-v13-{n_rows}")
+    # probabilities and do not parse under the table-correct decoder.
+    # v14: JPEG rows from the BLAS-free forward DCT (same bytes on every
+    # host; a v13 corpus may hold another host's JPEG bytes)
+    marker = os.path.join(out, f".complete-v14-{n_rows}")
     if not os.path.exists(marker):
         generate_pages(out, n_rows, include_fixtures=not synth_only)
         with open(marker, "w") as f:
