@@ -23,7 +23,7 @@ from img2table_ray.imgops.kernels import (
 def get_contours_cell(img: np.ndarray, cell: Cell, margin: int = 5, blur_size: int = 9,
                       kernel_size: int = 15, merge_vertically: Optional[bool] = True) -> list[Cell]:
     """(ref processing/common.py:133-179): crop -> blur -> adaptive
-    threshold -> dilate x4 -> component bboxes -> merged contours."""
+    threshold -> dilate (x4, as one) -> component bboxes -> merged contours."""
     height, width = img.shape[:2]
     # the conversion is pointwise: crop first, convert only the cell
     cropped = img[max(cell.y1 - margin, 0): min(cell.y2 + margin, height),
@@ -35,11 +35,11 @@ def get_contours_cell(img: np.ndarray, cell: Cell, margin: int = 5, blur_size: i
     blur = gaussian_blur(cropped, blur_size)
     thresh = adaptive_threshold_gaussian_inv(blur, 11, 30)
 
-    d = thresh
-    for _ in range(4):
-        d = dilate(d, kernel_size, kernel_size)
-
-    stats = connected_components_stats(d)
+    # the reference dilates four times by kernel_size; for an odd size that
+    # is one dilation by 4 * (kernel_size - 1) + 1, also at the borders
+    # (the window offsets add up, and out-of-image pixels are ignored)
+    size = 4 * (kernel_size - 1) + 1
+    stats = connected_components_stats(dilate(thresh, size, size))
     contours = []
     for idx in range(1, len(stats)):
         x, y, w, h, _ = (int(v) for v in stats[idx])

@@ -766,6 +766,50 @@ def test_morphology_matches_binary255_forms():
         assert np.array_equal(img, before)
 
 
+def test_title_dilation_equals_four_dilations():
+    """``titles.get_contours_cell`` dilates once by 4 * (k - 1) + 1 where
+    the reference dilates four times by k; equal for the odd sizes it is
+    called with (9 by ``get_title_tables``, 15 by default), including
+    ink on the borders and crops smaller than the window."""
+    import inspect
+
+    from img2table_ray.extract import titles
+
+    default = inspect.signature(titles.get_contours_cell).parameters["kernel_size"].default
+    rng = np.random.default_rng(43)
+    for k in (9, default):
+        size = 4 * (k - 1) + 1
+        for h, w, p in [(1, 1, 1.0), (1, 50, 0.05), (50, 1, 0.05), (7, 9, 0.2),
+                        (40, 90, 0.01), (90, 40, 0.03), (120, 160, 0.002)]:
+            img = (rng.random((h, w)) < p).astype(np.uint8) * 255
+            img[0, rng.integers(w)] = img[-1, rng.integers(w)] = 255
+            img[rng.integers(h), 0] = img[rng.integers(h), -1] = 255
+            four = img
+            for _ in range(4):
+                four = kernels.dilate(four, k, k)
+            _assert_same(kernels.dilate(img, size, size), four)
+
+    # the whole function against its four-dilation form, on title crops
+    # of a fixture page, ink touching the crop borders
+    from img2table_ray.core.common import merge_contours
+    from img2table_ray.core.objects import Cell
+    from img2table_ray.imgops.ccl import connected_components_stats
+
+    page = _fixture_rgb("test.png")
+    for k, (x1, y1, x2, y2) in itertools.product(
+            (9, default), [(0, 0, 400, 60), (30, 10, 200, 45), (100, 0, 700, 200)]):
+        crop = kernels.rgb2gray(page[y1:y2, x1:x2])
+        d = kernels.adaptive_threshold_gaussian_inv(kernels.gaussian_blur(crop, 5), 11, 30)
+        for _ in range(4):
+            d = kernels.dilate(d, k, k)
+        stats = connected_components_stats(d)
+        expected = merge_contours([Cell(x1=int(x) + x1, y1=int(y) + y1, x2=int(x + w) + x1,
+                                        y2=int(y + h) + y1) for x, y, w, h, _ in stats[1:]])
+        got = titles.get_contours_cell(img=page, cell=Cell(x1=x1, y1=y1, x2=x2, y2=y2),
+                                       margin=0, blur_size=5, kernel_size=k)
+        assert got == expected
+
+
 SAUVOLA_WINDOWS = [1, 3, 5, 11, 23, 61, 181, 183]
 
 
