@@ -6,7 +6,6 @@ beats any dataflow join.
 
 from __future__ import annotations
 
-import copy
 from collections import defaultdict
 from typing import Any, Callable, Optional, Union
 
@@ -29,6 +28,30 @@ def is_contained_cell(inner_cell: Union[Cell, tuple], outer_cell: Union[Cell, tu
     y_bottom = min(inner_cell.y2, outer_cell.y2)
     intersection = max(0, x_right - x_left) * max(0, y_bottom - y_top)
     return intersection / inner_cell.area >= percentage
+
+
+def boxes_of(cells: list) -> np.ndarray:
+    """(n, 4) array of the cells' x1, y1, x2, y2."""
+    return np.array([(c.x1, c.y1, c.x2, c.y2) for c in cells]).reshape(-1, 4)
+
+
+def cells_within(cells: list, box: Cell, boxes: Optional[np.ndarray] = None) -> list:
+    """The cells that lie inside ``box``, edges included, in their order.
+    ``boxes`` is ``boxes_of(cells)``, passed when one list is filtered
+    many times."""
+    if boxes is None:
+        boxes = boxes_of(cells)
+    keep = ((boxes[:, 0] >= box.x1) & (boxes[:, 2] <= box.x2)
+            & (boxes[:, 1] >= box.y1) & (boxes[:, 3] <= box.y2))
+    return [cells[i] for i in np.flatnonzero(keep).tolist()]
+
+
+def row_blocks(n_rows: int, per_row: int, pairs: int = 1 << 20):
+    """(start, stop) blocks of rows holding at most ``pairs`` row x column
+    pairs each (at least one row): a broadcast over a large grid is cut
+    into such blocks so that its temporaries stay small."""
+    step = max(1, pairs // max(1, per_row))
+    return ((r, min(r + step, n_rows)) for r in range(0, n_rows, step))
 
 
 def cluster_items(items: list[Any], clustering_func: Callable) -> list[list[Any]]:
@@ -102,10 +125,7 @@ def merge_overlapping_contours(contours: list[Cell]) -> list[Cell]:
     n = len(contours)
     if n == 0:
         return []
-    x1 = np.array([c.x1 for c in contours])
-    y1 = np.array([c.y1 for c in contours])
-    x2 = np.array([c.x2 for c in contours])
-    y2 = np.array([c.y2 for c in contours])
+    x1, y1, x2, y2 = boxes_of(contours).T
     area = (x2 - x1) * (y2 - y1)
 
     xl = np.maximum(x1[:, None], x1[None, :])
@@ -151,12 +171,17 @@ def merge_contours(contours: list[Cell], vertically: Optional[bool] = True) -> l
         key=lambda cnt: (getattr(cnt, idx_1), getattr(cnt, idx_2), getattr(cnt, sort_idx_1)),
     )
     seq = iter(sorted_cnts)
-    merged = [copy.deepcopy(next(seq))]
+    merged = [_copy_cell(next(seq))]
     for cnt in seq:
         if getattr(cnt, idx_1) <= getattr(merged[-1], idx_2):
             setattr(merged[-1], idx_2, max(getattr(merged[-1], idx_2), getattr(cnt, idx_2)))
             setattr(merged[-1], sort_idx_1, min(getattr(merged[-1], sort_idx_1), getattr(cnt, sort_idx_1)))
             setattr(merged[-1], sort_idx_2, max(getattr(merged[-1], sort_idx_2), getattr(cnt, sort_idx_2)))
         else:
-            merged.append(copy.deepcopy(cnt))
+            merged.append(_copy_cell(cnt))
     return merged
+
+
+def _copy_cell(cell: Cell) -> Cell:
+    """A copy of a flat cell (ints and a string), field by field."""
+    return Cell(x1=cell.x1, y1=cell.y1, x2=cell.x2, y2=cell.y2, content=cell.content)

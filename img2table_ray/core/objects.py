@@ -11,7 +11,6 @@ collapse (table.py:158-188).
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -102,11 +101,21 @@ class Line(TableObject):
         return hash((self.x1, self.y1, self.x2, self.y2, self.thickness))
 
 
+def _span(boxes: list) -> tuple:
+    """(min x1, min y1, max x2, max y2) over objects with a box."""
+    return (min(b.x1 for b in boxes), min(b.y1 for b in boxes),
+            max(b.x2 for b in boxes), max(b.y2 for b in boxes))
+
+
 class Row(TableObject):
+    """The bounding box is cached; ``add_cells`` and the ``Table`` methods
+    that move cell edges (``remove_rows``, ``remove_columns``) drop it."""
+
     def __init__(self, cells) -> None:
         if cells is None:
             raise ValueError("cells parameter is null")
         self._items = [cells] if isinstance(cells, Cell) else cells
+        self._box: Optional[tuple] = None
 
     @property
     def items(self) -> list[Cell]:
@@ -117,20 +126,26 @@ class Row(TableObject):
         return len(self._items)
 
     @property
+    def box(self) -> tuple:
+        if self._box is None:
+            self._box = _span(self._items)
+        return self._box
+
+    @property
     def x1(self) -> int:
-        return min(c.x1 for c in self._items)
+        return self.box[0]
 
     @property
     def x2(self) -> int:
-        return max(c.x2 for c in self._items)
+        return self.box[2]
 
     @property
     def y1(self) -> int:
-        return min(c.y1 for c in self._items)
+        return self.box[1]
 
     @property
     def y2(self) -> int:
-        return max(c.y2 for c in self._items)
+        return self.box[3]
 
     @property
     def v_consistent(self) -> bool:
@@ -138,19 +153,14 @@ class Row(TableObject):
 
     def add_cells(self, cells) -> "Row":
         self._items += [cells] if isinstance(cells, Cell) else cells
+        self._box = None
         return self
 
     def split_in_rows(self, vertical_delimiters: list[int]) -> list["Row"]:
         delims = [self.y1, *vertical_delimiters, self.y2]
-        new_rows = []
-        for top, bottom in zip(delims, delims[1:]):
-            cells = []
-            for cell in self._items:
-                c = copy.deepcopy(cell)
-                c.y1, c.y2 = top, bottom
-                cells.append(c)
-            new_rows.append(Row(cells=cells))
-        return new_rows
+        return [Row(cells=[Cell(x1=c.x1, y1=top, x2=c.x2, y2=bottom, content=c.content)
+                           for c in self._items])
+                for top, bottom in zip(delims, delims[1:])]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Row) and self._items == other._items
@@ -160,6 +170,11 @@ class Row(TableObject):
 
 
 class Table(TableObject):
+    """The bounding box is cached like ``Row``'s; every method that moves
+    a cell edge or changes the rows drops the table's and its rows' boxes.
+    Merged cells are one instance in several grid slots, so an edge moved
+    through one row can move another row's box."""
+
     def __init__(self, rows=None, borderless: bool = False) -> None:
         if rows is None:
             self._items = []
@@ -169,6 +184,13 @@ class Table(TableObject):
             self._items = rows
         self._title: Optional[str] = None
         self._borderless = borderless
+        self._box: Optional[tuple] = None
+
+    def _moved(self) -> None:
+        """Drop the cached boxes after cell edges or rows changed."""
+        self._box = None
+        for row in self._items:
+            row._box = None
 
     @property
     def items(self) -> list[Row]:
@@ -194,20 +216,26 @@ class Table(TableObject):
         return self._items[0].nb_columns if self._items else 0
 
     @property
+    def box(self) -> tuple:
+        if self._box is None:
+            self._box = _span(self._items)
+        return self._box
+
+    @property
     def x1(self) -> int:
-        return min(r.x1 for r in self._items)
+        return self.box[0]
 
     @property
     def x2(self) -> int:
-        return max(r.x2 for r in self._items)
+        return self.box[2]
 
     @property
     def y1(self) -> int:
-        return min(r.y1 for r in self._items)
+        return self.box[1]
 
     @property
     def y2(self) -> int:
-        return max(r.y2 for r in self._items)
+        return self.box[3]
 
     @property
     def cell(self) -> Cell:
@@ -256,6 +284,7 @@ class Table(TableObject):
                     c.y1 = min(c.y1, y_gap)
         for idx in reversed(row_ids):
             self._items.pop(idx)
+        self._moved()
 
     def remove_columns(self, col_ids: list[int]) -> None:
         import numpy as np
@@ -273,6 +302,7 @@ class Table(TableObject):
         for idx in reversed(col_ids):
             for row in self._items:
                 row.items.pop(idx)
+        self._moved()
 
     def get_content(self, ocr_words, min_confidence: int = 50) -> "Table":
         """Fill cell text from OCR words, drop empty rows/cols, collapse
@@ -292,6 +322,7 @@ class Table(TableObject):
         unique_cells = {cell for row in self._items for cell in row.items}
         if len(unique_cells) == 1:
             self._items = [Row(cells=self._items[0].items[0])]
+            self._box = None
         return self
 
     def __eq__(self, other) -> bool:

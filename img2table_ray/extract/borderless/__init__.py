@@ -10,7 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-from img2table_ray.core.common import is_contained_cell
+from img2table_ray.core.common import boxes_of, is_contained_cell
 from img2table_ray.core.objects import Cell, Line, Table
 from img2table_ray.extract.borderless.column_segments import segment_image_columns
 from img2table_ray.extract.borderless.columns import identify_columns
@@ -25,14 +25,11 @@ from img2table_ray.imgops.ccl import connected_components_stats
 def get_image_elements(thresh: np.ndarray, char_length: float) -> list[Cell]:
     """(ref layout/image_elements.py:8-28) — findContours RETR_EXTERNAL
     bounding rects == 8-connectivity component bboxes."""
-    stats = connected_components_stats(thresh)
-    elements = []
-    for idx in range(1, len(stats)):
-        x, y, w, h, _ = (int(v) for v in stats[idx])
-        if ((min(h, w) >= 0.5 * char_length and max(h, w) >= char_length)
-                or (w / h >= 2 and 0.5 * char_length <= w <= 1.5 * char_length)):
-            elements.append(Cell(x1=x, y1=y, x2=x + w, y2=y + h))
-    return elements
+    x, y, w, h = connected_components_stats(thresh)[1:, :4].T.astype(np.int64)
+    keep = (((np.minimum(h, w) >= 0.5 * char_length) & (np.maximum(h, w) >= char_length))
+            | ((w / h >= 2) & (0.5 * char_length <= w) & (w <= 1.5 * char_length)))
+    return [Cell(x1=x1, y1=y1, x2=x2, y2=y2) for x1, y1, x2, y2 in
+            np.stack([x, y, x + w, y + h], axis=1)[keep].tolist()]
 
 
 def segment_image(thresh: np.ndarray, lines: list[Line], char_length: float,
@@ -61,33 +58,25 @@ def segment_image(thresh: np.ndarray, lines: list[Line], char_length: float,
 def coherent_table(tb: Table, elements: list[Cell]) -> Optional[Table]:
     """Trim table to rows with >= 3 distinct cells and > 1 contained
     elements (ref borderless_tables/__init__.py:16-58, polars -> numpy)."""
-    rows = []
+    # the distinct cell boxes of each row holding >= 3 of them
+    row_ids, boxes = [], []
     for row_id, row in enumerate(tb.items):
-        seen = set()
-        for c in row.items:
-            seen.add((c.x1, c.y1, c.x2, c.y2))
-        rows.append((row_id, seen))
-    relevant = {row_id: cells for row_id, cells in rows if len(cells) >= 3}
-    if not relevant:
+        distinct = {(c.x1, c.y1, c.x2, c.y2) for c in row.items}
+        if len(distinct) >= 3:
+            row_ids += [row_id] * len(distinct)
+            boxes += distinct
+    if not boxes:
         return None
 
-    ex1 = np.array([c.x1 for c in elements])
-    ey1 = np.array([c.y1 for c in elements])
-    ex2 = np.array([c.x2 for c in elements])
-    ey2 = np.array([c.y2 for c in elements])
-    earea = (ex2 - ex1) * (ey2 - ey1)
-
-    matching_rows = []
-    for row_id, cells in relevant.items():
-        count = 0
-        for (x1, y1, x2, y2) in cells:
-            xo = np.minimum(x2, ex2) - np.maximum(x1, ex1)
-            yo = np.minimum(y2, ey2) - np.maximum(y1, ey1)
-            pos = (xo > 0) & (yo > 0)
-            if pos.any():
-                count += int(((xo * yo)[pos] / earea[pos] >= 0.5).sum())
-        if count > 1:
-            matching_rows.append(row_id)
+    ex1, ey1, ex2, ey2 = boxes_of(elements).T
+    cx1, cy1, cx2, cy2 = (b[:, None] for b in np.array(boxes).T)
+    xo = np.minimum(cx2, ex2) - np.maximum(cx1, ex1)
+    yo = np.minimum(cy2, ey2) - np.maximum(cy1, ey1)
+    # (cell x element) pairs where the element lies >= 50% inside the cell
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inside = (xo > 0) & (yo > 0) & ((xo * yo) / ((ex2 - ex1) * (ey2 - ey1)) >= 0.5)
+    counts = np.bincount(row_ids, weights=inside.sum(axis=1))
+    matching_rows = np.flatnonzero(counts > 1).tolist()
 
     if matching_rows:
         new_rows = tb.items[min(matching_rows) : max(matching_rows) + 1]

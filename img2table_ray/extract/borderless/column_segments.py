@@ -13,7 +13,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Union
 
-from img2table_ray.core.common import cluster_items
+from img2table_ray.core.common import boxes_of, cells_within, cluster_items
 from img2table_ray.core.objects import Cell, Line
 from img2table_ray.extract.borderless.model import ImageSegment
 from img2table_ray.extract.borderless.whitespaces import get_whitespaces
@@ -251,10 +251,9 @@ def segment_image_columns(image_segment: ImageSegment, char_length: float,
                                              column_groups=column_groups)
 
     final_segments = []
+    boxes = boxes_of(image_segment.elements)
     for segment in col_segments:
-        segment_elements = [el for el in image_segment.elements
-                            if el.x1 >= segment.x1 and el.x2 <= segment.x2
-                            and el.y1 >= segment.y1 and el.y2 <= segment.y2]
+        segment_elements = cells_within(image_segment.elements, segment, boxes)
         if segment_elements:
             segment.set_elements(elements=segment_elements)
             final_segments.append(segment)

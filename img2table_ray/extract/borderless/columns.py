@@ -4,9 +4,9 @@ processing/borderless_tables/columns.py).
 
 from __future__ import annotations
 
-import copy
 from typing import Optional
 
+from img2table_ray.core.common import cells_within
 from img2table_ray.core.objects import Cell
 from img2table_ray.extract.borderless.model import (
     Column,
@@ -36,7 +36,12 @@ def get_columns_delimiters(table_segment: TableSegment, char_length: float) -> l
             if matching_ws:
                 for v_ws in matching_ws:
                     v_ws.used = True
-                    new_col = copy.deepcopy(col)
+                    # the reference deep-copies the column; nothing below
+                    # mutates a whitespace of an earlier area, so a new
+                    # list over the same whitespaces is the same column
+                    new_col = Column(whitespaces=list(col.whitespaces), top=col.top,
+                                     bottom=col.bottom, top_position=col.top_position,
+                                     bottom_position=col.bottom_position)
                     new_col.add(v_ws)
                     new_columns.append(new_col)
             else:
@@ -76,15 +81,11 @@ def identify_columns(table_segment: TableSegment, char_length: float) -> Optiona
     """(ref columns.py:78-100)"""
     columns = get_columns_delimiters(table_segment=table_segment, char_length=char_length)
     if columns:
-        x1_del = min(d.x1 for d in columns)
-        x2_del = max(d.x2 for d in columns)
-        y1_del = min(d.y1 for d in columns)
-        y2_del = max(d.y2 for d in columns)
+        bbox = Cell(x1=min(d.x1 for d in columns), y1=min(d.y1 for d in columns),
+                    x2=max(d.x2 for d in columns), y2=max(d.y2 for d in columns))
         column_group = ColumnGroup(
             columns=columns,
-            elements=[el for el in table_segment.elements
-                      if el.x1 >= x1_del and el.x2 <= x2_del
-                      and el.y1 >= y1_del and el.y2 <= y2_del],
+            elements=cells_within(table_segment.elements, bbox),
             char_length=char_length)
         return (column_group
                 if len(column_group.columns) >= 4 and len(column_group.elements) > 0

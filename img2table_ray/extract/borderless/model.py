@@ -10,35 +10,54 @@ from typing import Optional
 from img2table_ray.core.objects import Cell
 
 
+class once:
+    """A property computed on first use and then stored on the instance,
+    where later reads find it without calling back (``cached_property``
+    without its lock, which Python 3.11 takes on every first use)."""
+
+    def __init__(self, fn) -> None:
+        self.fn = fn
+        self.name = fn.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 @dataclass
 class Whitespace:
+    """Geometry is computed on first use: nothing changes ``cells`` after
+    a whitespace is built."""
+
     cells: list[Cell]
 
-    @property
+    @once
     def x1(self) -> int:
         return min(c.x1 for c in self.cells)
 
-    @property
+    @once
     def y1(self) -> int:
         return min(c.y1 for c in self.cells)
 
-    @property
+    @once
     def x2(self) -> int:
         return max(c.x2 for c in self.cells)
 
-    @property
+    @once
     def y2(self) -> int:
         return max(c.y2 for c in self.cells)
 
-    @property
+    @once
     def width(self) -> int:
         return sum(c.width for c in self.cells)
 
-    @property
+    @once
     def height(self) -> int:
         return sum(c.height for c in self.cells)
 
-    @property
+    @once
     def area(self) -> int:
         return sum(c.area for c in self.cells)
 
@@ -93,29 +112,32 @@ class ImageSegment:
 
 @dataclass
 class TableSegment:
+    """Computed on first use: the areas are complete when a segment is
+    built."""
+
     table_areas: list[ImageSegment]
 
-    @property
+    @once
     def x1(self) -> int:
         return min(a.x1 for a in self.table_areas)
 
-    @property
+    @once
     def y1(self) -> int:
         return min(a.y1 for a in self.table_areas)
 
-    @property
+    @once
     def x2(self) -> int:
         return max(a.x2 for a in self.table_areas)
 
-    @property
+    @once
     def y2(self) -> int:
         return max(a.y2 for a in self.table_areas)
 
-    @property
+    @once
     def elements(self) -> list[Cell]:
         return [el for a in self.table_areas for el in a.elements]
 
-    @property
+    @once
     def whitespaces(self) -> list[Whitespace]:
         return [ws for a in self.table_areas for ws in a.whitespaces]
 
@@ -159,33 +181,37 @@ class VerticalWS:
 
 @dataclass
 class Column:
+    """``x1``/``x2`` are the innermost whitespace edges, ``y1``/``y2`` the
+    outermost; they are kept up to date by ``add``, the one way a column
+    grows."""
+
     whitespaces: list[VerticalWS]
     top: bool = True
     bottom: bool = True
     top_position: int = 0
     bottom_position: int = 0
 
-    @property
-    def x1(self) -> int:
-        return max(v.ws.x1 for v in self.whitespaces)
-
-    @property
-    def y1(self) -> int:
-        return min(v.ws.y1 for v in self.whitespaces)
-
-    @property
-    def x2(self) -> int:
-        return min(v.ws.x2 for v in self.whitespaces)
-
-    @property
-    def y2(self) -> int:
-        return max(v.ws.y2 for v in self.whitespaces)
+    def __post_init__(self) -> None:
+        self.x1 = max(v.ws.x1 for v in self.whitespaces)
+        self.y1 = min(v.ws.y1 for v in self.whitespaces)
+        self.x2 = min(v.ws.x2 for v in self.whitespaces)
+        self.y2 = max(v.ws.y2 for v in self.whitespaces)
 
     @property
     def height(self) -> int:
-        y_values = {y for v in self.whitespaces for c in v.ws.cells
-                    for y in range(c.y1, c.y2 + 1)}
-        return len(y_values) - 1
+        """The number of distinct integer y in the cells' closed [y1, y2]
+        spans, less one: the length of the union of the spans."""
+        spans = sorted((c.y1, c.y2) for v in self.whitespaces for c in v.ws.cells
+                       if c.y2 >= c.y1)
+        count, end = 0, None
+        for y1, y2 in spans:
+            if end is None or y1 > end:
+                count += y2 - y1 + 1
+                end = y2
+            elif y2 > end:
+                count += y2 - end
+                end = y2
+        return count - 1
 
     @property
     def continuous(self) -> bool:
@@ -207,6 +233,8 @@ class Column:
 
     def add(self, v_ws: VerticalWS) -> None:
         self.whitespaces.append(v_ws)
+        self.x1, self.x2 = max(self.x1, v_ws.x1), min(self.x2, v_ws.x2)
+        self.y1, self.y2 = min(self.y1, v_ws.y1), max(self.y2, v_ws.y2)
         self.top_position = min(self.top_position, v_ws.position)
         self.bottom_position = max(self.bottom_position, v_ws.position)
         if v_ws.position == self.top_position:
@@ -239,19 +267,20 @@ class ColumnGroup:
                     for c in v.ws.cells]))
                 for v in self.columns[-1].whitespaces])
 
-    @property
+    # computed on first use: the columns are final after __post_init__
+    @once
     def x1(self) -> int:
         return min((d.x1 for d in self.columns), default=0)
 
-    @property
+    @once
     def y1(self) -> int:
         return min((d.y1 for d in self.columns), default=0)
 
-    @property
+    @once
     def x2(self) -> int:
         return max((d.x2 for d in self.columns), default=0)
 
-    @property
+    @once
     def y2(self) -> int:
         return max((d.y2 for d in self.columns), default=0)
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from img2table_ray.core.common import is_contained_cell
+from img2table_ray.core.common import boxes_of, cells_within, is_contained_cell
 from img2table_ray.core.objects import Cell
 from img2table_ray.extract.borderless.model import ImageSegment, TableSegment, Whitespace
 from img2table_ray.extract.borderless.whitespaces import (
@@ -42,14 +42,13 @@ def get_table_areas(segment: ImageSegment, char_length: float,
                                            y2=max(el.y2 for el in segment.elements))]))
 
     table_areas = []
+    boxes = boxes_of(segment.elements)
     for idx, (up, down) in enumerate(zip(h_ws, h_ws[1:])):
         delimited = Cell(x1=max(min(up.x1, down.x1) - int(char_length), 0),
                          y1=up.y2,
                          x2=min(max(up.x2, down.x2) + int(char_length), segment.x2),
                          y2=down.y1)
-        area_elements = [el for el in segment.elements
-                         if el.x1 >= delimited.x1 and el.x2 <= delimited.x2
-                         and el.y1 >= delimited.y1 and el.y2 <= delimited.y2]
+        area_elements = cells_within(segment.elements, delimited, boxes)
         seg_area = ImageSegment(x1=delimited.x1, x2=delimited.x2, y1=delimited.y1,
                                 y2=delimited.y2, elements=area_elements, position=idx + 1)
         if area_elements:

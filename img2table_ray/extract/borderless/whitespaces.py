@@ -9,6 +9,7 @@ from typing import Union
 
 import numpy as np
 
+from img2table_ray.core.common import row_blocks
 from img2table_ray.core.objects import Cell
 from img2table_ray.extract.borderless.model import ColumnGroup, ImageSegment, Whitespace
 
@@ -21,32 +22,36 @@ def compute_whitespaces(elements_array: np.ndarray, min_width: float, min_height
     ys1 = elements_array[:, 1]
     xs2 = elements_array[:, 2]
     ys2 = elements_array[:, 3]
-    x_sorted = sorted(set(xs1.tolist()) | set(xs2.tolist()))
+    x_sorted = np.unique(np.concatenate([xs1, xs2]))
+    # the x intervals between consecutive element edges, at least min_width wide
+    wide = np.flatnonzero(x_sorted[1:] - x_sorted[:-1] >= min_width)
+    lows, highs = x_sorted[wide], x_sorted[wide + 1]
+
+    # vectorized replacement for the reference's per-element scan, over
+    # every interval at once: overlapping elements in ym-sorted order chain
+    # prev_y = y2 of the PREVIOUS overlapping element, so emitted gaps are
+    # exactly consecutive (y2[k], y1[k+1]) pairs with gap >= min_height.
+    # (The loop's first element can never emit: y1 - 10**6 < 0.)
+    # The reference's loop form tests min(x_max, x2) - max(x_min, x1)
+    # > 0, which this mask matches only for positive-width elements;
+    # fold that invariant in explicitly so a future element source
+    # with degenerate (zero-/negative-width) boxes cannot silently
+    # diverge from the loop form (ADVICE r4).
+    gap_at, gap_y1, gap_y2 = [np.zeros(0, np.int64)], [np.zeros(0)], [np.zeros(0)]
+    for a, b in row_blocks(len(wide), len(xs1)):  # (interval x element)
+        m = (xs1 < highs[a:b, None]) & (xs2 > lows[a:b, None]) & (xs2 > xs1)
+        at, el = np.nonzero(m)  # by interval, then in element order
+        g = np.flatnonzero((at[1:] == at[:-1]) & (ys1[el[1:]] - ys2[el[:-1]] >= min_height))
+        gap_at.append(at[g] + a)
+        gap_y1.append(ys2[el[g]])
+        gap_y2.append(ys1[el[g + 1]])
+    bounds = np.searchsorted(np.concatenate(gap_at), np.arange(len(wide) + 1)).tolist()
+    gap_y1, gap_y2 = np.concatenate(gap_y1).tolist(), np.concatenate(gap_y2).tolist()
 
     final_whitespaces: list[list[list[int]]] = []
-    for idx in range(len(x_sorted) - 1):
-        x_min, x_max = x_sorted[idx], x_sorted[idx + 1]
-        if x_max - x_min < min_width:
-            continue
-
-        # vectorized replacement for the reference's per-element scan:
-        # overlapping elements in ym-sorted order chain prev_y = y2 of
-        # the PREVIOUS overlapping element, so emitted gaps are exactly
-        # consecutive (y2[k], y1[k+1]) pairs with gap >= min_height.
-        # (The loop's first element can never emit: y1 - 10**6 < 0.)
-        # The reference's loop form tests min(x_max, x2) - max(x_min, x1)
-        # > 0, which this mask matches only for positive-width elements;
-        # fold that invariant in explicitly so a future element source
-        # with degenerate (zero-/negative-width) boxes cannot silently
-        # diverge from the loop form (ADVICE r4).
-        m = (xs1 < x_max) & (xs2 > x_min) & (xs2 > xs1)
-        ey1 = ys1[m]
-        ey2 = ys2[m]
-        if len(ey1) > 1:
-            gi = np.nonzero(ey1[1:] - ey2[:-1] >= min_height)[0]
-            list_ws = [[x_min, ey2[i], x_max, ey1[i + 1]] for i in gi]
-        else:
-            list_ws = []
+    for t, (x_min, x_max) in enumerate(zip(lows.tolist(), highs.tolist())):
+        list_ws = [[x_min, gap_y1[i], x_max, gap_y2[i]]
+                   for i in range(bounds[t], bounds[t + 1])]
 
         if continuous:
             y_min, y_max = -1000, -1000
@@ -106,8 +111,9 @@ def get_whitespaces(segment: Union[ImageSegment, ColumnGroup], vertical: bool = 
         + [[segment.x1, y, segment.x2, y] for y in (y_min, y_max)],
         dtype=np.float64,
     )
-    elements_array = np.c_[elements_array, (elements_array[:, 1] + elements_array[:, 3]) / 2]
-    elements_array = elements_array[elements_array[:, 4].argsort(kind="stable")]
+    # in order of the y midpoint
+    elements_array = elements_array[
+        ((elements_array[:, 1] + elements_array[:, 3]) / 2).argsort(kind="stable")]
 
     ws_groups = compute_whitespaces(elements_array=elements_array, min_width=min_width,
                                     min_height=min_height,

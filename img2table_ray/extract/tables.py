@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from img2table_ray.core.common import find_components, is_contained_cell
+from img2table_ray.core.common import boxes_of, find_components, row_blocks
 from img2table_ray.core.objects import Cell, Line, Row, Table
 
 
@@ -16,10 +16,7 @@ def get_adjacent_cells(cells: list[Cell]) -> list[set[int]]:
     on the other (ref cell_clustering.py:8-57)."""
     if len(cells) == 0:
         return []
-    x1 = np.array([c.x1 for c in cells])
-    y1 = np.array([c.y1 for c in cells])
-    x2 = np.array([c.x2 for c in cells])
-    y2 = np.array([c.y2 for c in cells])
+    x1, y1, x2, y2 = boxes_of(cells).T
     width = x2 - x1
     height = y2 - y1
 
@@ -155,16 +152,10 @@ def _identify_potential_new_cells(cluster, h_cl, v_cl, left_val, right_val, top_
 def _update_cluster_cells(cluster: list[Cell], new_cells: list[Cell]) -> list[Cell]:
     if len(new_cells) == 0:
         return cluster
-    cx1 = np.array([c.x1 for c in cluster])
-    cy1 = np.array([c.y1 for c in cluster])
-    cx2 = np.array([c.x2 for c in cluster])
-    cy2 = np.array([c.y2 for c in cluster])
+    cx1, cy1, cx2, cy2 = boxes_of(cluster).T
     carea = (cx2 - cx1) * (cy2 - cy1)
 
-    nx1 = np.array([c.x1 for c in new_cells])
-    ny1 = np.array([c.y1 for c in new_cells])
-    nx2 = np.array([c.x2 for c in new_cells])
-    ny2 = np.array([c.y2 for c in new_cells])
+    nx1, ny1, nx2, ny2 = boxes_of(new_cells).T
     narea = (nx2 - nx1) * (ny2 - ny1)
 
     x_ov = np.maximum(0, np.minimum(nx2[:, None], cx2[None, :]) - np.maximum(nx1[:, None], cx1[None, :]))
@@ -215,22 +206,22 @@ def remove_unwanted_elements(table: Table, elements: list[Cell]) -> Table:
     if len(elements) == 0 or table.nb_rows * table.nb_columns == 0:
         return Table(rows=[])
 
-    ex1 = np.array([el.x1 for el in elements])
-    ey1 = np.array([el.y1 for el in elements])
-    ex2 = np.array([el.x2 for el in elements])
-    ey2 = np.array([el.y2 for el in elements])
+    ex1, ey1, ex2, ey2 = boxes_of(elements).T
     earea = (ex2 - ex1) * (ey2 - ey1)
 
     nb_rows, nb_cols = table.nb_rows, table.nb_columns
-    contains = np.zeros((nb_rows, nb_cols), dtype=bool)
-    coords: dict[tuple, list] = {}
-    for ir, row in enumerate(table.items):
-        for ic, c in enumerate(row.items):
-            xo = np.maximum(0, np.minimum(c.x2, ex2) - np.maximum(c.x1, ex1))
-            yo = np.maximum(0, np.minimum(c.y2, ey2) - np.maximum(c.y1, ey1))
-            contains[ir, ic] = bool(((xo * yo) / earea >= 0.6).any())
-            coords.setdefault((c.x1, c.y1, c.x2, c.y2), []).append((ir, ic))
+    cells = [c for row in table.items for c in row.items]
+    cx1, cy1, cx2, cy2 = (b[:, None] for b in boxes_of(cells).T)
+    contains = np.zeros(len(cells), dtype=bool)
+    for a, b in row_blocks(len(cells), len(elements)):
+        xo = np.maximum(0, np.minimum(cx2[a:b], ex2) - np.maximum(cx1[a:b], ex1))
+        yo = np.maximum(0, np.minimum(cy2[a:b], ey2) - np.maximum(cy1[a:b], ey1))
+        contains[a:b] = ((xo * yo) / earea >= 0.6).any(axis=1)
+    contains = contains.reshape(nb_rows, nb_cols)
 
+    coords: dict[tuple, list] = {}
+    for k, c in enumerate(cells):
+        coords.setdefault((c.x1, c.y1, c.x2, c.y2), []).append(divmod(k, nb_cols))
     merged_col = np.zeros((nb_rows, nb_cols), dtype=bool)  # same bbox spans rows
     merged_row = np.zeros((nb_rows, nb_cols), dtype=bool)  # same bbox spans cols
     for positions in coords.values():
@@ -242,54 +233,59 @@ def remove_unwanted_elements(table: Table, elements: list[Cell]) -> Table:
             if len(cols_) > 1:
                 merged_row[ir, ic] = True
 
-    empty_rows = []
-    for ir in range(nb_rows):
-        any_contains = contains[ir].any()
-        all_merged = merged_col[ir].all()
-        single_contains = (contains[ir] & ~merged_col[ir]).any()
-        if not any_contains or (not all_merged and not single_contains):
-            empty_rows.append(ir)
-    empty_cols = []
-    for ic in range(nb_cols):
-        any_contains = contains[:, ic].any()
-        all_merged = merged_row[:, ic].all()
-        single_contains = (contains[:, ic] & ~merged_row[:, ic]).any()
-        if not any_contains or (not all_merged and not single_contains):
-            empty_cols.append(ic)
+    def empty(merged, axis):
+        return np.flatnonzero(~contains.any(axis=axis) | (
+            ~merged.all(axis=axis) & ~(contains & ~merged).any(axis=axis))).tolist()
 
-    table.remove_rows(row_ids=empty_rows)
-    table.remove_columns(col_ids=empty_cols)
+    table.remove_rows(row_ids=empty(merged_col, 1))
+    table.remove_columns(col_ids=empty(merged_row, 0))
     return table
 
 
 def cluster_to_table(cluster_cells: list[Cell], elements: list[Cell],
                      borderless: bool = False) -> Table:
-    """(ref table_creation.py:102-149)"""
+    """(ref table_creation.py:102-149).  Each grid slot takes the smallest
+    cell (first in cluster order on ties) that covers >= 90% of it among
+    the cells covering >= 90% of its row band, as one broadcast over
+    (slot x cell)."""
     v_delims = sorted({v for c in cluster_cells for v in (c.y1, c.y2)})
     h_delims = sorted({v for c in cluster_cells for v in (c.x1, c.x2)})
+    n_cells = len(cluster_cells)
+    cx1, cy1, cx2, cy2 = boxes_of(cluster_cells).T
+    carea = (cx2 - cx1) * (cy2 - cy1)
+    top, bottom = (np.array(v_delims[:-1])[:, None, None],
+                   np.array(v_delims[1:])[:, None, None])
+    left, right = (np.array(h_delims[:-1])[None, :, None],
+                   np.array(h_delims[1:])[None, :, None])
+    band_h = bottom - top
+    # (band x cell): the cells spanning >= 90% of a row band
+    matching = (np.minimum(cy2, bottom[:, 0]) - np.maximum(cy1, top[:, 0])
+                >= 0.9 * band_h[:, 0])
+    pick = np.full((max(len(v_delims) - 1, 0), max(len(h_delims) - 1, 0)), -1)
+    for a, b in row_blocks(len(pick), pick.shape[1] * n_cells):
+        inter = (np.maximum(0, np.minimum(right, cx2) - np.maximum(left, cx1))
+                 * np.maximum(0, np.minimum(bottom[a:b], cy2) - np.maximum(top[a:b], cy1)))
+        # is_contained_cell(slot, cell, 0.9): inter / slot area >= 0.9
+        containing = matching[a:b, None, :] & (inter / ((right - left) * band_h[a:b]) >= 0.9)
+        first = np.where(containing, carea, np.inf).argmin(axis=2)
+        pick[a:b] = np.where(containing.any(axis=2), first, -1)
 
     list_rows = []
-    for y_top, y_bottom in zip(v_delims, v_delims[1:]):
-        matching_cells = [c for c in cluster_cells
-                          if min(c.y2, y_bottom) - max(c.y1, y_top) >= 0.9 * (y_bottom - y_top)]
+    for ir, (y_top, y_bottom) in enumerate(zip(v_delims, v_delims[1:])):
         list_cells = []
-        for x_left, x_right in zip(h_delims, h_delims[1:]):
-            default_cell = Cell(x1=x_left, y1=y_top, x2=x_right, y2=y_bottom)
-            containing = sorted(
-                [c for c in matching_cells
-                 if is_contained_cell(inner_cell=default_cell, outer_cell=c, percentage=0.9)],
-                key=lambda c: c.area)
-            if containing:
+        for k, (x_left, x_right) in zip(pick[ir].tolist(), zip(h_delims, h_delims[1:])):
+            if k >= 0:
                 # NB: append the cell OBJECT itself — merged cells share one
                 # instance across grid slots (content set once propagates,
                 # and the single-unique-cell collapse relies on identity)
-                list_cells.append(containing[0])
-            elif matching_cells:
-                x_value = sorted([v for cell in matching_cells for v in (cell.x1, cell.x2)],
+                list_cells.append(cluster_cells[k])
+            elif matching[ir].any():
+                x_value = sorted([v for i in np.flatnonzero(matching[ir]).tolist()
+                                  for v in (cluster_cells[i].x1, cluster_cells[i].x2)],
                                  key=lambda x: min(abs(x - x_left), abs(x - x_right)))[0]
                 list_cells.append(Cell(x1=x_value, y1=y_top, x2=x_value, y2=y_bottom))
             else:
-                list_cells.append(default_cell)
+                list_cells.append(Cell(x1=x_left, y1=y_top, x2=x_right, y2=y_bottom))
         list_rows.append(Row(cells=list_cells))
 
     table = Table(rows=list_rows, borderless=borderless)
