@@ -222,6 +222,7 @@ def page_api_pages(args) -> list:
 
 
 def crawl_mix_pages(args) -> list:
+    from img2table_ray.extract.pdf import sniff_kind, split_mpng
     from perfbench import gen
 
     def call(data, hocr, page):
@@ -236,11 +237,14 @@ def crawl_mix_pages(args) -> list:
         if data is None:
             data, hocr = fixtures[name]
             doc_pages = [(0, hocr, None)]
+        # a page row holds one MPNG page's bytes, as explode_pages slices them
+        mpng = split_mpng(data) if sniff_kind(data[:16]) == "mpng" else None
         for page, hocr, _ in doc_pages:
-            if (data, page) not in seen:
-                seen.add((data, page))
+            row = (mpng[page], 0) if mpng else (data, page)
+            if row not in seen:
+                seen.add(row)
                 pages.append(("crawl_mix misses", f"doc {i} page {page}",
-                              call(data, hocr, page)))
+                              call(row[0], hocr, row[1])))
     return pages
 
 
