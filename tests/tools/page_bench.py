@@ -111,7 +111,7 @@ class Side:
             self._wrap(self.module(module), name, layer)
         for layer, module, cls, name in METHODS:
             owner = getattr(self.module(module), cls)
-            # a classmethod is wrapped bound, and set back as a plain function
+            # a classmethod is wrapped bound and set back as a staticmethod
             self._wrap(owner, name, layer)
         for caller in CCL_CALLERS:
             for name in CCL_ENTRIES:
