@@ -25,18 +25,20 @@ from img2table_ray.imgops.kernels import _slide_extreme_axis, dilate, erode
 
 def remove_noise(cc: np.ndarray, cc_stats: np.ndarray, average_height: float,
                  median_width: float) -> np.ndarray:
-    """(ref rlsa.py:17-51) zero out noisy CC labels in-place."""
-    for idx in range(1, len(cc_stats)):
-        x, y, w, h, area = (int(v) for v in cc_stats[idx])
-        is_dash = (w / h >= 2) and (0.5 * median_width <= w <= 1.5 * median_width)
-        if is_dash:
-            continue
-        cond_height = h < average_height / 3
-        cond_elongation = max(h, w) / max(min(h, w), 1) < 0.33
-        cond_low_density = area / (max(w, 1) * max(h, 1)) < 0.08
-        if cond_height or cond_elongation or cond_low_density:
-            sub = cc[y : y + h, x : x + w]
-            sub[sub == idx] = 0
+    """(ref rlsa.py:17-51) zero out noisy CC labels in-place: a CC that is
+    not a dash and is short, flat or sparse.  The tests run over the stats
+    array; only the noisy labels are cleared, each in its box."""
+    s = cc_stats[1:].astype(np.int64)
+    x, y, w, h, area = (s[:, k] for k in range(5))
+    is_dash = (w / h >= 2) & (0.5 * median_width <= w) & (w <= 1.5 * median_width)
+    noisy = ~is_dash & (
+        (h < average_height / 3)
+        | (np.maximum(h, w) / np.maximum(np.minimum(h, w), 1) < 0.33)
+        | (area / (np.maximum(w, 1) * np.maximum(h, 1)) < 0.08))
+    for label, (x0, y0, w0, h0) in zip(np.flatnonzero(noisy).tolist(),
+                                       s[noisy, :4].tolist()):
+        sub = cc[y0 : y0 + h0, x0 : x0 + w0]
+        sub[sub == label + 1] = 0
     return cc
 
 

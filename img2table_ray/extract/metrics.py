@@ -1,10 +1,24 @@
 """Image metrics: character length, median line separation, text contours
-(ref: src/img2table/tables/metrics.py, numba kernels -> numpy/Python).
+(ref: src/img2table/tables/metrics.py, numba kernels -> numpy).
+
+The reference's per-component kernels are array passes here, with no
+Python loop over components:
+* remove_dots tests roundness over the stats array and counts inner
+  pixels only for the round CCs;
+* remove_dotted_lines splits each of its two sorted scans into runs where
+  the midpoint step is > 2 and takes each run's box, summed extent and
+  count with ``reduceat``;
+* recompute_contours is one (CC x character) overlap broadcast and
+  get_row_separations one (contour x contour) broadcast, each in row
+  blocks of at most BLOCK_PAIRS pairs, with a masked min/max per row.
+Their loop forms are oracles in tests/test_page_metrics.py, and
+tests/test_metrics_pins.py pins compute_img_metrics on whole pages.
 
 The reference's quirks are reproduced deliberately — they are observable in
 its golden outputs:
 * get_row_separations computes the 'horizontal' overlap with the cells'
-  HEIGHTS (metrics.py:349: min(xi+hi, xj+hj) - max(xi, xj)) — kept as-is.
+  HEIGHTS (metrics.py:349: min(xi+hi, xj+hj) - max(xi, xj)), bounded by
+  ``char_length // 2``, and measures float vpos steps — kept as-is.
 * compute_median_line_sep drops the first recomputed contour (metrics.py:395
   builds cells with `if idx > 0` over an array that already excludes the
   background) — kept as-is.
@@ -14,10 +28,9 @@ its golden outputs:
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
+from img2table_ray.core.common import row_blocks
 from img2table_ray.core.objects import Cell
 from img2table_ray.imgops.ccl import (
     connected_components_stats,
@@ -25,19 +38,23 @@ from img2table_ray.imgops.ccl import (
 )
 from img2table_ray.imgops.kernels import morph_close
 
+# pairs per block of the (CC x character) and (contour x contour)
+# broadcasts: each int64 temporary stays near 2 MB however large the page
+BLOCK_PAIRS = 1 << 18
+_BIG = np.iinfo(np.int64).max
+
 
 def remove_dots(cc_labels: np.ndarray, stats: np.ndarray) -> np.ndarray:
     """Drop round hollow CCs (roundness >= 0.7, inner pixels <= 10%)
-    (ref metrics.py:11-53).  Only CCs passing the roundness pre-check need
-    the expensive inner-pixel count."""
-    kept = []
-    for idx in range(1, len(stats)):
-        x, y, w, h, area = (int(v) for v in stats[idx])
-        roundness = 4 * area / (np.pi * max(h, w) ** 2)
-        if roundness < 0.7:
-            kept.append([x, y, w, h, area])
-            continue
-        sub = cc_labels[y : y + h, x : x + w] == idx
+    (ref metrics.py:11-53).  Roundness is tested over the stats array; only
+    the round CCs need the expensive inner-pixel count."""
+    s = stats[1:].astype(np.int64)
+    area = s[:, 4]
+    roundness = 4 * area / (np.pi * np.maximum(s[:, 2], s[:, 3]) ** 2)
+    keep = roundness < 0.7
+    for i in np.flatnonzero(~keep).tolist():
+        x, y, w, h, a = s[i].tolist()
+        sub = cc_labels[y : y + h, x : x + w] == i + 1
         # inner pixels: gaps between first/last pixel per row + per column
         inner = 0
         rows_any = sub.any(axis=1)
@@ -52,58 +69,41 @@ def remove_dots(cc_labels: np.ndarray, stats: np.ndarray) -> np.ndarray:
             lastc = h - 1 - sub[::-1, :].argmax(axis=0)
             cntc = sub.sum(axis=0)
             inner += int(((lastc - firstc + 1 - cntc) * cols_any).sum())
-        if not (inner / (2 * area) <= 0.1 and roundness >= 0.7):
-            kept.append([x, y, w, h, area])
-    return np.array(kept, dtype=np.int32) if kept else np.empty((0, 5), dtype=np.int32)
+        keep[i] = not inner / (2 * a) <= 0.1
+    return stats[1:][keep].astype(np.int32)
+
+
+def _dotted_runs(complete_stats: np.ndarray, along: int) -> np.ndarray:
+    """Line areas [x1, y1, x2, y2] of one dotted-line scan: ``along`` 0
+    takes the CCs with w/h >= 2 sorted by ym, 1 those with h/w >= 2 sorted
+    by xm.  A step of the sorted midpoints > 2 starts a run, and so does
+    the first CC (the reference starts from a midpoint of -10 and CC
+    midpoints are >= 0.5); a run of >= 5 CCs whose summed extent along the
+    scan covers >= 66% of its box is a line area."""
+    cs = complete_stats[complete_stats[:, 6 - along].argsort(kind="stable")]
+    ext, other = cs[:, 2 + along], cs[:, 3 - along]
+    cs = cs[~(ext / other < 2)]
+    if not len(cs):
+        return np.empty((0, 4))
+    x, y, w, h = (cs[:, k] for k in range(4))
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(cs[:, 6 - along]) > 2) + 1))
+    count = np.diff(starts, append=len(cs))
+    box = np.stack([np.minimum.reduceat(x, starts), np.minimum.reduceat(y, starts),
+                    np.maximum.reduceat(x + w, starts),
+                    np.maximum.reduceat(y + h, starts)], axis=1)
+    extent = np.add.reduceat(cs[:, 2 + along], starts)
+    span = box[:, 2 + along] - box[:, along]
+    return box[(count >= 5) & (extent / np.where(span == 0, 1, span) >= 0.66)]
 
 
 def remove_dotted_lines(complete_stats: np.ndarray) -> np.ndarray:
     """Collapse >=5 aligned elongated CCs into line areas; drop CCs >=25%
     inside those areas (ref metrics.py:56-146)."""
-    line_areas = []
-
-    cs = complete_stats[complete_stats[:, 6].argsort(kind="stable")]
-    x1a, y1a, x2a, y2a, width_a, prev_ym, count = 0, 0, 0, 0, 0, -10, 0
-    for idx in range(cs.shape[0]):
-        x, y, w, h, _, xm, ym = cs[idx]
-        if w / h < 2:
-            continue
-        if ym - prev_ym <= 2:
-            x1a, y1a, x2a, y2a = min(x, x1a), min(y, y1a), max(x + w, x2a), max(y + h, y2a)
-            width_a += w
-            count += 1
-            prev_ym = ym
-        else:
-            if count >= 5 and width_a / ((x2a - x1a) or 1) >= 0.66:
-                line_areas.append([float(x1a), float(y1a), float(x2a), float(y2a)])
-            x1a, y1a, x2a, y2a = x, y, x + w, y + h
-            width_a, prev_ym, count = w, ym, 1
-    if count >= 5 and width_a / ((x2a - x1a) or 1) >= 0.66:
-        line_areas.append([float(x1a), float(y1a), float(x2a), float(y2a)])
-
-    cs = complete_stats[complete_stats[:, 5].argsort(kind="stable")]
-    x1a, y1a, x2a, y2a, height_a, prev_xm, count = 0, 0, 0, 0, 0, -10, 0
-    for idx in range(cs.shape[0]):
-        x, y, w, h, _, xm, ym = cs[idx]
-        if h / w < 2:
-            continue
-        if xm - prev_xm <= 2:
-            x1a, y1a, x2a, y2a = min(x, x1a), min(y, y1a), max(x + w, x2a), max(y + h, y2a)
-            height_a += h
-            count += 1
-            prev_xm = xm
-        else:
-            if count >= 5 and height_a / ((y2a - y1a) or 1) >= 0.66:
-                line_areas.append([float(x1a), float(y1a), float(x2a), float(y2a)])
-            x1a, y1a, x2a, y2a = x, y, x + w, y + h
-            height_a, prev_xm, count = h, xm, 1
-    if count >= 5 and height_a / ((y2a - y1a) or 1) >= 0.66:
-        line_areas.append([float(x1a), float(y1a), float(x2a), float(y2a)])
-
-    if not line_areas:
+    areas = np.concatenate([_dotted_runs(complete_stats, along=0),
+                            _dotted_runs(complete_stats, along=1)])
+    if not len(areas):
         return complete_stats[:, :5].astype(np.int32)
 
-    areas = np.array(line_areas)  # (m, 4)
     x = complete_stats[:, 0]
     y = complete_stats[:, 1]
     w = complete_stats[:, 2]
@@ -121,40 +121,28 @@ def remove_dotted_lines(complete_stats: np.ndarray) -> np.ndarray:
 
 
 def filter_cc(stats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Keep character-like CCs (ref metrics.py:149-202)."""
-    if stats.shape[0] == 0:
-        return np.empty((0, 5), dtype=np.int32), np.empty((0, 5), dtype=np.int32)
+    """Keep character-like CCs (ref metrics.py:149-202).  Returns (kept,
+    discarded): the first pass's discards, then the second pass's."""
     w = stats[:, 2].astype(np.float64)
     h = stats[:, 3].astype(np.float64)
     area = stats[:, 4].astype(np.float64)
-    ar = np.maximum(w, h) / np.minimum(w, h)
-    fill = area / (w * h)
-    first_keep = (ar <= 5) & (fill > 0.08)
+    first_keep = (np.maximum(w, h) / np.minimum(w, h) <= 5) & (area / (w * h) > 0.08)
     kept_stats = stats[first_keep]
-    discarded = [list(map(int, r)) for r in stats[~first_keep]]
-
     if len(kept_stats) == 0:
-        return (np.empty((0, 5), dtype=np.int32),
-                np.array(discarded, dtype=np.int32) if discarded else np.empty((0, 5), dtype=np.int32))
+        return kept_stats.astype(np.int32), stats.astype(np.int32)
 
     median_w = np.median(kept_stats[:, 2])
     median_h = np.median(kept_stats[:, 3])
     upper = 5 * median_w * median_h
     lower = 0.2 * median_w * median_h
 
-    kw = kept_stats[:, 2].astype(np.float64)
-    kh = kept_stats[:, 3].astype(np.float64)
+    kw = w[first_keep]
+    kh = h[first_keep]
     bounded = (lower <= kw * kh) & (kw * kh <= upper)
     is_dash = (kw / kh >= 2) & (0.5 * median_w <= kw) & (kw <= 1.5 * median_w)
     final_keep = bounded | is_dash
-
-    kept = kept_stats[final_keep]
-    # preserve reference's discard order: first-pass discards, then second-pass
-    discarded += [list(map(int, r)) for r in kept_stats[~final_keep]]
-    kept_arr = kept.astype(np.int32) if len(kept) else np.empty((0, 5), dtype=np.int32)
-    disc_arr = (np.array(discarded, dtype=np.int32) if discarded
-                else np.empty((0, 5), dtype=np.int32))
-    return kept_arr, disc_arr
+    return (kept_stats[final_keep].astype(np.int32),
+            np.concatenate([stats[~first_keep], kept_stats[~final_keep]]).astype(np.int32))
 
 
 def create_character_thresh(thresh: np.ndarray, stats: np.ndarray,
@@ -241,46 +229,43 @@ def compute_char_length(thresh: np.ndarray):
 
 def recompute_contours(stats: np.ndarray, chars_array: np.ndarray) -> np.ndarray:
     """Snap word-blob contours to the characters they contain
-    (ref metrics.py:296-327), vectorized over characters."""
-    if chars_array.shape[0] == 0:
-        return np.empty((0, 4), dtype=np.int64)
-    cx = chars_array[:, 0].astype(np.int64)
-    cy = chars_array[:, 1].astype(np.int64)
-    cw = chars_array[:, 2].astype(np.int64)
-    ch = chars_array[:, 3].astype(np.int64)
+    (ref metrics.py:296-327): per CC (background row 0 skipped), the box of
+    the characters it overlaps by >= half their area; CCs with none are
+    dropped.  One (CC x character) broadcast per block of rows."""
+    cx, cy, cw, ch = (chars_array[:, k].astype(np.int64) for k in range(4))
+    cx2, cy2 = cx + cw, cy + ch
+    half = 0.5 * ch * cw
+    s = stats[1:, :4].astype(np.int64)
     out = []
-    for idx in range(stats.shape[0]):
-        if idx == 0:
-            continue
-        x, y, w, h = (int(v) for v in stats[idx][:4])
-        x_ov = np.maximum(0, np.minimum(x + w, cx + cw) - np.maximum(x, cx))
-        y_ov = np.maximum(0, np.minimum(y + h, cy + ch) - np.maximum(y, cy))
-        match = x_ov * y_ov >= 0.5 * ch * cw
-        if match.any():
-            out.append([int(cx[match].min()), int(cy[match].min()),
-                        int((cx + cw)[match].max() - cx[match].min()),
-                        int((cy + ch)[match].max() - cy[match].min())])
-    return np.array(out, dtype=np.int64) if out else np.empty((0, 4), dtype=np.int64)
+    for r0, r1 in row_blocks(len(s) if len(cx) else 0, len(cx), BLOCK_PAIRS):
+        x, y, w, h = (s[r0:r1, k, None] for k in range(4))
+        x_ov = np.maximum(0, np.minimum(x + w, cx2) - np.maximum(x, cx))
+        y_ov = np.maximum(0, np.minimum(y + h, cy2) - np.maximum(y, cy))
+        match = x_ov * y_ov >= half
+        hit = match.any(axis=1)
+        match = match[hit]
+        x1 = np.where(match, cx, _BIG).min(axis=1)
+        y1 = np.where(match, cy, _BIG).min(axis=1)
+        out.append(np.stack([x1, y1, np.where(match, cx2, -_BIG).max(axis=1) - x1,
+                             np.where(match, cy2, -_BIG).max(axis=1) - y1], axis=1))
+    return np.concatenate(out) if out else np.empty((0, 4), dtype=np.int64)
 
 
 def get_row_separations(stats: np.ndarray, char_length: float) -> list[float]:
-    """Nearest-below vertical separations (ref metrics.py:330-363 —
-    including its height-for-width overlap quirk)."""
+    """Nearest-below vertical separations (ref metrics.py:330-363): per
+    contour, the smallest vpos step to a contour below it whose
+    'horizontal' overlap exceeds ``char_length // 2`` -- computed with
+    the HEIGHTS (quirk, ref metrics.py:349).  One (contour x contour)
+    broadcast per block of rows."""
+    x, h = stats[:, 0], stats[:, 3]
+    vpos = (2 * stats[:, 1] + h) / 2
     seps = []
-    n = len(stats)
-    xs = stats[:, 0]
-    ys = stats[:, 1]
-    ws = stats[:, 2]
-    hs = stats[:, 3]
-    vpos = (2 * ys + hs) / 2
-    for i in range(n):
-        xi, yi, wi, hi = xs[i], ys[i], ws[i], hs[i]
-        # quirk preserved: overlap computed with heights, ref metrics.py:349
-        h_overlap = np.minimum(xi + hi, xs + hs) - np.maximum(xi, xs)
-        mask = (h_overlap > char_length // 2) & (vpos > vpos[i])
-        mask[i] = False
-        if mask.any():
-            seps.append(float((vpos[mask] - vpos[i]).min()))
+    for r0, r1 in row_blocks(len(stats), len(stats), BLOCK_PAIRS):
+        xi, hi, vi = x[r0:r1, None], h[r0:r1, None], vpos[r0:r1, None]
+        h_overlap = np.minimum(xi + hi, x + h) - np.maximum(xi, x)
+        below = (h_overlap > char_length // 2) & (vpos > vi)
+        step = np.where(below, vpos - vi, np.inf).min(axis=1)
+        seps += step[below.any(axis=1)].tolist()
     return seps
 
 
@@ -306,11 +291,9 @@ def compute_median_line_sep(thresh_chars: np.ndarray, chars_array: np.ndarray,
     else:
         median_line_sep = None
 
-    contours_cells = [
-        Cell(x1=int(x), y1=int(y), x2=int(x + w), y2=int(y + h))
-        for idx, (x, y, w, h) in enumerate(stats_contours)
-        if idx > 0  # quirk preserved: first contour dropped (ref metrics.py:395-397)
-    ]
+    # quirk preserved: first contour dropped (ref metrics.py:395-397)
+    contours_cells = [Cell(x1=x, y1=y, x2=x + w, y2=y + h)
+                      for x, y, w, h in stats_contours[1:].tolist()]
     return median_line_sep, contours_cells
 
 

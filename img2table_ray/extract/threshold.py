@@ -33,6 +33,18 @@ def _dark_areas(gray: np.ndarray, blur_size: int) -> np.ndarray:
     return mask
 
 
+def dark_patches(stats: np.ndarray, char_length: float) -> np.ndarray:
+    """[x, y, w, h] of the dark-area components (background row 0 skipped)
+    that get the inverted threshold, in label order: filled to >= 50% of
+    their box, shorter side >= ``char_length``, longer side >= 5x that."""
+    s = stats[1:].astype(np.int64)
+    w, h = s[:, 2], s[:, 3]
+    short, long = np.minimum(w, h), np.maximum(w, h)
+    patch = ((s[:, 4] / (w * h) >= 0.5) & (short >= char_length)
+             & (long >= 5 * char_length))
+    return s[patch, :4]
+
+
 def threshold_dark_areas(img: np.ndarray, char_length: float) -> np.ndarray:
     """Sauvola threshold; dark-background regions get the inverted-image
     threshold patched in (ref tables/__init__.py:8-55).  Returns 0/255.
@@ -58,14 +70,10 @@ def threshold_dark_areas(img: np.ndarray, char_length: float) -> np.ndarray:
     stats = connected_components_stats(_dark_areas(gray, blur_size))
 
     inverted = None
-    for idx, row in enumerate(stats):
-        x, y, w, h, area = (int(v) for v in row)
-        if idx == 0:
-            continue
-        if area / (w * h) >= 0.5 and min(w, h) >= char_length and max(w, h) >= 5 * char_length:
-            if inverted is None:
-                inverted = 255 - gray
-            thresh[y : y + h, x : x + w] = _sauvola255(inverted, thresh_kernel,
-                                                       (y, y + h, x, x + w))
+    for x, y, w, h in dark_patches(stats, char_length).tolist():
+        if inverted is None:
+            inverted = 255 - gray
+        thresh[y : y + h, x : x + w] = _sauvola255(inverted, thresh_kernel,
+                                                   (y, y + h, x, x + w))
 
     return thresh
