@@ -48,6 +48,12 @@ and per layer it prints the median ms of each side, then over the calls
 where the layer ran: the median of the change/parent ratio, its
 interquartile range, and in how many calls the change was faster.  A
 layer that a side lacks reads 0 and is left out of the ratios.
+
+The warm-up call of every page also compares the two sides' outputs: the
+tables' ``canonical_text()``, plus ``char_length``, ``median_line_sep``
+and ``n_contours`` where the call returns them (the fixtures), and the
+value rows of ``PageExtractor._extract`` for crawl_mix.  A page whose
+outputs differ is named, and the tool exits 1 without timing.
 """
 
 from __future__ import annotations
@@ -129,11 +135,12 @@ class Side:
                     else wrapped)
 
     def run(self, page) -> dict:
-        """Time one call of ``page``: {"total": s, layer: s, ...}."""
+        """Time one call of ``page``: {"total": s, layer: s, ...}; the
+        call's output is kept as ``self.output``."""
         for layer in self.spent:
             self.spent[layer] = 0.0
         t0 = time.perf_counter()
-        page(self)
+        self.output = page(self)
         return {"total": time.perf_counter() - t0, **self.spent}
 
 
@@ -175,8 +182,10 @@ def fixture_pages(args) -> list:
             words = (content.OCRWords.from_records(content.parse_hocr(hocr))
                      if hocr is not None else None)
             img = side.module("imgops.png").decode_image(data)
-            side.module("extract.document").extract_tables_from_image(
+            res = side.module("extract.document").extract_tables_from_image(
                 img, words=words, implicit_rows=True)
+            return (_texts(res.tables), res.char_length, res.median_line_sep,
+                    res.n_contours)
         return run
 
     pages = []
@@ -201,12 +210,12 @@ def page_api_pages(args) -> list:
         def run(side):
             api = side.module("api")
             if kind == "pdf":
-                api.PDF(data, pages=[page]).extract_tables(
+                out = api.PDF(data, pages=[page]).extract_tables(
                     ocr=api.PdfOCR(), implicit_rows=True, borderless_tables=True)
-            else:
-                api.Image(data).extract_tables(
-                    ocr=api.HocrOCR([hocr]) if hocr else None,
-                    implicit_rows=True, borderless_tables=True)
+                return {p: _texts(tables) for p, tables in out.items()}
+            return _texts(api.Image(data).extract_tables(
+                ocr=api.HocrOCR([hocr]) if hocr else None,
+                implicit_rows=True, borderless_tables=True))
         return run
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -227,7 +236,7 @@ def crawl_mix_pages(args) -> list:
 
     def call(data, hocr, page):
         def run(side):
-            side.extractor._extract(data, hocr, page)
+            return side.extractor._extract(data, hocr, page)
         return run
 
     fixtures = gen.fixture_docs()
@@ -246,6 +255,10 @@ def crawl_mix_pages(args) -> list:
                 pages.append(("crawl_mix misses", f"doc {i} page {page}",
                               call(row[0], hocr, row[1])))
     return pages
+
+
+def _texts(tables) -> list:
+    return [t.canonical_text() for t in tables]
 
 
 PAGE_SETS = {"fixtures": fixture_pages, "page_api": page_api_pages,
@@ -267,10 +280,19 @@ def single(side: Side, pages: list, runs: int) -> None:
               f"median {_ms(totals):7.1f} ms/page  ({parts})", flush=True)
 
 
-def paired(parent: Side, change: Side, pages: list, runs: int) -> None:
-    for _, _, page in pages:  # warm-up
+def paired(parent: Side, change: Side, pages: list, runs: int) -> bool:
+    """Time ``pages`` on both sides; False if their outputs differ."""
+    differ = []
+    for _, label, page in pages:  # warm-up, and the outputs compared
         parent.run(page)
         change.run(page)
+        if change.output != parent.output:
+            differ.append(label)
+    if differ:
+        print(f"outputs differ from the parent's on {len(differ)} of "
+              f"{len(pages)} pages: {', '.join(differ)}", flush=True)
+        return False
+    print(f"outputs equal on all {len(pages)} pages", flush=True)
     samples = {}  # group -> [(parent sample, change sample)]
     k = 0
     for _ in range(runs):
@@ -295,6 +317,7 @@ def paired(parent: Side, change: Side, pages: list, runs: int) -> None:
             print(f"{layer:11s} {_ms(p):10.2f} {_ms(c):10.2f} "
                   f"{statistics.median(ratios):7.3f} "
                   f"{q1:6.3f}-{q3:6.3f} {wins:4d}/{len(ratios):<4d}", flush=True)
+    return True
 
 
 def main() -> int:
@@ -312,11 +335,11 @@ def main() -> int:
         return 0
     root = import_parent(args.parent)
     try:
-        paired(_side("img2table_ray_parent", args), _side("img2table_ray", args),
-               pages, args.runs)
+        same = paired(_side("img2table_ray_parent", args),
+                      _side("img2table_ray", args), pages, args.runs)
     finally:
         shutil.rmtree(root)
-    return 0
+    return 0 if same else 1
 
 
 def _side(pkg: str, args) -> Side:
