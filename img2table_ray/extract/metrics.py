@@ -116,8 +116,7 @@ def remove_dotted_lines(complete_stats: np.ndarray) -> np.ndarray:
     )
     inter = (x_ov * y_ov).sum(axis=1)
     keep = inter / (w * h) < 0.25
-    kept = complete_stats[keep][:, :5]
-    return kept.astype(np.int32) if len(kept) else np.empty((0, 5), dtype=np.int32)
+    return complete_stats[keep, :5].astype(np.int32)
 
 
 def filter_cc(stats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
