@@ -392,6 +392,16 @@ def test_rlsa_edge_cases():
         np.array([[1], [2], [0], [1]], dtype=np.int32),         # one column
         np.array([[1, 2, 1, -1, 2, 2, -1, -1]], dtype=np.int32),  # zero-length gaps
         np.full((3, 4), -1, dtype=np.int32),
+        # a run that ends at the last column and one at column 0 of the next
+        # row do not pair, whatever their labels
+        np.array([[0, 0, 1], [1, 0, 0], [0, 2, 2], [2, 0, 0]], dtype=np.int32),
+        np.array([[1, 1, 0], [1, 0, 0], [0, 2, 0], [2, 0, 2]], dtype=np.int32),
+        # a gap whose endpoint pixel is -1 while the rest of its run is positive
+        np.array([[1, 1, -1, 0, 0, 1, 1, 0, 2, -1, 0, 2]], dtype=np.int32),
+        np.array([[1, 0, 0, -1, 1, 1, 0, 0, -1, 2, 0, 2]], dtype=np.int32),
+        # rows that are entirely -1, between rows that fill
+        np.array([[1, 0, 1, 0, 2], [-1, -1, -1, -1, -1], [2, 0, 0, 1, 1],
+                  [-1, -1, -1, -1, -1]], dtype=np.int32),
     ]
     for cc in label_images:
         for params in RLSA_PARAMS:
@@ -403,7 +413,17 @@ def test_rlsa_edge_cases():
     part = empty.copy()
     part[[0, 19], :] = 255                           # gaps touch neither edge
     part[5, 3] = 255
-    images = [full, empty, part, empty[:1], empty[:, :1], full[:1], empty[:0]]
+    # zero runs of exactly h/5 = 4 rows (not a gap) and of 5 rows (a gap),
+    # inside a column and touching the set rows -1 and h on either side
+    fifth = full.copy()
+    fifth[1:5, 0] = fifth[10:15, 0] = 0
+    fifth[:4, 2] = fifth[16:, 4] = 0
+    fifth[:5, 6] = fifth[15:, 7] = 0
+    # zero runs from row 0 to h - 1 and from both ends of a column
+    ends = empty.copy()
+    ends[9, 1] = ends[[3, 16], 5] = 255
+    images = [full, empty, part, fifth, ends, empty[:1], empty[:, :1],
+              full[:1], empty[:0]]
     for img in images:
         for mw in OBSTACLE_WIDTHS + [img.shape[1], img.shape[1] + 1]:
             assert np.array_equal(rlsa.find_obstacles(img, mw),
@@ -411,6 +431,8 @@ def test_rlsa_edge_cases():
 
 
 BORDERLESS_FIXTURES = ["borderless.png", "test.png", "dark.png"]
+# two of tests/test_borderless_pins.py's line-free grids (seeds 1 and 3)
+LINE_FREE_PAGES = ["line_free_3x4_1000005", "line_free_3x4_3000016"]
 
 
 def _table_image(name):
@@ -418,6 +440,13 @@ def _table_image(name):
     from img2table_ray.fixtures import fixture_bytes
     from img2table_ray.imgops.png import decode_image
 
+    if name.startswith("line_free_"):
+        from img2table_ray.sources.pages import synth_table_image
+        from test_borderless_pins import _line_free
+
+        shape, idx = name.split("_")[2:]
+        img, hocr = synth_table_image(*(int(v) for v in shape.split("x")), int(idx))
+        return TableImage(img=_line_free(img, hocr))
     return TableImage(img=decode_image(fixture_bytes(name)))
 
 
@@ -441,7 +470,7 @@ def test_table_image_reads_gray_page_as_plane(name):
                                              borderless_tables=borderless))
 
 
-@pytest.mark.parametrize("name", BORDERLESS_FIXTURES)
+@pytest.mark.parametrize("name", BORDERLESS_FIXTURES + LINE_FREE_PAGES)
 def test_rlsa_matches_loop_form_on_fixture_intermediates(name, monkeypatch):
     """Every adaptive_rlsa / find_obstacles input the borderless path builds
     for a vendored page, checked against the loop forms."""
