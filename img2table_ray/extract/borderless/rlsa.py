@@ -2,11 +2,14 @@
 processing/borderless_tables/layout/rlsa.py, after Nikolaou et al. 2010
 "Segmentation of historical machine-printed documents using Adaptive Run
 Length Smoothing" — public algorithm).  The reference's numba kernels
-become whole-image numpy: ``adaptive_rlsa`` takes every consecutive
-same-row pixel pair of the label image at once (one gather for the band
-check, one scatter for the fills), and ``find_obstacles`` finds every
-column's empty runs from the steps of one flat transposed mask.  Their
-loop forms are kept as oracles in tests/test_vectorized_kernels.py.
+become whole-image numpy.  ``adaptive_rlsa`` works on the gaps between
+the nonzero row runs of the label image, all at once (one gather for the
+band check, one scatter for the fills): a pair of consecutive nonzero
+pixels of one row fills only across a gap, and the two pixels around a gap
+are the last of one run and the first of the next, so the gaps are exactly
+the pairs that can fill.  ``find_obstacles`` finds every column's empty
+runs from the steps of one flat transposed bool mask.  Their loop forms are
+kept as oracles in tests/test_vectorized_kernels.py.
 """
 
 from __future__ import annotations
@@ -46,24 +49,33 @@ def adaptive_rlsa(cc: np.ndarray, cc_stats: np.ndarray, a: float, th: float,
                   c: float) -> np.ndarray:
     """(ref rlsa.py:54-118) run-length smoothing between horizontally
     adjacent CCs subject to distance / height-ratio / overlap / no-other-CC
-    conditions, over all consecutive same-row pixel pairs at once."""
-    rsla_img = (cc > 0).astype(np.uint8)
+    conditions, over all same-row gaps between nonzero runs at once."""
+    rsla_img = (cc > 0).view(np.uint8)
     h, w = cc.shape
     y1s = cc_stats[:, 1]
     hs = cc_stats[:, 3]
 
-    # consecutive nonzero pixels of one row, as row-major flat indices;
+    # nonzero row runs from one transition scan of a (h, w + 1) raster whose
+    # last column stays zero, so no run crosses a row end; a pair that can
+    # fill spans a gap, so it is the last pixel of one run and the first of
+    # the next run on the same row
+    w1 = w + 1
+    on = np.zeros(h * w1 + 1, dtype=bool)
+    np.not_equal(cc, 0, out=on[1:].reshape(h, w1)[:, :w])
+    edges = np.flatnonzero(on[1:] != on[:-1])
+    last, first = edges[1:-1:2] - 1, edges[2::2]
+    row = first // w1
+    keep = np.flatnonzero(last // w1 == row)
+    row = row[keep]
+    start = last[keep] - row
+    stop = first[keep] - row
     # pairs with an obstacle pixel (-1) never fill — the reference skips
     # them before the same-label branch (rlsa.py:80-82)
     flat = cc.reshape(-1)
-    idx = np.flatnonzero(flat)
-    labs = flat[idx]
-    pair = np.flatnonzero((labs[:-1] != -1) & (labs[1:] != -1))
-    row = idx[pair + 1] // w
-    keep = idx[pair] // w == row
-    pair, row = pair[keep], row[keep]
-    start, stop = idx[pair], idx[pair + 1]
-    prev_labs, cur_labs = labs[pair], labs[pair + 1]
+    prev_labs, cur_labs = flat[start], flat[stop]
+    pair = np.flatnonzero((prev_labs != -1) & (cur_labs != -1))
+    row, start, stop = row[pair], start[pair], stop[pair]
+    prev_labs, cur_labs = prev_labs[pair], cur_labs[pair]
 
     # same-label pairs (gap inside one CC, e.g. hollow glyphs) always fill;
     # the others are candidates
@@ -88,8 +100,8 @@ def adaptive_rlsa(cc: np.ndarray, cc_stats: np.ndarray, a: float, th: float,
     gap = length[ok]
     owner = np.repeat(np.arange(len(ok)), gap)
     cols = np.repeat(p[ok] + 1 - (np.cumsum(gap) - gap), gap) + np.arange(len(owner))
-    rows = np.clip(row[cand[ok]][owner, None] + np.arange(-2, 3), 0, h - 1)
-    vals = cc[rows, cols[:, None]]
+    base = np.clip(row[cand[ok]][:, None] + np.arange(-2, 3), 0, h - 1) * w
+    vals = flat.take(base[owner] + cols[:, None])
     other = ((vals > 0) & (vals != cl[ok][owner, None])
              & (vals != pl[ok][owner, None])).any(axis=1)
     clear = np.ones(len(ok), dtype=bool)
@@ -114,22 +126,23 @@ def find_obstacles(img: np.ndarray, min_width: float) -> np.ndarray:
     # row per image column so that its runs lie along the fast axis; rows
     # -1 and h count as set (the reference's leading gap, and its trailing
     # gap up to the last loop row h-1), as do columns w-min_width..w-1
-    on = (img > 0).astype(np.uint8)
-    has = np.ones((w, h + 2), dtype=np.int8)
+    on = (img > 0).view(np.uint8)
+    has = np.ones((w, h + 2), dtype=bool)
     has[: w - min_width, 1:-1] = _slide_extreme_axis(
-        on, min_width, 0, axis=1, is_max=True)[:, : w - min_width].T
+        on, min_width, 0, axis=1, is_max=True)[:, : w - min_width].T.view(bool)
 
-    # empty runs [start, stop): each follows a 1 -> 0 step and ends at a
-    # 0 -> 1 step; those longer than h/5 are gaps
-    step = np.flatnonzero(np.diff(has.reshape(-1)))
-    start, stop = step[0::2] + 1, step[1::2] + 1
-    long = stop - start > h / 5
-    edge = np.zeros(has.size, dtype=np.int8)
-    edge[start[long]] = 1
-    edge[stop[long]] = -1
-    gaps = np.cumsum(edge, dtype=np.int8).view(np.uint8).reshape(w, h + 2)[:, 1:-1]
+    # the flat mask alternates set and empty runs, set first and last (the
+    # padding rows); each step starts a run, and the empty runs longer than
+    # h/5 are gaps
+    flat = has.reshape(-1)
+    bounds = np.flatnonzero(flat[1:] != flat[:-1]) + 1
+    lengths = np.diff(bounds, prepend=0, append=flat.size)
+    long = np.zeros(len(lengths), dtype=bool)
+    long[1::2] = lengths[1::2] > h / 5
+    gaps = np.repeat(long, lengths).reshape(w, h + 2)[:, 1:-1]
     # each gap column marks itself and the min_width - 1 columns after it
-    gaps = _slide_extreme_axis(gaps, min_width, min_width - 1, axis=0, is_max=True)
+    gaps = _slide_extreme_axis(gaps.view(np.uint8), min_width, min_width - 1,
+                               axis=0, is_max=True)
     return np.ascontiguousarray(gaps.T).view(bool)
 
 
@@ -202,7 +215,7 @@ def identify_text_mask(thresh: np.ndarray, lines: list[Line], char_length: float
                                median_width=median_width)
 
     rlsa_small = adaptive_rlsa(cc=cc_denoised, cc_stats=cc_stats, a=1, th=3.5, c=0.4)
-    rlsa_small = erode((255 * (rlsa_small > 0)).astype(np.uint8), 1, 2)
+    rlsa_small = erode(rlsa_small * np.uint8(255), 1, 2)
 
     mask_obstacles = find_obstacles(img=np.maximum(rlsa_small, thresh), min_width=char_length)
     cc_obstacles = cc_denoised.copy()
@@ -222,4 +235,4 @@ def identify_text_mask(thresh: np.ndarray, lines: list[Line], char_length: float
     for tb in existing_tables or []:
         rlsa_final[tb.y1 : tb.y2, tb.x1 : tb.x2] = 0
 
-    return erode((255 * rlsa_final).astype(np.uint8), 1, 2)
+    return erode(rlsa_final * np.uint8(255), 1, 2)

@@ -31,10 +31,12 @@ lines (``detect_lines``); two kernels that run across those layers: ccl
 (every connected-component entry point, wrapped where each calling module
 imported it) and cells (``identify_cells``); then tables (``get_tables``,
 ``implicit_content`` and ``merge_consecutive_tables``), borderless
-(``TableImage.extract_borderless_tables``), content (``parse_hocr``,
+(``TableImage.extract_borderless_tables``), textmask (``identify_text_mask``,
+wrapped where ``extract.borderless`` imported it), content (``parse_hocr``,
 ``OCRWords.from_records`` and ``Table.get_content``) and titles
 (``get_title_tables``).  Layers overlap: ccl and cells also count inside
-the layers that call them, and borderless holds its own threshold call.
+the layers that call them, and borderless holds its own threshold call
+and the textmask time.
 
 Without ``--parent`` it prints, per page, the min and median ms per page
 and the median ms of each layer over N runs, after one warm-up call.
@@ -80,6 +82,7 @@ LAYERS = (("threshold", "extract.document", "threshold_dark_areas"),
           ("tables", "extract.document", "implicit_content"),
           ("tables", "extract.document", "merge_consecutive_tables"),
           ("titles", "extract.document", "get_title_tables"),
+          ("textmask", "extract.borderless", "identify_text_mask"),
           ("cells", "extract.cells", "identify_cells"),
           ("content", "extract.content", "parse_hocr"),
           ("decode", "imgops.png", "decode_image"))
@@ -93,7 +96,7 @@ CCL_CALLERS = ("threshold", "metrics", "lines", "rotation", "titles",
                "borderless", "borderless.rlsa")
 WORDS = {"test.png": "tesseract_hocr.html"}
 COLUMNS = ("decode", "threshold", "metrics", "lines", "ccl", "cells",
-           "tables", "borderless", "content", "titles")
+           "tables", "borderless", "textmask", "content", "titles")
 
 
 def _timed(fn, spent, layer):
