@@ -25,7 +25,6 @@ import numpy as np
 import pytest
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-sys.path.insert(0, HERE)
 sys.path.insert(0, os.path.dirname(HERE))
 
 from test_borderless_pins import _pages, _tables  # noqa: E402

@@ -473,7 +473,8 @@ def test_table_image_reads_gray_page_as_plane(name):
 @pytest.mark.parametrize("name", BORDERLESS_FIXTURES + LINE_FREE_PAGES)
 def test_rlsa_matches_loop_form_on_fixture_intermediates(name, monkeypatch):
     """Every adaptive_rlsa / find_obstacles input the borderless path builds
-    for a vendored page, checked against the loop forms."""
+    for a vendored page or a line-free pin page, checked against the loop
+    forms."""
     calls = {"rlsa": [], "obstacles": []}
     rlsa_fn, obstacles_fn = rlsa.adaptive_rlsa, rlsa.find_obstacles
 
