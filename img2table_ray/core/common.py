@@ -119,47 +119,10 @@ def find_components(edges: list) -> list[list]:
     return list(result.values())
 
 
-def merge_overlapping_contours(contours: list[Cell]) -> list[Cell]:
-    """Merge contours overlapping >= 25% of the smaller one
-    (ref processing/common.py:39-90, polars -> numpy)."""
-    n = len(contours)
-    if n == 0:
-        return []
-    x1, y1, x2, y2 = boxes_of(contours).T
-    area = (x2 - x1) * (y2 - y1)
-
-    xl = np.maximum(x1[:, None], x1[None, :])
-    xr = np.minimum(x2[:, None], x2[None, :])
-    yt = np.maximum(y1[:, None], y1[None, :])
-    yb = np.minimum(y2[:, None], y2[None, :])
-    inter = np.maximum(xr - xl, 0) * np.maximum(yb - yt, 0)
-
-    # pair (i -> j): i != j, area_i <= area_j, i overlaps j by >= 25% of area_i
-    valid = (~np.eye(n, dtype=bool)) & (area[:, None] <= area[None, :])
-    overlaps = valid & (inter / np.maximum(area[:, None], 1) >= 0.25)
-
-    deleted = overlaps.any(axis=1)  # i is absorbed by some larger j
-    out = []
-    for j in range(n):
-        if deleted[j]:
-            continue
-        absorbed = np.where(overlaps[:, j])[0]
-        if len(absorbed):
-            out.append(Cell(x1=int(min(x1[j], x1[absorbed].min())),
-                            y1=int(min(y1[j], y1[absorbed].min())),
-                            x2=int(max(x2[j], x2[absorbed].max())),
-                            y2=int(max(y2[j], y2[absorbed].max()))))
-        else:
-            out.append(Cell(x1=int(x1[j]), y1=int(y1[j]), x2=int(x2[j]), y2=int(y2[j])))
-    return out
-
-
-def merge_contours(contours: list[Cell], vertically: Optional[bool] = True) -> list[Cell]:
+def merge_contours(contours: list[Cell], vertically: bool = True) -> list[Cell]:
     """Merge contours along an axis (ref processing/common.py:93-130)."""
     if len(contours) == 0:
         return contours
-    if vertically is None:
-        return merge_overlapping_contours(contours=contours)
 
     idx_1 = "y1" if vertically else "x1"
     idx_2 = "y2" if vertically else "x2"

@@ -75,15 +75,6 @@ class Line(TableObject):
     def vertical(self) -> bool:
         return self.angle % 180 == 90
 
-    @property
-    def dict(self) -> dict:
-        return {"x1": self.x1, "x2": self.x2, "y1": self.y1, "y2": self.y2,
-                "width": self.width, "height": self.height, "thickness": self.thickness}
-
-    @property
-    def transpose(self) -> "Line":
-        return Line(x1=self.y1, y1=self.x1, x2=self.y2, y2=self.x2, thickness=self.thickness)
-
     def reprocess(self) -> "Line":
         _x1, _x2 = min(self.x1, self.x2), max(self.x1, self.x2)
         _y1, _y2 = min(self.y1, self.y2), max(self.y1, self.y2)

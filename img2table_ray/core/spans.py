@@ -34,14 +34,6 @@ class CellSpan:
     def rowspan(self) -> int:
         return self.bottom_row - self.top_row + 1
 
-    @property
-    def html_value(self) -> str:
-        return self.value.replace("\n", "<br>") if self.value is not None else ""
-
-    @property
-    def html(self) -> str:
-        return f'<td colspan="{self.colspan}" rowspan="{self.rowspan}">{self.html_value}</td>'
-
     def html_cell_span(self) -> list["CellSpan"]:
         if self.colspan > 1 and self.rowspan > 1:
             if self.colspan > self.rowspan:

@@ -38,10 +38,6 @@ class Rectangle:
     def center(self) -> tuple[float, float]:
         return (self.x1 + self.x2) / 2, (self.y1 + self.y2) / 2
 
-    @property
-    def cell(self) -> Cell:
-        return Cell(x1=self.x1, y1=self.y1, x2=self.x2, y2=self.y2)
-
     def distance(self, other: "Rectangle") -> float:
         return (self.center[0] - other.center[0]) ** 2 + (self.center[1] - other.center[1]) ** 2
 
@@ -84,7 +80,7 @@ def identify_remaining_segments(searched_rectangle: Rectangle,
                 counter += 1
                 heapq.heappush(heap, (-rect.area + counter * 1e-9, counter, rect, rect_obstacles))
 
-    return [seg.cell for seg in segments]
+    return [Cell(x1=seg.x1, y1=seg.y1, x2=seg.x2, y2=seg.y2) for seg in segments]
 
 
 def get_vertical_ws(image_segment: ImageSegment, char_length: float,

@@ -61,19 +61,12 @@ class Whitespace:
     def area(self) -> int:
         return sum(c.area for c in self.cells)
 
-    @property
-    def continuous(self) -> bool:
-        return len(self.cells) == 1
-
     def flipped(self) -> "Whitespace":
         return Whitespace(cells=[Cell(x1=c.y1, y1=c.x1, x2=c.y2, y2=c.x2) for c in self.cells])
 
     def __contains__(self, item: "Whitespace") -> bool:
         return (self.x1 <= item.x1 and self.y1 <= item.y1
                 and self.x2 >= item.x2 and self.y2 >= item.y2)
-
-    def __hash__(self) -> int:
-        return hash(tuple(hash(c) for c in self.cells))
 
 
 @dataclass
@@ -85,10 +78,6 @@ class ImageSegment:
     elements: Optional[list[Cell]] = None
     whitespaces: Optional[list["Whitespace"]] = None
     position: Optional[int] = None
-
-    @property
-    def width(self) -> int:
-        return self.x2 - self.x1
 
     @property
     def height(self) -> int:
@@ -106,9 +95,6 @@ class ImageSegment:
     def set_whitespaces(self, whitespaces: list["Whitespace"]) -> None:
         self.whitespaces = whitespaces
 
-    def __hash__(self) -> int:
-        return hash((self.x1, self.y1, self.x2, self.y2, self.position))
-
 
 @dataclass
 class TableSegment:
@@ -118,28 +104,8 @@ class TableSegment:
     table_areas: list[ImageSegment]
 
     @once
-    def x1(self) -> int:
-        return min(a.x1 for a in self.table_areas)
-
-    @once
-    def y1(self) -> int:
-        return min(a.y1 for a in self.table_areas)
-
-    @once
-    def x2(self) -> int:
-        return max(a.x2 for a in self.table_areas)
-
-    @once
-    def y2(self) -> int:
-        return max(a.y2 for a in self.table_areas)
-
-    @once
     def elements(self) -> list[Cell]:
         return [el for a in self.table_areas for el in a.elements]
-
-    @once
-    def whitespaces(self) -> list[Whitespace]:
-        return [ws for a in self.table_areas for ws in a.whitespaces]
 
 
 @dataclass
@@ -165,18 +131,6 @@ class VerticalWS:
     @property
     def y2(self) -> int:
         return self.ws.y2
-
-    @property
-    def width(self) -> int:
-        return self.ws.x2 - self.ws.x1
-
-    @property
-    def height(self) -> int:
-        return self.ws.y2 - self.ws.y1
-
-    @property
-    def continuous(self) -> bool:
-        return self.ws.continuous
 
 
 @dataclass
@@ -212,10 +166,6 @@ class Column:
                 count += y2 - end
                 end = y2
         return count - 1
-
-    @property
-    def continuous(self) -> bool:
-        return all(v.continuous for v in self.whitespaces)
 
     @classmethod
     def from_ws(cls, v_ws: VerticalWS) -> "Column":
@@ -283,22 +233,3 @@ class ColumnGroup:
     @once
     def y2(self) -> int:
         return max((d.y2 for d in self.columns), default=0)
-
-    @property
-    def bbox(self) -> Cell:
-        return Cell(x1=self.x1, y1=self.y1, x2=self.x2, y2=self.y2)
-
-    @property
-    def height(self) -> int:
-        return self.y2 - self.y1
-
-    @property
-    def width(self) -> int:
-        return self.x2 - self.x1
-
-    @property
-    def area(self) -> int:
-        return (self.x2 - self.x1) * (self.y2 - self.y1)
-
-    def __hash__(self) -> int:
-        return hash((tuple(hash(tuple(hash(v.ws) for v in c.whitespaces)) for c in self.columns),))

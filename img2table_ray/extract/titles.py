@@ -4,8 +4,6 @@ titles.py + get_contours_cell in processing/common.py:133-179).
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from img2table_ray.core.common import merge_contours
@@ -21,7 +19,7 @@ from img2table_ray.imgops.kernels import (
 
 
 def get_contours_cell(img: np.ndarray, cell: Cell, margin: int = 5, blur_size: int = 9,
-                      kernel_size: int = 15, merge_vertically: Optional[bool] = True) -> list[Cell]:
+                      kernel_size: int = 15, merge_vertically: bool = True) -> list[Cell]:
     """(ref processing/common.py:133-179): crop -> blur -> adaptive
     threshold -> dilate (x4, as one) -> component bboxes -> merged contours."""
     height, width = img.shape[:2]

@@ -170,8 +170,9 @@ def _decode_residual(br: _Bits, blocksize: int, order: int) -> np.ndarray:
 
 def _restore_fixed_exact(warm: list[int], resid: np.ndarray,
                          order: int) -> np.ndarray:
-    """Reference-form reconstruction used to keep the vectorized form
-    honest; also the fallback for clarity.  See tests."""
+    """Reference-form reconstruction, the test oracle of
+    ``_restore_fixed_vec`` (tests/test_pipeline.py); no decode path
+    calls it."""
     out = list(warm)
     if order == 0:
         return resid.astype(np.int64)

@@ -145,3 +145,100 @@ def test_tesseract_adapter_bad_lang_raises(monkeypatch):
 
     with pytest.raises(OSError, match="'fra' trainned data"):
         TesseractOCR(lang="fra")
+
+
+def test_to_xlsx_round_trip(mock_hocr):
+    """Each table is one sheet; a merged cell's value sits in its anchor
+    (top-left) slot only, with its range listed in mergeCells."""
+    import re
+    import zipfile
+
+    from img2table_ray.api import HocrOCR, Image
+    from img2table_ray.core.xlsx import read_xlsx_values
+
+    img = Image(src=fixture_path("test.png"))
+    kwargs = dict(ocr=HocrOCR([mock_hocr]), implicit_rows=True)
+    tables = img.extract_tables(**kwargs)
+    data = img.to_xlsx(BytesIO(), **kwargs).read()
+
+    sheets = read_xlsx_values(data)
+    assert list(sheets) == ["Page 1 - Table 1", "Page 1 - Table 2"]
+    for grid, table in zip(sheets.values(), tables):
+        expected, seen = [], set()
+        for row in table.content.values():
+            expected.append([])
+            for cell in row:
+                key = (cell.bbox.x1, cell.bbox.y1, cell.bbox.x2, cell.bbox.y2)
+                expected[-1].append(None if key in seen else cell.value)
+                seen.add(key)
+        assert grid == expected
+    assert sheets["Page 1 - Table 1"][0] == ["Title", None, None]
+    assert sheets["Page 1 - Table 1"][2:5] == [
+        ["Line Col 1", "Merged Cells", "Line Col 3"],
+        ["Line 3-Col 1", None, "Line 3-Col 3"],
+        ["Line Col 1", None, "Line Col 3"]]
+    assert sheets["Page 1 - Table 2"] == tables[1].df_values()
+
+    sheet1 = zipfile.ZipFile(BytesIO(data)).read(
+        "xl/worksheets/sheet1.xml").decode()
+    assert sorted(re.findall(r'<mergeCell ref="([A-Z0-9:]+)"/>', sheet1)) == \
+        ["A1:C1", "B3:B5"]
+
+
+def test_extracted_table_html():
+    """A colspan, a rowspan, a line break, an escaped character and an
+    empty cell, against the hand-written prettified table."""
+    from img2table_ray.core.objects import BBox, ExtractedTable, TableCell
+
+    def cell(x1, y1, x2, y2, value):
+        return TableCell(bbox=BBox(x1=x1, y1=y1, x2=x2, y2=y2), value=value)
+
+    wide = cell(0, 0, 20, 10, "a&b")
+    tall = cell(20, 10, 30, 30, "e")
+    table = ExtractedTable(
+        bbox=BBox(x1=0, y1=0, x2=30, y2=30), title=None,
+        content={0: [wide, wide, cell(20, 0, 30, 10, "b")],
+                 1: [cell(0, 10, 10, 20, "line1\nline2"),
+                     cell(10, 10, 20, 20, None), tall],
+                 2: [cell(0, 20, 10, 30, "f"), cell(10, 20, 20, 30, "g"), tall]})
+    assert table.html == "\n".join([
+        "<table>",
+        " <tr>",
+        '  <td colspan="2" rowspan="1">',
+        "   a&amp;b",
+        "  </td>",
+        '  <td colspan="1" rowspan="1">',
+        "   b",
+        "  </td>",
+        " </tr>",
+        " <tr>",
+        '  <td colspan="1" rowspan="1">',
+        "   line1",
+        "   <br/>",
+        "   line2",
+        "  </td>",
+        '  <td colspan="1" rowspan="1">',
+        "  </td>",
+        '  <td colspan="1" rowspan="2">',
+        "   e",
+        "  </td>",
+        " </tr>",
+        " <tr>",
+        '  <td colspan="1" rowspan="1">',
+        "   f",
+        "  </td>",
+        '  <td colspan="1" rowspan="1">',
+        "   g",
+        "  </td>",
+        " </tr>",
+        "</table>"])
+
+
+def test_pdf_ocr_content_is_the_text_layer():
+    from img2table_ray.api import PDF, PdfOCR
+    from img2table_ray.extract.pdftext import pdf_words_content
+
+    doc = PDF(src=fixture_path("test.pdf"))
+    content = PdfOCR().content(doc)
+    assert len(content) == 2
+    assert content == pdf_words_content(doc.bytes)

@@ -365,3 +365,31 @@ def test_g3_2d_tiff_through_dispatch():
     tif = encode_tiff_g4(bits, compression=3)
     assert np.array_equal(decode_image(tif),
                           ((1 - bits) * 255).astype(np.uint8))
+
+
+def test_g3_1d_tiff_through_dispatch():
+    """Compression 3 without the T4Options 2-D flag: every row is an EOL
+    and the row's Modified Huffman codes.  Each row is written as a
+    byte-aligned EOL (0x00 0x01: 15 zeros, the extra ones fill) followed
+    by ``mh_encode``'s codes for it, zero-padded to a byte."""
+    import struct
+
+    from img2table_ray.imgops.g4 import mh_encode
+    from img2table_ray.imgops.png import decode_image
+
+    rng = np.random.default_rng(17)
+    bits = (rng.random((30, 77)) < 0.2).astype(np.uint8)
+    bits[::3, 0] = 1  # rows that start black: a zero-length white run
+    h, w = bits.shape
+    payload = b"".join(b"\x00\x01" + mh_encode(row[None]) for row in bits)
+    entries = [(256, 4, w), (257, 4, h), (258, 3, 1), (259, 3, 3), (262, 3, 0),
+               (273, 4, None), (277, 3, 1), (278, 4, h), (279, 4, len(payload))]
+    data_off = 8 + 2 + 12 * len(entries) + 4
+    tif = bytearray(b"II" + struct.pack("<HIH", 42, 8, len(entries)))
+    for tag, ftype, value in entries:
+        value = data_off if tag == 273 else value
+        tif += struct.pack("<HHI", tag, ftype, 1) + (
+            struct.pack("<I", value) if ftype == 4 else struct.pack("<HH", value, 0))
+    tif += struct.pack("<I", 0) + payload
+    assert np.array_equal(decode_image(bytes(tif)),
+                          ((1 - bits) * 255).astype(np.uint8))

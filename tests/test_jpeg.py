@@ -241,3 +241,36 @@ def test_cmyk_and_ycck_adobe():
     stripped = enc[:i] + enc[i + 16:]
     assert b"Adobe" not in stripped
     assert np.array_equal(decode_jpeg(stripped), exp)
+
+
+def _h2v1_fancy_upsample_loop(row: list[int]) -> list[int]:
+    """libjpeg's h2v1_fancy_upsample (jdsample.c) on one row, as written
+    there: 3/4 of the nearer input plus 1/4 of the further one, rounding
+    alternately down (+1) and up (+2); the first and last outputs copy
+    the edge inputs."""
+    if len(row) == 1:
+        return [row[0], row[0]]
+    out = [row[0], (row[0] * 3 + row[1] + 2) >> 2]
+    for i in range(1, len(row) - 1):
+        v = row[i] * 3
+        out += [(v + row[i - 1] + 1) >> 2, (v + row[i + 1] + 2) >> 2]
+    out += [(row[-1] * 3 + row[-2] + 1) >> 2, row[-1]]
+    return out
+
+
+def test_h2v1_and_h1v2_upsampling_match_libjpeg_loop():
+    """The 4:2:2 (h2v1) and 4:4:0 (h1v2) chroma upsamplers; the encoder
+    writes only 4:2:0, so no round trip reaches them."""
+    from img2table_ray.imgops.jpeg import _h2v1_fancy_upsample, _upsample
+
+    rng = np.random.default_rng(11)
+    planes = [rng.integers(0, 256, (h, w), dtype=np.uint8)
+              for h, w in ((1, 1), (1, 2), (3, 1), (5, 7), (16, 33))]
+    planes.append(np.array([[0, 255, 0, 255, 255, 0]], np.uint8))
+    for p in planes:
+        h, w = p.shape
+        expected = np.array([_h2v1_fancy_upsample_loop(r) for r in p.tolist()],
+                            np.uint8).reshape(h, 2 * w)
+        assert np.array_equal(_h2v1_fancy_upsample(p), expected)
+        assert np.array_equal(_upsample(p, 2, 1, 2 * w - 1, h), expected[:, :2 * w - 1])
+        assert np.array_equal(_upsample(p.T.copy(), 1, 2, h, 2 * w), expected.T)

@@ -10,37 +10,21 @@ from img2table_ray.core.objects import Cell, Row, Table
 from img2table_ray.extract.content import (OCRWords, assign_text_to_table,
                                            load_words_csv, parse_hocr)
 from img2table_ray.fixtures import fixture_path
-from img2table_ray.ocr_engines import TextractOCR
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def _block(block_id, kind, x1, y1, x2, y2, text=None, children=()):
-    """A Textract block on a 1000x1000 page (geometry in page ratios)."""
-    poly = [{"X": x / 1000, "Y": y / 1000}
-            for x, y in ((x1, y1), (x2, y1), (x2, y2), (x1, y2))]
-    block = {"Id": block_id, "BlockType": kind, "Confidence": 99.0,
-             "Geometry": {"Polygon": poly}}
-    if text is not None:
-        block["Text"] = text
-    if children:
-        block["Relationships"] = [{"Type": "CHILD", "Ids": list(children)}]
-    return block
-
-
 def _words_with_parentless_word() -> OCRWords:
-    """One LINE holding "Total sales", and a WORD "2023" below it that no
-    LINE lists, so its record has no parent."""
-    response = {"Blocks": [
-        _block("l1", "LINE", 100, 100, 300, 130, text="Total sales",
-               children=("w1", "w2")),
-        _block("w1", "WORD", 100, 100, 200, 130, text="Total"),
-        _block("w2", "WORD", 210, 100, 300, 130, text="sales"),
-        _block("w3", "WORD", 100, 150, 180, 180, text="2023"),
-    ]}
-    records = TextractOCR.map_response(response, width=1000, height=1000)
-    assert [(r["value"], r["parent"]) for r in records] == \
-        [("Total", "l1"), ("sales", "l1"), ("2023", None)]
+    """One line "l1" holding "Total sales", and a word "2023" below it that
+    no line lists, so its record has no parent."""
+    records = [
+        {"page": 0, "class": "ocrx_word", "id": "w1", "parent": "l1",
+         "value": "Total", "confidence": 99, "x1": 100, "y1": 100, "x2": 200, "y2": 130},
+        {"page": 0, "class": "ocrx_word", "id": "w2", "parent": "l1",
+         "value": "sales", "confidence": 99, "x1": 210, "y1": 100, "x2": 300, "y2": 130},
+        {"page": 0, "class": "ocrx_word", "id": "w3", "parent": None,
+         "value": "2023", "confidence": 99, "x1": 100, "y1": 150, "x2": 180, "y2": 180},
+    ]
     return OCRWords.from_records(records)
 
 

@@ -170,3 +170,37 @@ def test_pdf_words_ray_pipeline(ray_session, tmp_path):
     per_doc = df.groupby("doc_id").size().unique()
     assert len(per_doc) == 1 and per_doc[0] == 217
     assert set(df["page"].unique()) == {0, 1}
+
+
+def test_tounicode_cmap_decodes_codes():
+    """A simple font whose codes mean nothing in its encoding: the
+    ``/ToUnicode`` CMap maps 0x01 and 0x02 one by one (``bfchar``) and
+    0x10-0x12 as a run (``bfrange``)."""
+    cmap = (b"/CIDInit /ProcSet findresource begin\n12 dict begin\nbegincmap\n"
+            b"1 begincodespacerange\n<00> <FF>\nendcodespacerange\n"
+            b"2 beginbfchar\n<01> <0048>\n<02> <0069>\nendbfchar\n"
+            b"1 beginbfrange\n<10> <12> <0041>\nendbfrange\n"
+            b"endcmap\nend\nend\n")
+    content = b"BT /F1 12 Tf 20 50 Td <0102> Tj 100 0 Td <101112> Tj ET"
+    widths = b"[" + b" ".join([b"500"] * 32) + b"]"
+
+    def pdf(tounicode: bytes) -> bytes:
+        objs = {
+            1: b"<< /Type /Catalog /Pages 2 0 R >>",
+            2: b"<< /Type /Pages /Kids [3 0 R] /Count 1 >>",
+            3: (b"<< /Type /Page /Parent 2 0 R /MediaBox [0 0 300 100]"
+                b" /Contents 4 0 R /Resources << /Font << /F1 5 0 R >> >> >>"),
+            4: b"<< /Length %d >>\nstream\n" % len(content) + content + b"\nendstream",
+            5: (b"<< /Type /Font /Subtype /Type1 /BaseFont /Helvetica /FirstChar 1"
+                b" /LastChar 32 /Widths " + widths + tounicode + b" >>"),
+            6: b"<< /Length %d >>\nstream\n" % len(cmap) + cmap + b"\nendstream",
+        }
+        return b"\n".join([b"%PDF-1.4"]
+                          + [b"%d 0 obj\n" % n + objs[n] + b"\nendobj" for n in sorted(objs)]
+                          + [b"%%EOF"])
+
+    def values(data: bytes) -> list:
+        return [r["value"] for r in pdf_words_content(data)[0]]
+
+    assert values(pdf(b" /ToUnicode 6 0 R")) == ["Hi", "ABC"]
+    assert values(pdf(b"")) == ["\x01\x02", "\x10\x11\x12"]

@@ -205,3 +205,85 @@ def test_column_add_keeps_box():
     col.add(ws(15, 40, 40, 90, 1))
     col.add(ws(5, 80, 25, 120, 2))
     assert (col.x1, col.y1, col.x2, col.y2) == (15, 0, 25, 120)
+
+
+def test_equal_objects_hash_equal():
+    """``Line``, ``Row``, ``Table`` and ``TableCell`` hash by value: equal
+    objects built apart hash equal, so a set keeps one of them."""
+    from img2table_ray.core.objects import BBox, Line, TableCell
+
+    def table(content):
+        return Table(rows=[Row(cells=[Cell(x1=0, y1=0, x2=10, y2=10, content=content),
+                                      Cell(x1=10, y1=0, x2=20, y2=10)]),
+                           Row(cells=[Cell(x1=0, y1=10, x2=20, y2=20)])])
+
+    pairs = [
+        (Line(x1=0, y1=5, x2=40, y2=5, thickness=2),
+         Line(x1=0, y1=5, x2=40, y2=5, thickness=2),
+         Line(x1=0, y1=5, x2=40, y2=5, thickness=3)),
+        (table("a").items[0], table("a").items[0], table("b").items[0]),
+        (table("a"), table("a"), table("b")),
+        (TableCell(bbox=BBox(x1=0, y1=0, x2=10, y2=10), value="a"),
+         TableCell(bbox=BBox(x1=0, y1=0, x2=10, y2=10), value="a"),
+         TableCell(bbox=BBox(x1=0, y1=0, x2=10, y2=11), value="a")),
+    ]
+    for one, same, other in pairs:
+        assert one == same and one is not same and one != other
+        assert hash(one) == hash(same)
+        assert len({one, same, other}) == 2
+
+
+def test_implicit_columns_recover_a_missing_rule():
+    """A 4x4 ruled grid whose rule between columns 1 and 2 is erased: the
+    ruled cells give 3 columns; ``implicit_columns`` puts a column edge in
+    the whitespace between the two columns' words and gives 4."""
+    from img2table_ray.extract.document import extract_tables_from_image
+    from img2table_ray.sources.pages import synth_table_image
+
+    img, _ = synth_table_image(4, 4, 0)  # margins 30, cells 90 x 40
+    img[30:30 + 4 * 40 + 2, 30 + 2 * 90:30 + 2 * 90 + 2] = 255
+    (ruled,) = extract_tables_from_image(img).tables
+    (implicit,) = extract_tables_from_image(img, implicit_columns=True).tables
+    assert (ruled.nb_rows, ruled.nb_columns) == (4, 3)
+    assert (implicit.nb_rows, implicit.nb_columns) == (4, 4)
+    assert implicit.bbox == ruled.bbox
+    # column 1's words end at x 151, column 2's start at x 220
+    edge = implicit.content[0][1].bbox.x2
+    assert 151 < edge < 220 and implicit.content[0][2].bbox.x1 == edge
+
+
+def test_remaining_segments_tile_around_an_obstacle():
+    """The empty rectangles left around one obstacle in the middle of a
+    square: full-height strips on each side and the two pieces above and
+    below it, which together cover everything but the obstacle."""
+    from img2table_ray.extract.borderless.column_segments import (
+        Rectangle, identify_remaining_segments)
+
+    segments = identify_remaining_segments(
+        searched_rectangle=Rectangle(x1=0, y1=0, x2=100, y2=100),
+        existing_segments=[Cell(x1=40, y1=40, x2=60, y2=60)])
+    assert sorted(segments, key=lambda c: (c.x1, c.y1)) == [
+        Cell(x1=0, y1=0, x2=40, y2=100), Cell(x1=40, y1=0, x2=60, y2=40),
+        Cell(x1=40, y1=60, x2=60, y2=100), Cell(x1=60, y1=0, x2=100, y2=100)]
+
+
+def test_deduplicate_whitespaces_keeps_merged_ones_beside_a_taller_one():
+    """Four equal-height vertical whitespaces with disjoint y spans merge
+    pairwise; a taller one to the side deletes the four and is kept. No
+    merged whitespace lies inside it, so every merged pair is kept after it
+    (the containment test ``w in f`` runs on each)."""
+    from img2table_ray.extract.borderless.whitespaces import deduplicate_whitespaces
+
+    short = [Whitespace(cells=[Cell(x1=10, y1=y, x2=12, y2=y + 10)]) for y in (0, 20, 40, 60)]
+    tall = Whitespace(cells=[Cell(x1=100, y1=0, x2=102, y2=100)])
+    out = deduplicate_whitespaces(ws=short + [tall], elements=[])
+
+    def spans(w):
+        return sorted((c.x1, c.y1, c.x2, c.y2) for c in w.cells)
+
+    assert out[0] is tall
+    assert [spans(w) for w in out[1:]] == [
+        [(10, a, 12, a + 10), (10, b, 12, b + 10)]
+        for a, b in [(0, 20), (0, 40), (0, 60), (20, 40), (20, 60), (40, 60)]]
+    assert short[1] in Whitespace(cells=[Cell(x1=5, y1=15, x2=20, y2=35)])
+    assert short[1] not in tall

@@ -8,6 +8,8 @@ and asserts the rasterizer paints real glyph ink through the
 FontFile2 provider.
 """
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -103,3 +105,45 @@ def test_fontfile2_rasterizer_path():
     n, _, stats = connected_components_with_stats(
         ink[:, :120].astype(np.uint8) * 255)
     assert 3 <= n - 1 <= 5  # H, i-stem, i-dot, o (some may touch)
+
+
+def _sfnt(tables: dict) -> bytes:
+    """A TrueType file holding ``tables`` (checksums left 0: the parser
+    does not read them)."""
+    out = bytearray(b"\x00\x01\x00\x00" + struct.pack(">HHHH", len(tables), 0, 0, 0))
+    body = bytearray()
+    start = 12 + 16 * len(tables)
+    for tag, data in tables.items():
+        out += struct.pack(">4sIII", tag, 0, start + len(body), len(data))
+        body += data + bytes(-len(data) % 4)
+    return bytes(out + body)
+
+
+def _square_glyph(x0, y0, x1, y1) -> bytes:
+    """One contour of four on-curve points with 16-bit coordinate deltas."""
+    pts = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
+    xs = [x - px for (x, _), (px, _) in zip(pts, [(0, 0)] + pts)]
+    ys = [y - py for (_, y), (_, py) in zip(pts, [(0, 0)] + pts)]
+    return (struct.pack(">5h", 1, x0, y0, x1, y1) + struct.pack(">HH", 3, 0)
+            + bytes([1] * 4) + struct.pack(">4h", *xs) + struct.pack(">4h", *ys))
+
+
+def test_composite_glyph_is_its_component_moved():
+    """Glyph 1 is a composite of glyph 0 placed at (250, -50) (word
+    arguments, ARGS_ARE_XY_VALUES); at 1000 units per em its outline is
+    glyph 0's, moved by that offset."""
+    glyphs = [_square_glyph(100, 0, 400, 300),
+              struct.pack(">5h", -1, 0, 0, 0, 0) + struct.pack(">HHhh", 0x0003, 0, 250, -50)]
+    glyf, loca = b"", [0]
+    for g in glyphs:
+        glyf += g + bytes(len(g) % 2)
+        loca.append(len(glyf))
+    head = bytearray(54)
+    head[18:20] = struct.pack(">H", 1000)  # unitsPerEm; short loca
+    font = TtfFont(_sfnt({b"glyf": glyf, b"head": bytes(head),
+                          b"loca": struct.pack(">3H", *[v // 2 for v in loca]),
+                          b"maxp": struct.pack(">IH", 0x5000, len(glyphs))}))
+    square = [("m", 100.0, 0.0), ("l", 400.0, 0.0), ("l", 400.0, 300.0),
+              ("l", 100.0, 300.0), ("l", 100.0, 0.0)]
+    assert font.glyph_outline(0) == [square]
+    assert font.glyph_outline(1) == [[(op, x + 250, y - 50) for op, x, y in square]]

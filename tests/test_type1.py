@@ -59,19 +59,20 @@ def _subr0() -> bytes:
     return bytes([9, 11])  # closepath return
 
 
-def _build_font() -> bytes:
+def _build_font(charstrings: dict | None = None) -> bytes:
+    """The test font; ``charstrings`` (name -> plain charstring) replaces
+    its square, tri and space glyphs."""
     len_iv = 4
-    cs = {
-        b"square": _encrypt(_square_cs(), 4330, len_iv),
-        b"tri": _encrypt(_tri_cs(), 4330, len_iv),
-        b"space": _encrypt(bytes([13, 14]), 4330, len_iv),
-    }
+    if charstrings is None:
+        charstrings = {b"square": _square_cs(), b"tri": _tri_cs(),
+                       b"space": bytes([13, 14])}
+    cs = {name: _encrypt(plain, 4330, len_iv) for name, plain in charstrings.items()}
     sub = _encrypt(_subr0(), 4330, len_iv)
     priv = bytearray()
     priv += b"dup /lenIV 4 def\n"
     priv += b"/Subrs 1 array\n"
     priv += b"dup 0 %d RD " % len(sub) + sub + b" NP\n"
-    priv += b"/CharStrings 3 dict dup begin\n"
+    priv += b"/CharStrings %d dict dup begin\n" % len(cs)
     for name, enc in cs.items():
         priv += b"/" + name + b" %d RD " % len(enc) + enc + b" ND\n"
     priv += b"end end\n"
@@ -162,3 +163,21 @@ def test_fontfile_rasterizer_path():
     # 'B' -> triangle at pen (20+25, 20): some ink, fewer pixels than square
     tri = ink[:, 50:90]
     assert 20 < tri.sum() < ink[:, 20:45].sum()
+
+
+def test_curve_operators():
+    """rrcurveto, vhcurveto and hvcurveto: each control point is relative
+    to the one before it; vh starts vertical and ends horizontal, hv the
+    other way round."""
+    cs = (_num(0) + _num(500) + bytes([13])             # hsbw
+          + _num(100) + _num(100) + bytes([21])         # rmoveto -> (100, 100)
+          + b"".join(_num(v) for v in (10, 20, 30, 40, 50, 60)) + bytes([8])
+          + b"".join(_num(v) for v in (70, 80, 90, 100)) + bytes([30])
+          + b"".join(_num(v) for v in (-110, -120, -130, -140)) + bytes([31])
+          + bytes([9, 14]))
+    font = Type1Font(_build_font({b"curve": cs}))
+    assert font.glyph_by_name("curve") == [[
+        ("m", 100.0, 100.0),
+        ("c", 110.0, 120.0, 140.0, 160.0, 190.0, 220.0),
+        ("c", 190.0, 290.0, 270.0, 380.0, 370.0, 380.0),
+        ("c", 260.0, 380.0, 140.0, 250.0, 140.0, 110.0)]]

@@ -58,6 +58,40 @@ def test_bool_coder_roundtrip():
     assert [bd.bool(p) for p in probs] == bits
 
 
+def _bools_straddling_a_byte_edge(n: int, prob: int) -> list[int]:
+    """n bools, each coded at ``prob``, chosen so that the coded interval
+    keeps 0x80 (of the first byte's 256) strictly inside it: the encoder
+    writes 0x7f as the first byte while the interval still reaches past
+    0x80."""
+    low, rng, edge = 0, 255, 128
+    bits = []
+    for _ in range(n):
+        split = 1 + (((rng - 1) * prob) >> 8)
+        assert low + split != edge
+        bits.append(int(low + split < edge))
+        if bits[-1]:
+            low, rng = low + split, rng - split
+        else:
+            rng = split
+        while rng < 128:
+            rng, low, edge = rng << 1, low << 1, edge << 1
+    return bits
+
+
+def test_bool_coder_carries_into_written_bytes():
+    """After the first byte is written as 0x7f, the ones that follow move
+    the interval above 0x80: the carry must turn the written 0x7f into
+    0x80, or the decoder reads other bools."""
+    bits = _bools_straddling_a_byte_edge(32, 64) + [1] * 16
+    be = BoolEncoder()
+    for b in bits:
+        be.bool(b, 64)
+    data = be.flush()
+    assert data[:3] == b"\x80\x00\x00"
+    bd = BoolDecoder(data)
+    assert [bd.bool(64) for _ in bits] == bits
+
+
 def test_bool_coder_literals_and_signed():
     be = BoolEncoder()
     be.literal(0x5A, 8)
