@@ -12,7 +12,7 @@ collapse (table.py:158-188).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 

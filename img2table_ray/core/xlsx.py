@@ -1,16 +1,14 @@
-"""Minimal xlsx writer/reader over stdlib zipfile — replaces the reference's
+"""Minimal xlsx writer over stdlib zipfile — replaces the reference's
 xlsxwriter sink (ref: src/img2table/document/base/__init__.py:144-189 +
 tables/objects/extraction.py:176-206).
 
 Writer semantics mirror the reference: one worksheet per extracted table
 named "Page {p+1} - Table {i+1}", merged cells written once via merge
-ranges, values as inline strings.  The reader exists for round-trip tests
-and for comparing against the reference's expected.xlsx fixture.
+ranges, values as inline strings.
 """
 
 from __future__ import annotations
 
-import re
 import zipfile
 from io import BytesIO
 from xml.sax.saxutils import escape
@@ -134,47 +132,3 @@ def tables_to_xlsx(tables_by_page: dict[int, list]) -> bytes:
         for i, (_, tb) in enumerate(sheets):
             z.writestr(f"xl/worksheets/sheet{i + 1}.xml", _sheet_xml(tb))
     return buf.getvalue()
-
-
-def read_xlsx_values(data: bytes) -> dict[str, list[list]]:
-    """Read an xlsx into {sheet_name: 2D value grid} (sharedStrings +
-    inline strings; merged ranges NOT expanded — merge anchors carry the
-    value, like openpyxl)."""
-    import xml.etree.ElementTree as ET
-
-    ns = {"m": "http://schemas.openxmlformats.org/spreadsheetml/2006/main"}
-    z = zipfile.ZipFile(BytesIO(data))
-    shared = []
-    if "xl/sharedStrings.xml" in z.namelist():
-        root = ET.fromstring(z.read("xl/sharedStrings.xml"))
-        for si in root.findall("m:si", ns):
-            shared.append("".join(
-                t.text or ""
-                for t in si.iter("{http://schemas.openxmlformats.org/spreadsheetml/2006/main}t")
-            ))
-    wb = ET.fromstring(z.read("xl/workbook.xml"))
-    out = {}
-    for i, s in enumerate(wb.find("m:sheets", ns)):
-        name = s.get("name")
-        root = ET.fromstring(z.read(f"xl/worksheets/sheet{i + 1}.xml"))
-        cells = {}
-        max_r = max_c = -1
-        for c in root.iter("{http://schemas.openxmlformats.org/spreadsheetml/2006/main}c"):
-            ref = c.get("r")
-            m = re.match(r"([A-Z]+)(\d+)", ref)
-            col = sum((ord(ch) - 64) * 26 ** k for k, ch in enumerate(reversed(m.group(1)))) - 1
-            row = int(m.group(2)) - 1
-            t = c.get("t")
-            val = None
-            if t == "inlineStr":
-                tt = c.find("m:is/m:t", ns)
-                val = tt.text if tt is not None else None
-            else:
-                v = c.find("m:v", ns)
-                if v is not None:
-                    val = shared[int(v.text)] if t == "s" else v.text
-            cells[(row, col)] = val
-            max_r, max_c = max(max_r, row), max(max_c, col)
-        grid = [[cells.get((r, c)) for c in range(max_c + 1)] for r in range(max_r + 1)]
-        out[name] = grid
-    return out

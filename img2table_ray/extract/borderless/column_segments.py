@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Union
 
 from img2table_ray.core.common import boxes_of, cells_within, cluster_items
 from img2table_ray.core.objects import Cell, Line

@@ -14,7 +14,6 @@ Cells join the lines with "\n"; titles also strip each line and the text.
 
 from __future__ import annotations
 
-import csv
 import re
 from typing import Optional
 
@@ -177,20 +176,3 @@ def parse_hocr(hocr: str, page: int = 0) -> list[dict]:
             "x1": x1, "y1": y1, "x2": x2, "y2": y2,
         })
     return records
-
-
-def _field(name: str, v: str):
-    """One CSV field: empty is missing, and the numeric columns hold
-    numbers."""
-    if not v or name in _TEXT_COLUMNS:
-        return v or None
-    return int(v) if v.lstrip("-").isdigit() else float(v)
-
-
-def load_words_csv(path: str, sep: str = ";") -> OCRWords:
-    """Load the reference's OCR fixture CSV (schema ocr/base.py:10-23)."""
-    with open(path, newline="") as f:
-        rows = csv.reader(f, delimiter=sep)
-        header = [c.strip() for c in next(rows)]
-        return OCRWords.from_records(
-            [{k: _field(k, v) for k, v in zip(header, row)} for row in rows])

@@ -8,12 +8,12 @@ summaries in pipelines/extraction_queries.py) call once per page row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from img2table_ray.core.objects import Cell, ExtractedTable, Line, Table, table_to_extracted
+from img2table_ray.core.objects import ExtractedTable, Line, Table, table_to_extracted
 from img2table_ray.extract.cells import get_cells
 from img2table_ray.extract.content import OCRWords
 from img2table_ray.extract.lines import detect_lines
@@ -40,11 +40,10 @@ class TableImage:
     """(ref tables/image.py:21-134).  Grayness is decided once per page:
     an R == G == B page is kept as its channel 0, one (H, W) plane."""
 
-    def __init__(self, img: np.ndarray, min_confidence: int = 50) -> None:
+    def __init__(self, img: np.ndarray) -> None:
         if img.ndim == 3 and _is_gray(img):
             img = np.ascontiguousarray(img[:, :, 0])
         self.img = img
-        self.min_confidence = min_confidence
         self.lines: list[Line] = []
         self.tables: list[Table] = []
         self.thresh = threshold_dark_areas(img=img, char_length=11)
@@ -113,7 +112,7 @@ def extract_tables_from_image(img: np.ndarray, words: Optional[OCRWords] = None,
         from img2table_ray.extract.rotation import fix_rotation_image
 
         img, _ = fix_rotation_image(img=img)
-    ti = TableImage(img=img, min_confidence=min_confidence)
+    ti = TableImage(img=img)
     tables = ti.extract_tables(implicit_rows=implicit_rows,
                                implicit_columns=implicit_columns,
                                borderless_tables=borderless_tables)

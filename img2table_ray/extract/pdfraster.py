@@ -42,7 +42,6 @@ binary threshold (round 5; previously origins rounded to whole pixels).
 from __future__ import annotations
 
 import math
-import zlib
 
 import numpy as np
 
@@ -52,8 +51,6 @@ from img2table_ray.imgops.limits import bounded_decompress
 from img2table_ray.extract.pdftext import (
     PdfDocument,
     PdfTextError,
-    _Name,
-    _Ref,
     _Kw,
     _Lexer,
     _Stream,

@@ -27,7 +27,6 @@ pypdfium2 word boxes for tests/document/pdf/test_data/test.pdf — which
 from __future__ import annotations
 
 import re
-import zlib
 
 import numpy as np
 

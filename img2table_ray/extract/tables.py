@@ -336,7 +336,6 @@ def implicit_content(table: Table, contours: list[Cell], char_length: float,
     if not implicit_rows and not implicit_columns:
         return table
     from img2table_ray.extract.borderless.model import ImageSegment
-    from img2table_ray.extract.borderless.whitespaces import get_whitespaces
     from img2table_ray.extract.cells import get_cells
     from img2table_ray.extract.implicit import implicit_columns_lines, implicit_rows_lines
 

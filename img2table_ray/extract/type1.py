@@ -34,16 +34,6 @@ def _decrypt(data: bytes, r: int, skip: int) -> bytes:
     return bytes(out[skip:])
 
 
-def _encrypt(data: bytes, r: int, pad: int) -> bytes:
-    """Inverse of _decrypt (tests author synthetic fonts with it)."""
-    out = bytearray()
-    for b in bytes(pad) + data:
-        c = b ^ (r >> 8)
-        out.append(c)
-        r = ((c + r) * _C1 + _C2) & 0xFFFF
-    return bytes(out)
-
-
 # StandardEncoding for codes 32..126 (name order per the Type 1 spec)
 _STD_ENC = [
     "space", "exclam", "quotedbl", "numbersign", "dollar", "percent",

@@ -23,6 +23,9 @@ import struct
 
 import numpy as np
 
+from img2table_ray.imgops.pcm import wave_file
+
+
 # --- IMA / DVI ADPCM (wFormatTag 0x11) -----------------------------------
 
 _IMA_STEPS = np.array([
@@ -270,9 +273,7 @@ def encode_wav_adpcm(x: np.ndarray, rate: int, kind: str = "ima",
     byte_rate = rate * block_align // spb
     fmt = struct.pack("<HHIIHH", code, channels, rate, byte_rate,
                       block_align, 4) + struct.pack("<H", len(ext)) + ext
-    body = (b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
-            + b"data" + struct.pack("<I", len(payload)) + payload)
-    return b"RIFF" + struct.pack("<I", len(body)) + body
+    return wave_file(fmt, payload)
 
 
 # --- Apple/QuickTime IMA4 (AIFF-C compression 'ima4') ----------------------

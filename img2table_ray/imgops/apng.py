@@ -30,31 +30,15 @@ Returned frames are the composited canvases flattened to RGB over black
 from __future__ import annotations
 
 import struct
-import zlib
 
 import numpy as np
 
-from img2table_ray.imgops.limits import check_dims, check_frames
-from img2table_ray.imgops.png import PngError, unfilter_idat
-
-_SIG = b"\x89PNG\r\n\x1a\n"
+from img2table_ray.imgops.limits import check_frames
+from img2table_ray.imgops.png import (_SIG, PngError, _chunk, _header, _idat,
+                                      _walk_chunks, unfilter_idat)
 
 DISPOSE_NONE, DISPOSE_BACKGROUND, DISPOSE_PREVIOUS = 0, 1, 2
 BLEND_SOURCE, BLEND_OVER = 0, 1
-
-
-def _walk_chunks(data: bytes):
-    pos = 8
-    n = len(data)
-    while pos + 8 <= n:
-        (length,) = struct.unpack(">I", data[pos : pos + 4])
-        ctype = data[pos + 4 : pos + 8]
-        if length > n - pos - 8:
-            raise PngError("chunk overruns file")
-        yield ctype, data[pos + 8 : pos + 8 + length]
-        pos += 12 + length
-        if ctype == b"IEND":
-            return
 
 
 def is_apng(data: bytes) -> bool:
@@ -107,8 +91,7 @@ def apng_frames(data: bytes, max_frames: int = 512
     ``MAX_PIXELS`` pixels."""
     if data[:8] != _SIG:
         raise PngError("not a PNG file")
-    width = height = None
-    bit_depth = color_type = interlace = None
+    ihdr = None
     palette = trns = None
     num_frames = None
     # collected animation stream: list of (fctl, [data chunks])
@@ -120,8 +103,7 @@ def apng_frames(data: bytes, max_frames: int = 512
 
     for ctype, chunk in _walk_chunks(data):
         if ctype == b"IHDR":
-            width, height, bit_depth, color_type, _, _, interlace = (
-                struct.unpack(">IIBBBBB", chunk))
+            ihdr = chunk
         elif ctype == b"PLTE":
             palette = np.frombuffer(chunk, np.uint8)
             palette = palette[: len(palette) // 3 * 3].reshape(-1, 3)
@@ -159,17 +141,10 @@ def apng_frames(data: bytes, max_frames: int = 512
             next_seq += 1
             datas[-1].append(chunk[4:])
 
-    if width is None or num_frames is None or not seen_idat:
+    if ihdr is None or num_frames is None or not seen_idat:
         raise PngError("not an APNG (missing IHDR/acTL/IDAT)")
-    check_dims(width, height, "APNG")
+    width, height, color_type, channels = _header(ihdr, "APNG")
     check_frames(len(fctls), width, height, "APNG animation")
-    if bit_depth != 8:
-        raise PngError(f"unsupported bit depth {bit_depth}")
-    if interlace != 0:
-        raise PngError("interlaced APNG not supported")
-    channels = {0: 1, 2: 3, 3: 1, 4: 2, 6: 4}.get(color_type)
-    if channels is None:
-        raise PngError(f"unsupported color type {color_type}")
 
     canvas = np.zeros((height, width, 4), np.uint8)
     frames: list[np.ndarray] = []
@@ -226,35 +201,24 @@ def encode_apng(canvas_size: tuple[int, int],
     written as IDAT (its fcTL precedes IDAT), the rest as fdAT.
     """
     cw, ch = canvas_size
-
-    def chunk(ctype: bytes, payload: bytes) -> bytes:
-        return (struct.pack(">I", len(payload)) + ctype + payload
-                + struct.pack(">I", zlib.crc32(ctype + payload) & 0xFFFFFFFF))
-
-    def filtered(img: np.ndarray) -> bytes:
-        h, w, c = img.shape
-        raw = np.concatenate(
-            [np.zeros((h, 1), np.uint8), img.reshape(h, w * c)], axis=1)
-        return zlib.compress(raw.tobytes(), 6)
-
-    out = [_SIG, chunk(b"IHDR", struct.pack(">IIBBBBB", cw, ch, 8, 6,
+    out = [_SIG, _chunk(b"IHDR", struct.pack(">IIBBBBB", cw, ch, 8, 6,
                                             0, 0, 0))]
-    out.append(chunk(b"acTL", struct.pack(">II", len(frames), 0)))
+    out.append(_chunk(b"acTL", struct.pack(">II", len(frames), 0)))
     seq = 0
     for i, f in enumerate(frames):
         img = f["img"]
         h, w, _ = img.shape
         dnum, dden = f.get("delay", (1, 10))
-        out.append(chunk(b"fcTL", struct.pack(
+        out.append(_chunk(b"fcTL", struct.pack(
             ">IIIIIHHBB", seq, w, h, f.get("x", 0), f.get("y", 0),
             dnum, dden, f.get("dispose", DISPOSE_NONE),
             f.get("blend", BLEND_SOURCE))))
         seq += 1
-        payload = filtered(img)
+        payload = _idat(img)
         if i == 0:
-            out.append(chunk(b"IDAT", payload))
+            out.append(_chunk(b"IDAT", payload))
         else:
-            out.append(chunk(b"fdAT", struct.pack(">I", seq) + payload))
+            out.append(_chunk(b"fdAT", struct.pack(">I", seq) + payload))
             seq += 1
-    out.append(chunk(b"IEND", b""))
+    out.append(_chunk(b"IEND", b""))
     return b"".join(out)

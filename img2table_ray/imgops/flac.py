@@ -168,27 +168,6 @@ def _decode_residual(br: _Bits, blocksize: int, order: int) -> np.ndarray:
     return out
 
 
-def _restore_fixed_exact(warm: list[int], resid: np.ndarray,
-                         order: int) -> np.ndarray:
-    """Reference-form reconstruction, the test oracle of
-    ``_restore_fixed_vec`` (tests/test_pipeline.py); no decode path
-    calls it."""
-    out = list(warm)
-    if order == 0:
-        return resid.astype(np.int64)
-    for r in resid:
-        if order == 1:
-            out.append(r + out[-1])
-        elif order == 2:
-            out.append(r + 2 * out[-1] - out[-2])
-        elif order == 3:
-            out.append(r + 3 * out[-1] - 3 * out[-2] + out[-3])
-        else:
-            out.append(r + 4 * out[-1] - 6 * out[-2] + 4 * out[-3]
-                       - out[-4])
-    return np.asarray(out, np.int64)
-
-
 def _restore_fixed_vec(warm: list[int], resid: np.ndarray,
                        order: int) -> np.ndarray:
     """Vectorized fixed-predictor reconstruction: order-k prediction

@@ -194,6 +194,14 @@ def _changes_of(row: np.ndarray) -> list[int]:
     return ch
 
 
+def _pack_bits(bits: list[str]) -> bytes:
+    """'0'/'1' code strings -> bytes, zero-padded to a byte."""
+    s = "".join(bits)
+    s += "0" * (-len(s) % 8)
+    return np.packbits(
+        np.frombuffer(s.encode(), np.uint8) - ord("0")).tobytes()
+
+
 # ---- Modified Huffman 1-D (TIFF Compression=2) ---------------------------
 
 def mh_decode(data: bytes, width: int, height: int) -> np.ndarray:
@@ -214,30 +222,6 @@ def mh_decode(data: bytes, width: int, height: int) -> np.ndarray:
             white = not white
         br.align()
     return img
-
-
-def mh_encode(img: np.ndarray) -> bytes:
-    out_rows = []
-    for row in np.asarray(img, np.uint8):
-        bits: list[str] = []
-        pos = 0
-        white = True
-        w = len(row)
-        while pos < w:
-            if white:
-                nxt = np.flatnonzero(row[pos:] == 1)
-            else:
-                nxt = np.flatnonzero(row[pos:] == 0)
-            run = int(nxt[0]) if len(nxt) else w - pos
-            _emit_run(bits, run, white)
-            pos += run
-            white = not white
-        s = "".join(bits)
-        s += "0" * (-len(s) % 8)
-        out_rows.append(s)
-    all_bits = "".join(out_rows)
-    return np.packbits(
-        np.frombuffer(all_bits.encode(), np.uint8) - ord("0")).tobytes()
 
 
 # ---- Group 4 (T.6 MMR, TIFF Compression=4) -------------------------------
@@ -379,10 +363,7 @@ def g4_encode(img: np.ndarray, with_eofb: bool = True) -> bytes:
         ref = cur
     if with_eofb:
         bits.append(_EOL + _EOL)
-    s = "".join(bits)
-    s += "0" * (-len(s) % 8)
-    return np.packbits(
-        np.frombuffer(s.encode(), np.uint8) - ord("0")).tobytes()
+    return _pack_bits(bits)
 
 
 # ---- Group 3 with EOLs (TIFF Compression=3) ------------------------------
@@ -480,7 +461,4 @@ def g3_2d_encode(img: np.ndarray, k: int = 4) -> bytes:
             bits.append(_EOL + "0")
             _encode_2d_row(bits, cur, ref, width)
         ref = cur
-    s = "".join(bits)
-    s += "0" * (-len(s) % 8)
-    return np.packbits(
-        np.frombuffer(s.encode(), np.uint8) - ord("0")).tobytes()
+    return _pack_bits(bits)

@@ -21,6 +21,8 @@ import struct
 
 import numpy as np
 
+from img2table_ray.imgops.pcm import wave_file
+
 
 def _build_ulaw_table() -> np.ndarray:
     """Expansion per G.711 mu-law: the stored byte is bit-complemented;
@@ -101,6 +103,4 @@ def encode_wav_g711(x: np.ndarray, rate: int, kind: str = "ulaw") -> bytes:
         raise ValueError(kind)
     fmt = struct.pack("<HHIIHH", code, channels, rate, rate * channels,
                       channels, 8) + struct.pack("<H", 0)
-    body = (b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
-            + b"data" + struct.pack("<I", len(payload)) + payload)
-    return b"RIFF" + struct.pack("<I", len(body)) + body
+    return wave_file(fmt, payload)

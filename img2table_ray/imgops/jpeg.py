@@ -20,7 +20,8 @@ Progressive (SOF2) streams are decoded too: spectral-selection and
 successive-approximation scans per ITU T.81 §G.2, with the AC-refinement
 control flow mirroring libjpeg's jdphuff.c; verified by transcoding a
 baseline image's quantized coefficients into multi-scan progressive
-streams (including refinement scans) and requiring bit-identical pixels.
+streams (including refinement scans) and requiring bit-identical pixels
+(the transcoder lives in tests/test_jpeg.py).
 4-component Adobe JPEGs (CMYK, and YCCK via APP14 transform=2) composite
 to RGB with cv2's CMYK2BGR formula.  Arithmetic-coded streams (SOF9
 sequential / SOF10 progressive) decode via the QM coder in
@@ -1457,259 +1458,5 @@ def _assemble_jpeg(w, h, planes, gray, adobe_transform, ql, qc, ncomp,
     sos += b"\x00\x3f\x00"
     out += seg(0xDA, bytes(sos))
     out += entropy
-    out += b"\xff\xd9"
-    return bytes(out)
-
-
-# ---- progressive transcoder (coefficient-preserving SOF2 writer) -------
-
-def _build_table(symbols: set, table_len: int = 8):
-    """Canonical Huffman table with every symbol at ``table_len`` bits
-    (valid while |symbols| <= 2^len - 1; the all-ones code stays unused).
-    Returns (bits16, ordered values, {symbol: (code, len)})."""
-    vals = sorted(symbols)
-    if len(vals) > (1 << table_len) - 1:
-        raise JpegError("too many symbols for flat table")
-    bits = [0] * 16
-    bits[table_len - 1] = len(vals)
-    codes = {v: (i, table_len) for i, v in enumerate(vals)}
-    return bits, vals, codes
-
-
-class _ScanEmitter:
-    """Collect-or-emit sink: pass 1 gathers symbol sets, pass 2 writes."""
-
-    def __init__(self, dc_codes=None, ac_codes=None) -> None:
-        self.dc_syms: set = set()
-        self.ac_syms: set = set()
-        self.dc_codes = dc_codes
-        self.ac_codes = ac_codes
-        self.bw = _BitWriter()
-
-    def dc_symbol(self, s: int) -> None:
-        if self.dc_codes is None:
-            self.dc_syms.add(s)
-        else:
-            code, ln = self.dc_codes[s]
-            self.bw.put(code, ln)
-
-    def ac_symbol(self, s: int) -> None:
-        if self.ac_codes is None:
-            self.ac_syms.add(s)
-        else:
-            code, ln = self.ac_codes[s]
-            self.bw.put(code, ln)
-
-    def bits(self, v: int, n: int) -> None:
-        if n and self.ac_codes is not None:
-            self.bw.put(v & ((1 << n) - 1), n)
-
-
-def _enc_dc_first(em: _ScanEmitter, comps, scan_comps, mcus_x, mcus_y, al):
-    preds = {c.cid: 0 for c in scan_comps}
-    for mcu in range(mcus_x * mcus_y):
-        my, mx = divmod(mcu, mcus_x)
-        for c in scan_comps:
-            for by in range(c.v):
-                for bx in range(c.h):
-                    base = ((my * c.v + by) * c.blocks_w + mx * c.h + bx) * 64
-                    v = int(c.coefs[base // 64, 0]) >> al
-                    diff = v - preds[c.cid]
-                    preds[c.cid] = v
-                    mag = diff if diff >= 0 else -diff
-                    size = mag.bit_length()
-                    em.dc_symbol(size)
-                    if size:
-                        ev = diff if diff >= 0 else diff + (1 << size) - 1
-                        em.bits(ev, size)
-
-
-def _enc_dc_refine(em: _ScanEmitter, scan_comps, mcus_x, mcus_y, al):
-    for mcu in range(mcus_x * mcus_y):
-        my, mx = divmod(mcu, mcus_x)
-        for c in scan_comps:
-            for by in range(c.v):
-                for bx in range(c.h):
-                    blk = (my * c.v + by) * c.blocks_w + mx * c.h + bx
-                    em.bits((int(c.coefs[blk, 0]) >> al) & 1, 1)
-
-
-class _AcState:
-    __slots__ = ("eobrun", "bbuf")
-
-    def __init__(self) -> None:
-        self.eobrun = 0
-        self.bbuf: list[int] = []
-
-
-def _emit_eobrun(em: _ScanEmitter, st: _AcState) -> None:
-    if st.eobrun > 0:
-        nbits = st.eobrun.bit_length() - 1
-        em.ac_symbol(nbits << 4)
-        if nbits:
-            em.bits(st.eobrun, nbits)
-        st.eobrun = 0
-    for b in st.bbuf:
-        em.bits(b, 1)
-    st.bbuf = []
-
-
-def _enc_ac_first(em: _ScanEmitter, st: _AcState, c, blk, ss, se, al, zz):
-    row = c.coefs[blk]
-    r = 0
-    for k in range(ss, se + 1):
-        v = int(row[zz[k]])
-        t = (v if v >= 0 else -v) >> al
-        if t == 0:
-            r += 1
-            continue
-        while r > 15:
-            _emit_eobrun(em, st)
-            em.ac_symbol(0xF0)
-            r -= 16
-        _emit_eobrun(em, st)
-        if v < 0:
-            t = -t
-        mag = t if t >= 0 else -t
-        size = mag.bit_length()
-        em.ac_symbol((r << 4) | size)
-        ev = t if t >= 0 else t + (1 << size) - 1
-        em.bits(ev, size)
-        r = 0
-    if r > 0:
-        st.eobrun += 1
-        if st.eobrun == 0x7FFF:
-            _emit_eobrun(em, st)
-
-
-def _enc_ac_refine(em: _ScanEmitter, st: _AcState, c, blk, ss, se, al, zz):
-    row = c.coefs[blk]
-    absv = []
-    eob = ss - 1
-    for k in range(ss, se + 1):
-        v = int(row[zz[k]])
-        t = (v if v >= 0 else -v) >> al
-        absv.append(t)
-        if t == 1:
-            eob = k
-    r = 0
-    br: list[int] = []
-    for k in range(ss, se + 1):
-        t = absv[k - ss]
-        if t == 0:
-            r += 1
-            continue
-        while r > 15 and k <= eob:
-            _emit_eobrun(em, st)
-            em.ac_symbol(0xF0)
-            r -= 16
-            for b in br:
-                em.bits(b, 1)
-            br = []
-        if t > 1:
-            br.append(t & 1)
-            continue
-        _emit_eobrun(em, st)
-        em.ac_symbol((r << 4) | 1)
-        em.bits(1 if int(row[zz[k]]) >= 0 else 0, 1)
-        for b in br:
-            em.bits(b, 1)
-        br = []
-        r = 0
-    if r > 0 or br:
-        st.eobrun += 1
-        st.bbuf.extend(br)
-        if st.eobrun == 0x7FFF:
-            _emit_eobrun(em, st)
-
-
-def transcode_to_progressive(data: bytes, al: int = 1) -> bytes:
-    """Re-encode a JPEG's QUANTIZED COEFFICIENTS as a progressive (SOF2)
-    stream: spectral-selection bands with successive approximation at
-    ``Al=al`` plus the refinement scans down to 0.  Coefficients are
-    preserved exactly, so decode_jpeg(result) must be bit-identical to
-    decode_jpeg(data) — the correctness harness for the progressive
-    decoder (encoder implemented from T.81 §G.1.2 / jcphuff.c; decoder
-    from §G.2 / jdphuff.c)."""
-    width, height, comps, qt, _mode = _decode_frame(data)
-    hmax = max(c.h for c in comps)
-    vmax = max(c.v for c in comps)
-    mcus_x = -(-width // (8 * hmax))
-    mcus_y = -(-height // (8 * vmax))
-    zz = ZIGZAG.tolist()
-
-    def comp_units(c):
-        w2 = -(-(-(-width * c.h // hmax)) // 8)
-        h2 = -(-(-(-height * c.v // vmax)) // 8)
-        return w2, h2
-
-    # scan script: DC first (interleaved), per-comp AC bands, refinements
-    scans = [("dc_first", None, 0, 0, 0, al)]
-    for c in comps:
-        scans.append(("ac_first", c, 1, 5, 0, al))
-        scans.append(("ac_first", c, 6, 63, 0, al))
-    for lvl in range(al, 0, -1):
-        scans.append(("dc_refine", None, 0, 0, lvl, lvl - 1))
-        for c in comps:
-            scans.append(("ac_refine", c, 1, 63, lvl, lvl - 1))
-
-    def run(emitter_factory):
-        ems = []
-        for kind, c, ss, se, ah, al_ in scans:
-            em = emitter_factory()
-            if kind == "dc_first":
-                _enc_dc_first(em, comps, comps, mcus_x, mcus_y, al_)
-            elif kind == "dc_refine":
-                _enc_dc_refine(em, comps, mcus_x, mcus_y, al_)
-            else:
-                st = _AcState()
-                w2, h2 = comp_units(c)
-                for blk_unit in range(w2 * h2):
-                    r_, c_ = divmod(blk_unit, w2)
-                    blk = r_ * c.blocks_w + c_
-                    if kind == "ac_first":
-                        _enc_ac_first(em, st, c, blk, ss, se, al_, zz)
-                    else:
-                        _enc_ac_refine(em, st, c, blk, ss, se, al_, zz)
-                _emit_eobrun(em, st)
-            em.bw.flush()
-            ems.append(em)
-        return ems
-
-    # pass 1: symbol collection
-    collected = run(lambda: _ScanEmitter())
-    dc_syms = set().union(*[e.dc_syms for e in collected]) or {0}
-    ac_syms = set().union(*[e.ac_syms for e in collected]) or {0}
-    dc_bits, dc_vals, dc_codes = _build_table(dc_syms)
-    ac_bits, ac_vals, ac_codes = _build_table(ac_syms)
-    # pass 2: emission
-    emitted = run(lambda: _ScanEmitter(dc_codes, ac_codes))
-
-    def seg(marker, payload):
-        return bytes([0xFF, marker]) + struct.pack(">H", len(payload) + 2) + payload
-
-    out = bytearray(b"\xff\xd8")
-    out += seg(0xE0, b"JFIF\x00\x01\x01\x00\x00\x01\x00\x01\x00\x00")
-    for tq, q in sorted(qt.items()):
-        zq = np.zeros(64, dtype=np.uint8)
-        for i in range(64):
-            zq[i] = q[ZIGZAG[i]]
-        out += seg(0xDB, bytes([tq]) + zq.tobytes())
-    sof = bytearray(struct.pack(">BHHB", 8, height, width, len(comps)))
-    for c in comps:
-        sof += bytes([c.cid, (c.h << 4) | c.v, c.tq])
-    out += seg(0xC2, bytes(sof))
-    out += seg(0xC4, bytes([0x00]) + bytes(dc_bits) + bytes(dc_vals))
-    out += seg(0xC4, bytes([0x10]) + bytes(ac_bits) + bytes(ac_vals))
-    for (kind, c, ss, se, ah, al_), em in zip(scans, emitted):
-        if kind.startswith("dc"):
-            sos = bytearray([len(comps)])
-            for cc in comps:
-                sos += bytes([cc.cid, 0x00])
-        else:
-            sos = bytearray([1, c.cid, 0x00])
-        sos += bytes([ss, se, (ah << 4) | al_])
-        out += seg(0xDA, bytes(sos))
-        out += em.bw.out
     out += b"\xff\xd9"
     return bytes(out)

@@ -14,11 +14,24 @@ format code and call ``pcm_samples``:
 Integers scale by 2^(bits-1) (unsigned 8-bit re-centres on 128 first);
 a trailing partial sample is dropped.  One ``np.frombuffer`` plus a dtype
 view per file, no per-sample Python.
+
+``wave_file`` is the one RIFF/WAVE writer of the PCM, G.711 and ADPCM
+fixture builders.
 """
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
+
+
+def wave_file(fmt: bytes, data: bytes) -> bytes:
+    """A RIFF/WAVE file of one ``fmt `` chunk (``fmt`` is its payload)
+    and one ``data`` chunk (fixture builders)."""
+    body = (b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+            + b"data" + struct.pack("<I", len(data)) + data)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
 
 
 def pcm_samples(raw: bytes, fmt: str) -> np.ndarray:

@@ -24,9 +24,60 @@ from img2table_ray.imgops.limits import bounded_decompress, check_dims
 
 _SIG = b"\x89PNG\r\n\x1a\n"
 
+# samples per pixel of each supported colour type
+_CHANNELS = {0: 1, 2: 3, 3: 1, 4: 2, 6: 4}
+
 
 class PngError(ValueError):
     pass
+
+
+def _walk_chunks(data: bytes):
+    """Yield (type, payload) for each chunk after the signature, up to and
+    including IEND.  A chunk that does not fit in ``data``, its CRC
+    included, raises PngError (libpng fails such a read too)."""
+    pos = 8
+    n = len(data)
+    while pos < n:
+        if n - pos < 12:
+            raise PngError("truncated chunk")
+        (length,) = struct.unpack(">I", data[pos : pos + 4])
+        if length > n - pos - 12:
+            raise PngError("chunk overruns file")
+        ctype = data[pos + 4 : pos + 8]
+        yield ctype, data[pos + 8 : pos + 8 + length]
+        pos += 12 + length
+        if ctype == b"IEND":
+            return
+
+
+def _header(ihdr: bytes, what: str) -> tuple[int, int, int, int]:
+    """IHDR payload -> (width, height, colour type, channels); only 8-bit,
+    non-interlaced images of the colour types in ``_CHANNELS`` pass."""
+    width, height, bit_depth, color_type, _, _, interlace = struct.unpack(
+        ">IIBBBBB", ihdr)
+    check_dims(width, height, what)
+    if bit_depth != 8:
+        raise PngError(f"unsupported bit depth {bit_depth}")
+    if interlace != 0:
+        raise PngError(f"interlaced {what} not supported")
+    channels = _CHANNELS.get(color_type)
+    if channels is None:
+        raise PngError(f"unsupported color type {color_type}")
+    return width, height, color_type, channels
+
+
+def _chunk(ctype: bytes, payload: bytes) -> bytes:
+    return (struct.pack(">I", len(payload)) + ctype + payload
+            + struct.pack(">I", zlib.crc32(ctype + payload) & 0xFFFFFFFF))
+
+
+def _idat(img: np.ndarray) -> bytes:
+    """(H, W, C) uint8 -> zlib stream of filter-0 scanlines."""
+    h, w, c = img.shape
+    raw = np.concatenate(
+        [np.zeros((h, 1), dtype=np.uint8), img.reshape(h, w * c)], axis=1)
+    return zlib.compress(raw.tobytes(), 6)
 
 
 def unfilter_idat(compressed: bytes, width: int, height: int,
@@ -98,37 +149,19 @@ def decode_png(data: bytes) -> np.ndarray:
     """Decode PNG bytes -> (H, W) gray or (H, W, 3) RGB uint8 array."""
     if data[:8] != _SIG:
         raise PngError("not a PNG file")
-    pos = 8
-    width = height = None
-    bit_depth = color_type = interlace = None
+    ihdr = None
     idat = []
     palette = None
-    while pos < len(data):
-        (length,) = struct.unpack(">I", data[pos : pos + 4])
-        ctype = data[pos + 4 : pos + 8]
-        chunk = data[pos + 8 : pos + 8 + length]
-        pos += 12 + length
+    for ctype, chunk in _walk_chunks(data):
         if ctype == b"IHDR":
-            width, height, bit_depth, color_type, _, _, interlace = struct.unpack(
-                ">IIBBBBB", chunk
-            )
+            ihdr = chunk
         elif ctype == b"PLTE":
             palette = np.frombuffer(chunk, dtype=np.uint8).reshape(-1, 3)
         elif ctype == b"IDAT":
             idat.append(chunk)
-        elif ctype == b"IEND":
-            break
-    if width is None:
+    if ihdr is None:
         raise PngError("missing IHDR")
-    check_dims(width, height, "PNG")
-    if bit_depth != 8:
-        raise PngError(f"unsupported bit depth {bit_depth}")
-    if interlace != 0:
-        raise PngError("interlaced PNG not supported")
-
-    channels = {0: 1, 2: 3, 3: 1, 4: 2, 6: 4}.get(color_type)
-    if channels is None:
-        raise PngError(f"unsupported color type {color_type}")
+    width, height, color_type, channels = _header(ihdr, "PNG")
 
     img = unfilter_idat(b"".join(idat), width, height, channels)
     if color_type == 0:
@@ -150,21 +183,9 @@ def encode_png(img: np.ndarray) -> bytes:
         img = np.stack([img] * 3, axis=2)
     h, w, c = img.shape
     assert c == 3 and img.dtype == np.uint8
-    raw = np.concatenate(
-        [np.zeros((h, 1), dtype=np.uint8), img.reshape(h, w * c)], axis=1
-    ).tobytes()
-    compressed = zlib.compress(raw, 6)
-
-    def chunk(ctype: bytes, payload: bytes) -> bytes:
-        return (
-            struct.pack(">I", len(payload))
-            + ctype
-            + payload
-            + struct.pack(">I", zlib.crc32(ctype + payload) & 0xFFFFFFFF)
-        )
-
     ihdr = struct.pack(">IIBBBBB", w, h, 8, 2, 0, 0, 0)
-    return _SIG + chunk(b"IHDR", ihdr) + chunk(b"IDAT", compressed) + chunk(b"IEND", b"")
+    return (_SIG + _chunk(b"IHDR", ihdr) + _chunk(b"IDAT", _idat(img))
+            + _chunk(b"IEND", b""))
 
 
 def decode_bmp(data: bytes) -> np.ndarray:

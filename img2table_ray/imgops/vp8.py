@@ -167,7 +167,7 @@ class BoolEncoder:
 
     def tree(self, tree: tuple, probs, value: int, counts=None) -> None:
         # walk the tree to the leaf, emitting branch bools
-        path = _tree_path(tree, value)
+        path = _tree_path_from(tree, value, 0)
         i = 0
         for b in path:
             self.bool(b, probs[i >> 1])
@@ -189,34 +189,6 @@ class BoolEncoder:
             self.out.append((v >> 24) & 0xFF)
             v = (v << 8) & 0xFFFFFFFF
         return bytes(self.out)
-
-
-def _tree_path(tree: tuple, value: int) -> list[int]:
-    """Branch decisions from the root to leaf ``-value`` (memoized)."""
-    key = (id(tree), value)
-    hit = _TREE_PATHS.get(key)
-    if hit is not None:
-        return hit
-
-    def walk(i: int, acc: list[int]):
-        for b in (0, 1):
-            j = tree[i + b]
-            if j == -value and (j <= 0):
-                return acc + [b]
-            if j > 0:
-                r = walk(j, acc + [b])
-                if r is not None:
-                    return r
-        return None
-
-    path = walk(0, [])
-    if path is None:
-        raise Vp8Error(f"value {value} not in tree")
-    _TREE_PATHS[key] = path
-    return path
-
-
-_TREE_PATHS: dict = {}
 
 
 # ---------------------------------------------------------------------------
@@ -766,7 +738,11 @@ def _encode_coeffs(be: BoolEncoder, probs, counts, btype: int, first: int,
     return nonzero
 
 
+_TREE_PATHS: dict = {}
+
+
 def _tree_path_from(tree: tuple, value: int, start: int) -> list[int]:
+    """Branch decisions from node ``start`` to leaf ``-value`` (memoized)."""
     key = (id(tree), value, start)
     hit = _TREE_PATHS.get(key)
     if hit is not None:

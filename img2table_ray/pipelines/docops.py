@@ -15,7 +15,6 @@ import re
 
 import numpy as np
 import pandas as pd
-import pyarrow as pa
 import ray.data
 
 from img2table_ray.functions import hashing
@@ -203,6 +202,18 @@ def winnow_fingerprints(sf_dir: str) -> ray.data.Dataset:
 SAMPLE_PCT = 10
 
 
+def _sample_keys(doc_ids: pd.Series) -> np.ndarray:
+    """Per-row sampling key in [0, 100): the first 8 hex digits of
+    md5(str(doc_id)) mod 100 (the SQL oracles compute the same)."""
+    import hashlib
+
+    return np.fromiter(
+        (int(hashlib.md5(str(i).encode()).hexdigest()[:8], 16) % 100
+         for i in doc_ids),
+        dtype="int64", count=len(doc_ids),
+    )
+
+
 def deterministic_sample(sf_dir: str, pct: int = SAMPLE_PCT
                          ) -> ray.data.Dataset:
     """Reproducible ``pct``% corpus sample keyed on md5(doc_id) — the
@@ -212,15 +223,8 @@ def deterministic_sample(sf_dir: str, pct: int = SAMPLE_PCT
     streaming filter: no shuffle, output scales with the corpus so it
     stays a Dataset.  Columns: doc_id, lang, n_chars.
     """
-    import hashlib
-
     def fn(batch: pd.DataFrame) -> pd.DataFrame:
-        sel = np.fromiter(
-            (int(hashlib.md5(str(i).encode()).hexdigest()[:8], 16) % 100 < pct
-             for i in batch["doc_id"]),
-            dtype=bool, count=len(batch),
-        )
-        return batch[sel]
+        return batch[_sample_keys(batch["doc_id"]) < pct]
 
     return _read_documents(sf_dir, ["doc_id", "lang", "n_chars"]).map_batches(
         fn, batch_format="pandas", batch_size=4096
@@ -282,17 +286,10 @@ def stratified_sample(sf_dir: str) -> ray.data.Dataset:
     per row from the stratum column.  Pure streaming filter, no shuffle.
     Columns: doc_id, lang, n_chars.
     """
-    import hashlib
-
     def fn(batch: pd.DataFrame) -> pd.DataFrame:
         pcts = batch["lang"].map(
             lambda l: STRATA_PCT.get(l, STRATA_DEFAULT_PCT)).to_numpy()
-        keys = np.fromiter(
-            (int(hashlib.md5(str(i).encode()).hexdigest()[:8], 16) % 100
-             for i in batch["doc_id"]),
-            dtype="int64", count=len(batch),
-        )
-        return batch[keys < pcts]
+        return batch[_sample_keys(batch["doc_id"]) < pcts]
 
     return _read_documents(sf_dir, ["doc_id", "lang", "n_chars"]).map_batches(
         fn, batch_format="pandas", batch_size=4096

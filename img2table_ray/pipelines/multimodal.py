@@ -730,13 +730,12 @@ def synth_wav(seed: int) -> bytes:
 
         codec = ("A_PCM/INT/LIT", "A_FLAC")[(seed // 32) % 2]
         return synth_mkv_audio(seed, samples, rate, codec)
-    pcm = samples.astype("<i2").tobytes()
-    import struct as _s
+    import struct
 
-    fmt = _s.pack("<HHIIHH", 1, 1, rate, rate * 2, 2, 16)
-    body = (b"WAVE" + b"fmt " + _s.pack("<I", len(fmt)) + fmt
-            + b"data" + _s.pack("<I", len(pcm)) + pcm)
-    return b"RIFF" + _s.pack("<I", len(body)) + body
+    from img2table_ray.imgops.pcm import wave_file
+
+    fmt = struct.pack("<HHIIHH", 1, 1, rate, rate * 2, 2, 16)
+    return wave_file(fmt, samples.astype("<i2").tobytes())
 
 
 def audio_features(sf_dir: str) -> ray.data.Dataset:

@@ -20,7 +20,7 @@ import ray.data
 from img2table_ray.sources.readers import read_parquet_clean
 from img2table_ray.stages.util import (map_key_groups, shuffle_width,
                                        time_bucket)
-from ray.data.aggregate import Count, Max, Min, Sum
+from ray.data.aggregate import Max, Sum
 
 
 def pricing_summary(sf_dir: str) -> pd.DataFrame:

@@ -255,10 +255,9 @@ class PageExtractor(PayloadStage):
                                                        pdf_words_content)
 
             try:
-                recs = pdf_words_content(data, pages=[page])[0]
-                for r in recs:
-                    r["page"] = 0  # single-page extraction context
-                words = OCRWords.from_records(recs)
+                # the one selected page is numbered 0, as parse_hocr(page=0)
+                words = OCRWords.from_records(
+                    pdf_words_content(data, pages=[page])[0])
             except PdfTextError:
                 words = None
         else:

@@ -7,6 +7,7 @@ import pytest
 
 from img2table_ray.fixtures import fixture_path
 from tests.conftest import REFERENCE
+from tests.readers import read_xlsx_values
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +51,6 @@ def test_image_extract_tables(mock_hocr):
 @pytest.mark.requires_reference(f"{REFERENCE}/document/image/test_data/expected.xlsx")
 def test_image_to_xlsx(mock_hocr):
     from img2table_ray.api import HocrOCR, Image
-    from img2table_ray.core.xlsx import read_xlsx_values
 
     img = Image(src=fixture_path("test.png"), detect_rotation=True)
     buf = img.to_xlsx(BytesIO(), ocr=HocrOCR([mock_hocr]), implicit_rows=True,
@@ -154,7 +154,6 @@ def test_to_xlsx_round_trip(mock_hocr):
     import zipfile
 
     from img2table_ray.api import HocrOCR, Image
-    from img2table_ray.core.xlsx import read_xlsx_values
 
     img = Image(src=fixture_path("test.png"))
     kwargs = dict(ocr=HocrOCR([mock_hocr]), implicit_rows=True)

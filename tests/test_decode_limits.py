@@ -11,7 +11,7 @@ import zlib
 import numpy as np
 import pytest
 
-from img2table_ray.imgops.limits import MAX_PIXELS, DecodeLimitError, check_dims
+from img2table_ray.imgops.limits import DecodeLimitError, check_dims
 from img2table_ray.imgops.png import decode_image
 
 
@@ -35,6 +35,20 @@ def test_png_huge_ihdr_rejected():
     data = b"\x89PNG\r\n\x1a\n" + _chunk(b"IHDR", ihdr) + _chunk(b"IEND", b"")
     with pytest.raises(DecodeLimitError):
         decode_image(data)
+
+
+@pytest.mark.parametrize("cut", [17, 3], ids=["idat_tail", "iend_crc"])
+def test_png_cut_short_is_an_error(cut):
+    """A PNG whose last chunk, CRC included, runs past the end of the data
+    is a read error, as in libpng: cut 17 bytes (IEND and the last 5
+    bytes of IDAT) or 3 (of IEND's CRC)."""
+    from img2table_ray.fixtures import fixture_bytes
+    from img2table_ray.imgops.png import PngError, decode_png, encode_png
+
+    data = encode_png(decode_png(fixture_bytes("test.png")))
+    assert decode_png(data).ndim == 3
+    with pytest.raises(PngError, match="chunk"):
+        decode_png(data[:-cut])
 
 
 def test_bmp_huge_dims_rejected():

@@ -3,8 +3,6 @@ oracle at sf0.001 (row count + schema-insensitive sorted-value compare)."""
 
 from __future__ import annotations
 
-import math
-
 import duckdb
 import pandas as pd
 import pytest

@@ -12,6 +12,7 @@ import pytest
 
 from img2table_ray.fixtures import fixture_path
 from tests.conftest import REFERENCE as REF
+from tests.readers import read_xlsx_values
 
 
 def _png(path):
@@ -208,7 +209,7 @@ def test_html_and_rectangles_goldens():
 @pytest.mark.requires_reference(f"{REF}/document/image/test_data/expected.xlsx")
 def test_xlsx_golden(mock_words):
     # ref tests/document/image/test_image.py:95-108 (cell-by-cell vs expected.xlsx)
-    from img2table_ray.core.xlsx import read_xlsx_values, tables_to_xlsx
+    from img2table_ray.core.xlsx import tables_to_xlsx
     from img2table_ray.extract.document import extract_tables_from_image
 
     img = _png(fixture_path("test.png"))

@@ -23,6 +23,30 @@ from img2table_ray.imgops.tiff import (
 )
 
 
+def mh_encode(img: np.ndarray) -> bytes:
+    """Modified Huffman 1-D writer (TIFF Compression=2): each row starts
+    white and is zero-padded to a byte."""
+    from img2table_ray.imgops.g4 import _emit_run, _pack_bits
+
+    out_rows = []
+    for row in np.asarray(img, np.uint8):
+        bits: list[str] = []
+        pos = 0
+        white = True
+        w = len(row)
+        while pos < w:
+            if white:
+                nxt = np.flatnonzero(row[pos:] == 1)
+            else:
+                nxt = np.flatnonzero(row[pos:] == 0)
+            run = int(nxt[0]) if len(nxt) else w - pos
+            _emit_run(bits, run, white)
+            pos += run
+            white = not white
+        out_rows.append(_pack_bits(bits))
+    return b"".join(out_rows)
+
+
 # ---- hand-derived spec vectors ------------------------------------------
 
 def _pack_msb(codes, widths):
@@ -273,12 +297,7 @@ def test_fax_tables_prefix_free_and_sized():
 
 
 def test_g4_and_mh_roundtrips():
-    from img2table_ray.imgops.g4 import (
-        g4_decode,
-        g4_encode,
-        mh_decode,
-        mh_encode,
-    )
+    from img2table_ray.imgops.g4 import g4_decode, g4_encode, mh_decode
 
     rng = np.random.default_rng(13)
     t = np.zeros((60, 200), np.uint8)
@@ -374,7 +393,6 @@ def test_g3_1d_tiff_through_dispatch():
     by ``mh_encode``'s codes for it, zero-padded to a byte."""
     import struct
 
-    from img2table_ray.imgops.g4 import mh_encode
     from img2table_ray.imgops.png import decode_image
 
     rng = np.random.default_rng(17)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import random
 import signal
-import time
 
 import numpy as np
 import pytest

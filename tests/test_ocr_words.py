@@ -8,8 +8,9 @@ import sys
 
 from img2table_ray.core.objects import Cell, Row, Table
 from img2table_ray.extract.content import (OCRWords, assign_text_to_table,
-                                           load_words_csv, parse_hocr)
+                                           parse_hocr)
 from img2table_ray.fixtures import fixture_path
+from tests.readers import load_words_csv
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 

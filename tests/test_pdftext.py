@@ -122,6 +122,15 @@ def test_pdf_page_count_and_page_selection(pdf_bytes, expected_content):
            [w["value"] for w in expected_content[1]]
 
 
+def test_one_selected_page_is_numbered_zero(pdf_bytes):
+    """The page extractor reads a PDF page's own words as page 0, the
+    number it gives a page's hOCR (``parse_hocr(page=0)``): selecting one
+    page numbers its records 0, whichever page it is."""
+    for p in (0, 1):
+        (recs,) = pdf_words_content(pdf_bytes, pages=[p])
+        assert recs and {r["page"] for r in recs} == {0}, p
+
+
 def test_pdf_api_words(pdf_bytes):
     from img2table_ray.api import PDF
 

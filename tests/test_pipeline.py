@@ -8,6 +8,7 @@ import subprocess
 import sys
 import textwrap
 
+import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -552,6 +553,26 @@ def test_frame_lumas_of_gray_plane_match_three_channel_form():
     assert st._lumas(5, frames.__getitem__) == want
 
 
+def _restore_fixed_exact(warm: list[int], resid: np.ndarray,
+                         order: int) -> np.ndarray:
+    """FLAC fixed-predictor reconstruction in the spec's loop form, the
+    oracle of ``flac._restore_fixed_vec``."""
+    out = list(warm)
+    if order == 0:
+        return resid.astype(np.int64)
+    for r in resid:
+        if order == 1:
+            out.append(r + out[-1])
+        elif order == 2:
+            out.append(r + 2 * out[-1] - out[-2])
+        elif order == 3:
+            out.append(r + 3 * out[-1] - 3 * out[-2] + out[-3])
+        else:
+            out.append(r + 4 * out[-1] - 6 * out[-2] + 4 * out[-3]
+                       - out[-4])
+    return np.asarray(out, np.int64)
+
+
 def test_audio_flac_decode_real():
     """Round-5 FLAC codec (imgops/flac.py): lossless encode->decode is
     BIT-EXACT across every subframe type and stereo mode the spec
@@ -564,7 +585,7 @@ def test_audio_flac_decode_real():
     import pytest
 
     from img2table_ray.imgops.flac import (
-        _restore_fixed_exact, _restore_fixed_vec, decode_flac, encode_flac)
+        _restore_fixed_vec, decode_flac, encode_flac)
     from img2table_ray.pipelines.multimodal import (
         AudioFeatureStage, synth_wav)
 

@@ -8,16 +8,21 @@ end-to-end: known square/triangle glyphs must come back with exact
 coordinates, flex and subr calls included.
 """
 
-import numpy as np
 import pytest
 
 from img2table_ray.extract.pdfraster import render_pdf
-from img2table_ray.extract.type1 import (
-    Type1Error,
-    Type1Font,
-    _decrypt,
-    _encrypt,
-)
+from img2table_ray.extract.type1 import _C1, _C2, Type1Error, Type1Font, _decrypt
+
+
+def _encrypt(data: bytes, r: int, pad: int) -> bytes:
+    """Inverse of ``type1._decrypt``: eexec (r=55665) or charstring
+    (r=4330) encryption of ``pad`` zero bytes plus ``data``."""
+    out = bytearray()
+    for b in bytes(pad) + data:
+        c = b ^ (r >> 8)
+        out.append(c)
+        r = ((c + r) * _C1 + _C2) & 0xFFFF
+    return bytes(out)
 
 
 def _num(v: int) -> bytes:

@@ -8,6 +8,7 @@ import polars as pl
 import pytest
 
 from tests.conftest import REFERENCE
+from tests.readers import load_words_csv
 
 REF = f"{REFERENCE}/tables/processing/bordered_tables"
 
@@ -226,7 +227,6 @@ def test_object_goldens():
 def test_table_content_golden():
     # ref tests/tables/objects/test_table.py::test_table + test_get_table_content
     from img2table_ray.core.objects import Cell, Row, Table
-    from img2table_ray.extract.content import load_words_csv
 
     base = f"{REFERENCE}/tables/objects/test_data"
     tables = [Table(rows=[Row(cells=[Cell(**el) for el in row]) for row in tb])
@@ -251,7 +251,7 @@ def test_table_image_golden():
 
     img = decode_image(open(
         f"{REFERENCE}/tables/image/test_data/test.png", "rb").read())
-    result = TableImage(img=img, min_confidence=50).extract_tables(implicit_rows=True)
+    result = TableImage(img=img).extract_tables(implicit_rows=True)
     result = sorted(result, key=lambda tb: tb.x1 + tb.x2)
     assert (result[0].x1, result[0].y1, result[0].x2, result[0].y2) == (36, 21, 770, 327)
     assert (result[0].nb_rows, result[0].nb_columns) == (6, 3)

@@ -32,7 +32,6 @@ TABLES = ["region", "nation", "customer", "supplier", "part", "orders",
 
 
 def _to_pandas(result):
-    import pandas as pd
     import pyarrow as pa
     import ray.data
 
